@@ -81,6 +81,16 @@ class CutoffProfile:
         """psi(2^{-m} xi)."""
         return self.radial(freq_abs(xi) / float(2**m))
 
+    def block_weight(self, rho: float, j: int) -> float:
+        """Phi_j at radius rho: psi(rho) for j = 0, else psi(2^{-j} rho) - psi(2^{1-j} rho).
+
+        This weight form is for multiplier values; coefficients use the
+        products-first ball_diff_coeffs, which is not bitwise the same.
+        """
+        if j == 0:
+            return self.radial(rho)
+        return self.radial(rho / 2**j) - self.radial(rho / 2 ** (j - 1))
+
 
 def make_cutoff(r: float = DEFAULT_R, R: float = DEFAULT_BIG_R, kind: str = "exp") -> CutoffProfile:
     """Build a profile; the defaults put each dyadic 2^j alone in block j."""
@@ -112,10 +122,7 @@ class LPFamily:
 
     def block_multiplier(self, j: int, xi: Frequency) -> float:
         """Phi_j(xi)."""
-        rho = freq_abs(xi)
-        if j == 0:
-            return self.profile.radial(rho)
-        return self.profile.radial(rho / 2**j) - self.profile.radial(rho / 2 ** (j - 1))
+        return self.profile.block_weight(freq_abs(xi), j)
 
     def block_bounds(self, j: int) -> tuple[float, float]:
         """Support annulus radii of Phi_j (a ball for j = 0)."""
@@ -154,9 +161,9 @@ def telescope_check(profile: CutoffProfile, m: int, samples) -> float:
     worst = 0.0
     for xi in samples:
         rho = freq_abs(xi)
-        total = profile.radial(rho)
+        total = profile.block_weight(rho, 0)
         for k in range(1, m + 1):
-            total += profile.radial(rho / 2**k) - profile.radial(rho / 2 ** (k - 1))
+            total += profile.block_weight(rho, k)
         worst = max(worst, abs(profile.radial(rho / 2**m) - total))
     return worst
 
@@ -187,10 +194,17 @@ def lp_project(u: SparseField, j: int, fam: LPFamily, mode: str = "block") -> Sp
         raise ValueError(f"unknown mode {mode!r}")
     if j == 0:
         return modulate(u, 0, fam.profile)
-    prof = fam.profile
+    return SparseField(u.n, ball_diff_coeffs(u, j, j - 1, fam.profile), u.tau)
+
+
+def ball_diff_coeffs(u: SparseField, j: int, k: int, profile: CutoffProfile) -> dict:
+    """Coefficients of u^j - u^k, formed products-first.
+
+    Each is psi(2^{-j} xi) c - psi(2^{-k} xi) c, never (psi(..) - psi(..)) c:
+    only the products-first form telescopes bitwise across dyadic levels.
+    """
     out = {}
     for xi, c in u.items():
         rho = freq_abs(xi)
-        val = prof.radial(rho / 2**j) * c - prof.radial(rho / 2 ** (j - 1)) * c
-        out[xi] = val
-    return SparseField(u.n, out, u.tau)
+        out[xi] = profile.radial(rho / 2**j) * c - profile.radial(rho / 2**k) * c
+    return out

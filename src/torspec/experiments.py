@@ -44,8 +44,9 @@ from .operator import (
 )
 from .serialize import atomic_write_text
 from .symbols import (
-    ALL_ETA,
-    EtaSupport,
+    Ball,
+    Corona,
+    One,
     RadialBump,
     SeparableSymbol,
     Term,
@@ -54,7 +55,6 @@ from .symbols import (
     meyer_apply,
     meyer_symbol,
     twisted_diagonal_check,
-    _corona_mult,
 )
 
 
@@ -349,29 +349,11 @@ def random_symbol(n: int, rng: np.random.Generator, max_terms: int = 3) -> Separ
         xpart = random_band_limited(n, n_modes, 32, rng)
         kind = rng.choice(["corona", "one", "ball"])
         if kind == "corona":
-            j = int(rng.integers(1, 9))
-            chi = RadialBump()
-            scale = float(2**j)
-            terms.append(
-                Term(
-                    xpart,
-                    _corona_mult(chi, scale),
-                    EtaSupport("annulus", chi.lo * scale, chi.hi * scale),
-                    {"kind": "corona", "j": j, "chi": chi},
-                )
-            )
+            terms.append(Term(xpart, Corona(RadialBump(), int(rng.integers(1, 9)))))
         elif kind == "one":
-            terms.append(Term(xpart, lambda eta: 1.0, ALL_ETA, {"kind": "one"}))
+            terms.append(Term(xpart, One()))
         else:
-            radius = float(2 ** int(rng.integers(2, 8)))
-
-            def ball_mult(eta, _radius=radius):
-                rho = math.sqrt(math.fsum(float(c) ** 2 for c in eta))
-                return 1.0 if rho <= _radius else 0.0
-
-            terms.append(
-                Term(xpart, ball_mult, EtaSupport("ball", 0.0, radius), {"kind": "ballind"})
-            )
+            terms.append(Term(xpart, Ball(float(2 ** int(rng.integers(2, 8))))))
     return SeparableSymbol(0.0, n, tuple(terms))
 
 
@@ -402,9 +384,8 @@ def exp_spectral_support(
     report.check("containment-500-of-500", float(failures), 0.0)
 
     # Engineered cancellation: two terms wipe out one output mode exactly.
-    one = lambda eta: 1.0
-    t1 = Term(delta_field((3,), 1.0), one, ALL_ETA, {"kind": "one"})
-    t2 = Term(delta_field((5,), -1.0), one, ALL_ETA, {"kind": "one"})
+    t1 = Term(delta_field((3,), 1.0), One())
+    t2 = Term(delta_field((5,), -1.0), One())
     a = SeparableSymbol(0.0, 1, (t1, t2))
     u = SparseField(1, {(10,): 1.0, (8,): 1.0})
     au = apply(a, u)

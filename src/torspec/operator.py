@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cutoffs import CutoffProfile, LPFamily, lp_project, modulate
+from .cutoffs import CutoffProfile, LPFamily, ball_diff_coeffs, lp_project, modulate
 from .errors import (
     BudgetExceeded,
     DimensionMismatch,
@@ -386,12 +386,7 @@ def _ball_diff(u: SparseField, j: int, k: int, fam: LPFamily) -> SparseField:
         return SparseField(u.n, {}, u.tau)
     if k < 0:
         return lp_project(u, j, fam, "ball")
-    prof = fam.profile
-    out = {}
-    for xi, c in u.items():
-        rho = freq_abs(xi)
-        out[xi] = prof.radial(rho / 2**j) * c - prof.radial(rho / 2**k) * c
-    return SparseField(u.n, out, u.tau)
+    return SparseField(u.n, ball_diff_coeffs(u, j, k, fam.profile), u.tau)
 
 
 @dataclass(frozen=True)
@@ -544,7 +539,7 @@ def _probe_field(a: SeparableSymbol, J: int, rng) -> SparseField:
         coeffs[xi] = complex(rng.normal(), rng.normal())
 
     for t in a.terms:
-        lo, hi = t.support.lo, t.support.hi
+        lo, hi = t.mult.lo, t.mult.hi
         hi_eff = min(hi, cap) if math.isfinite(hi) else cap
         if hi_eff < max(lo, 1.0):
             continue
@@ -553,7 +548,8 @@ def _probe_field(a: SeparableSymbol, J: int, rng) -> SparseField:
             direction = rng.normal(size=n)
             direction /= np.linalg.norm(direction) or 1.0
             xi = tuple(int(round(rho * c)) for c in direction)
-            if freq_abs(xi) > 0 and t.support.contains(xi):
+            axi = freq_abs(xi)
+            if axi > 0 and lo <= axi <= hi:
                 put(xi)
     for _ in range(8):
         xi = tuple(int(c) for c in rng.integers(-8, 9, size=n))
@@ -586,7 +582,7 @@ def spatial_kernel_1d(
             continue
         if xp.max_abs_freq() >= half:
             raise FrequencyOutOfRange("modulated x-part exceeds the grid band")
-        hi = min(band, t.support.hi)
+        hi = min(band, t.mult.hi)
         if hi >= half:
             raise FrequencyOutOfRange(
                 f"modulated eta band {hi} does not fit below M/2 = {half}"

@@ -2,8 +2,10 @@
 
 Sparse fields serialize as JSON with coefficients sorted in frequency order;
 dense fields as a raw little-endian complex64 array next to a JSON sidecar.
-Term-form symbols carry structured multiplier descriptors so they can be
-reconstructed exactly.
+Term-form symbols store one descriptor per multiplier, written by the
+multiplier's own to_json() and read back by a lookup on its "kind".  The
+support radii are not stored: they are derived from the multiplier when it
+is rebuilt.  Malformed descriptors raise ValueError or KeyError.
 """
 
 from __future__ import annotations
@@ -15,18 +17,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import TorspecError
 from .fields import DenseField, SparseField
 from .symbols import (
-    ALL_ETA,
-    EtaSupport,
+    Ball,
+    Block,
+    Corona,
+    Modulated,
+    Multiplier,
+    One,
     RadialBump,
     SeparableSymbol,
     Term,
-    _block_mult,
-    _corona_mult,
 )
-from .cutoffs import CutoffProfile, LPFamily
+from .cutoffs import CutoffProfile
 
 
 def atomic_write_text(path: Path | str, text: str) -> Path:
@@ -115,82 +118,52 @@ def load_dense(base: Path | str) -> DenseField:
 # -- term-form symbols ---------------------------------------------------------------
 
 
-def _bump_to_json(chi: RadialBump) -> dict:
-    return {
-        "lo": chi.lo,
-        "hi": chi.hi,
-        "plo": chi.plo,
-        "phi": chi.phi,
-        "kind": chi.kind,
-        "zero_order": chi.zero_order,
-    }
+def _index(obj: dict, key: str) -> int:
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"multiplier field {key!r} must be an integer, got {value!r}")
+    return value
 
 
-def _bump_from_json(obj: dict) -> RadialBump:
+def _bump(obj: dict) -> RadialBump:
     return RadialBump(
         obj["lo"], obj["hi"], obj["plo"], obj["phi"], obj["kind"], obj["zero_order"]
     )
 
 
+def _profile(obj: dict) -> CutoffProfile:
+    return CutoffProfile(obj["r"], obj["R"], obj["kind"])
+
+
+_MULT_FROM_JSON = {
+    "one": lambda m: One(),
+    "corona": lambda m: Corona(_bump(m["chi"]), _index(m, "j")),
+    "block": lambda m: Block(_profile(m["profile"]), _index(m, "j")),
+    "ball": lambda m: Ball(float(m["radius"])),
+    "modulated": lambda m: Modulated(
+        mult_from_json(m["inner"]), _index(m, "m"), _profile(m["profile"])
+    ),
+}
+
+
+def mult_from_json(obj: dict) -> Multiplier:
+    kind = obj["kind"]
+    if not isinstance(kind, str) or kind not in _MULT_FROM_JSON:
+        raise ValueError(f"unknown multiplier kind {kind!r}")
+    return _MULT_FROM_JSON[kind](obj)
+
+
 def symbol_to_json(a: SeparableSymbol) -> dict:
-    terms = []
-    for t in a.terms:
-        if not t.meta or "kind" not in t.meta:
-            raise TorspecError("only structured multipliers serialize")
-        kind = t.meta["kind"]
-        if kind == "one":
-            mult = {"kind": "one"}
-        elif kind == "corona":
-            mult = {"kind": "corona", "j": t.meta["j"], "chi": _bump_to_json(t.meta["chi"])}
-        elif kind == "block":
-            prof = t.meta.get("profile")
-            if prof is None:
-                raise TorspecError("block multiplier needs its profile recorded")
-            mult = {
-                "kind": "block",
-                "j": t.meta["j"],
-                "profile": {"r": prof.r, "R": prof.R, "kind": prof.kind},
-            }
-        else:
-            raise TorspecError(f"unknown multiplier kind {kind!r}")
-        terms.append({"xpart": sparse_to_json(t.xpart), "mult": mult})
+    terms = [{"xpart": sparse_to_json(t.xpart), "mult": t.mult.to_json()} for t in a.terms]
     return {"d": a.d, "n": a.n, "terms": terms}
 
 
 def symbol_from_json(obj: dict) -> SeparableSymbol:
-    terms = []
-    for entry in obj["terms"]:
-        xpart = sparse_from_json(entry["xpart"])
-        m = entry["mult"]
-        if m["kind"] == "one":
-            terms.append(Term(xpart, lambda eta: 1.0, ALL_ETA, {"kind": "one"}))
-        elif m["kind"] == "corona":
-            chi = _bump_from_json(m["chi"])
-            j = int(m["j"])
-            scale = float(2**j)
-            support = EtaSupport("annulus", chi.lo * scale, chi.hi * scale)
-            terms.append(
-                Term(xpart, _corona_mult(chi, scale), support, {"kind": "corona", "j": j, "chi": chi})
-            )
-        elif m["kind"] == "block":
-            j = int(m["j"])
-            prof = CutoffProfile(m["profile"]["r"], m["profile"]["R"], m["profile"]["kind"])
-            fam = LPFamily(prof)
-            lo, hi = fam.block_bounds(j)
-            support = (
-                EtaSupport("ball", 0.0, hi) if j == 0 else EtaSupport("annulus", lo, hi)
-            )
-            terms.append(
-                Term(
-                    xpart,
-                    _block_mult(fam, j),
-                    support,
-                    {"kind": "block", "j": j, "profile": prof},
-                )
-            )
-        else:
-            raise TorspecError(f"unknown multiplier kind {m['kind']!r}")
-    return SeparableSymbol(float(obj["d"]), int(obj["n"]), tuple(terms))
+    terms = tuple(
+        Term(sparse_from_json(entry["xpart"]), mult_from_json(entry["mult"]))
+        for entry in obj["terms"]
+    )
+    return SeparableSymbol(float(obj["d"]), int(obj["n"]), terms)
 
 
 def save_symbol(a: SeparableSymbol, path: Path | str) -> Path:

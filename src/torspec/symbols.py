@@ -1,24 +1,27 @@
 """Separable symbols a(x, eta) and the constructors used by the experiments.
 
 A symbol is carried as a finite sum of terms, each the product of a sparse
-x-part and an eta-multiplier with a declared support region:
+x-part and a radial eta-multiplier:
 
-    a(x, eta) = sum_t  ( sum_xi  c_t(xi) exp(i<x, xi>) ) * m_t(eta),
+    a(x, eta) = sum_t  ( sum_xi  c_t(xi) exp(i<x, xi>) ) * m_t(|eta|),
 
-so the partial transform is a^(xi, eta) = sum_t c_t(xi) m_t(eta).  Multiplier
-evaluation outside the declared support returns exactly zero, which makes
-support reasoning (twisted-diagonal and corona checks) decidable.
+so the partial transform is a^(xi, eta) = sum_t c_t(xi) m_t(|eta|).  Every
+multiplier is one small frozen dataclass (One, Corona, Block, Ball,
+Modulated) whose support radii lo <= |eta| <= hi are derived from its own
+parameters, not declared beside it.  Evaluation outside that support returns
+exactly zero, which makes support reasoning (twisted-diagonal and corona
+checks) decidable.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from dataclasses import asdict, dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
-from .cutoffs import CutoffProfile, LPFamily, falling_blend
+from .cutoffs import CutoffProfile, LPFamily, ball_diff_coeffs, falling_blend
 from .errors import (
     BadRange,
     DimensionMismatch,
@@ -30,6 +33,7 @@ from .fields import (
     DenseField,
     Frequency,
     SparseField,
+    angled,
     dense_to_sparse,
     freq_abs,
     freq_scale,
@@ -44,33 +48,6 @@ def pow2(e: float) -> float:
     if abs(e) > DYADIC_EXP_CAP:
         raise BadRange(f"dyadic exponent {e} beyond +/-{DYADIC_EXP_CAP}")
     return 2.0**e
-
-
-@dataclass(frozen=True)
-class EtaSupport:
-    """Radial support descriptor: 'all', 'ball' (|eta| <= hi) or 'annulus'."""
-
-    kind: str
-    lo: float = 0.0
-    hi: float = math.inf
-
-    def __post_init__(self):
-        if self.kind not in ("all", "ball", "annulus"):
-            raise ValueError(f"unknown support kind {self.kind!r}")
-        if self.kind == "all":
-            object.__setattr__(self, "lo", 0.0)
-            object.__setattr__(self, "hi", math.inf)
-        if self.kind == "ball":
-            object.__setattr__(self, "lo", 0.0)
-
-    def contains_radius(self, rho: float) -> bool:
-        return self.lo <= rho <= self.hi
-
-    def contains(self, eta) -> bool:
-        return self.contains_radius(math.sqrt(math.fsum(float(c) ** 2 for c in eta)))
-
-
-ALL_ETA = EtaSupport("all")
 
 
 @dataclass(frozen=True)
@@ -106,27 +83,127 @@ class RadialBump:
             base *= (rho - 1.0) ** self.zero_order
         return base
 
-    def __call__(self, eta) -> float:
-        return self.radial(math.sqrt(math.fsum(float(c) ** 2 for c in eta)))
+
+@dataclass(frozen=True)
+class Multiplier:
+    """Radial eta-multiplier m(|eta|), exactly zero outside lo <= |eta| <= hi.
+
+    Each subclass derives lo/hi from its own parameters once, in
+    __post_init__, and serializes itself with to_json().
+    """
+
+    lo: float = field(init=False, repr=False, compare=False)
+    hi: float = field(init=False, repr=False, compare=False)
+
+    def _bound(self, lo: float, hi: float) -> None:
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+
+
+@dataclass(frozen=True)
+class One(Multiplier):
+    """The constant multiplier 1 on all of eta-space."""
+
+    def __post_init__(self):
+        self._bound(0.0, math.inf)
+
+    def radial(self, rho: float) -> float:
+        return 1.0
+
+    def to_json(self) -> dict:
+        return {"kind": "one"}
+
+
+@dataclass(frozen=True)
+class Corona(Multiplier):
+    """Lacunary corona chi(2^-j eta), supported in 2^j [chi.lo, chi.hi]."""
+
+    chi: RadialBump
+    j: int
+
+    def __post_init__(self):
+        scale = float(2**self.j)
+        self._bound(self.chi.lo * scale, self.chi.hi * scale)
+
+    def radial(self, rho: float) -> float:
+        return self.chi.radial(rho / float(2**self.j))
+
+    def to_json(self) -> dict:
+        return {"kind": "corona", "j": self.j, "chi": asdict(self.chi)}
+
+
+@dataclass(frozen=True)
+class Block(Multiplier):
+    """Dyadic block Phi_j of the Littlewood-Paley family built on `profile`."""
+
+    profile: CutoffProfile
+    j: int
+
+    def __post_init__(self):
+        self._bound(*LPFamily(self.profile).block_bounds(self.j))
+
+    def radial(self, rho: float) -> float:
+        return self.profile.block_weight(rho, self.j)
+
+    def to_json(self) -> dict:
+        return {"kind": "block", "j": self.j, "profile": asdict(self.profile)}
+
+
+@dataclass(frozen=True)
+class Ball(Multiplier):
+    """Indicator of the closed ball |eta| <= radius."""
+
+    radius: float
+
+    def __post_init__(self):
+        self._bound(0.0, self.radius)
+
+    def radial(self, rho: float) -> float:
+        return 1.0 if rho <= self.radius else 0.0
+
+    def to_json(self) -> dict:
+        return {"kind": "ball", "radius": self.radius}
+
+
+@dataclass(frozen=True)
+class Modulated(Multiplier):
+    """inner(eta) psi(2^-m eta), the eta side of the full modulation a^m (1 x psi_m)."""
+
+    inner: Multiplier
+    m: int
+    profile: CutoffProfile
+
+    def __post_init__(self):
+        self._bound(self.inner.lo, min(self.inner.hi, self.profile.R * 2**self.m))
+
+    def radial(self, rho: float) -> float:
+        return self.inner.radial(rho) * self.profile.radial(rho / 2**self.m)
+
+    def to_json(self) -> dict:
+        return {
+            "kind": "modulated",
+            "m": self.m,
+            "profile": asdict(self.profile),
+            "inner": self.inner.to_json(),
+        }
 
 
 @dataclass(frozen=True)
 class Term:
-    """One separable term: sparse x-part times an eta-multiplier."""
+    """One separable term: sparse x-part times a radial eta-multiplier."""
 
     xpart: SparseField
-    mult: Callable[[Sequence[float]], complex]
-    support: EtaSupport
-    meta: dict | None = None
+    mult: Multiplier
 
     def mult_at(self, eta) -> complex:
-        """Multiplier value, exactly zero outside the declared support."""
-        if not self.support.contains(eta):
+        """Multiplier value, exactly zero outside [mult.lo, mult.hi]."""
+        rho = freq_abs(eta)
+        if not self.mult.lo <= rho <= self.mult.hi:
             return 0.0
-        return complex(self.mult(eta))
+        return complex(self.mult.radial(rho))
 
     def sort_key(self):
-        return (self.support.lo, tuple(sorted(self.xpart.coeffs)))
+        return (self.mult.lo, tuple(sorted(self.xpart.coeffs)))
 
 
 @dataclass(frozen=True)
@@ -172,12 +249,12 @@ class SeparableSymbol:
 def identity_symbol(n: int) -> SeparableSymbol:
     """The symbol a == 1, whose operator is the identity."""
     one = SparseField(n, {(0,) * n: 1.0 + 0.0j})
-    return SeparableSymbol(0.0, n, (Term(one, lambda eta: 1.0, ALL_ETA, {"kind": "one"}),))
+    return SeparableSymbol(0.0, n, (Term(one, One()),))
 
 
 def multiplication_symbol(f: SparseField) -> SeparableSymbol:
     """The eta-independent symbol a(x) = f(x); its operator is u -> f u."""
-    return SeparableSymbol(0.0, f.n, (Term(f, lambda eta: 1.0, ALL_ETA, {"kind": "one"}),))
+    return SeparableSymbol(0.0, f.n, (Term(f, One()),))
 
 
 # -- lacunary counterexample family -------------------------------------------
@@ -222,19 +299,9 @@ def ching_symbol(
     for j in range(j_lo, j_hi + 1):
         coeff = pow2(j * d)
         xpart = SparseField(n, {freq_scale(-(2**j), theta): coeff})
-        scale = float(2**j)
-        mult = _corona_mult(chi, scale)
-        support = EtaSupport("annulus", chi.lo * scale, chi.hi * scale)
-        terms.append(Term(xpart, mult, support, {"kind": "corona", "j": j, "chi": chi}))
+        terms.append(Term(xpart, Corona(chi, j)))
     data = ChingData(d, theta, j_lo, j_hi, chi)
     return data, SeparableSymbol(d, n, tuple(terms))
-
-
-def _corona_mult(chi: RadialBump, scale: float):
-    def mult(eta):
-        return chi.radial(math.sqrt(math.fsum(float(c) ** 2 for c in eta)) / scale)
-
-    return mult
 
 
 # -- modulation and verification ----------------------------------------------
@@ -258,51 +325,13 @@ def symbol_modulate(a: SeparableSymbol, m: int, profile: CutoffProfile) -> Separ
 def symbol_full_modulate(a: SeparableSymbol, m: int, profile: CutoffProfile) -> SeparableSymbol:
     """Full modulation a^m (1 x psi_m): modulate x-parts and eta-multipliers."""
     base = symbol_modulate(a, m, profile)
-    new_terms = []
-    for t in base.terms:
-        new_terms.append(
-            replace(
-                t,
-                mult=_modulated_mult(t.mult, m, profile),
-                support=_clip_support(t.support, profile.R * 2**m),
-            )
-        )
+    new_terms = [replace(t, mult=Modulated(t.mult, m, profile)) for t in base.terms]
     return SeparableSymbol(a.d, a.n, tuple(new_terms))
-
-
-def _modulated_mult(mult, m: int, profile: CutoffProfile):
-    def wrapped(eta):
-        rho = math.sqrt(math.fsum(float(c) ** 2 for c in eta))
-        return mult(eta) * profile.radial(rho / 2**m)
-
-    return wrapped
-
-
-def _clip_support(sup: EtaSupport, radius: float) -> EtaSupport:
-    if sup.hi <= radius:
-        return sup
-    if sup.kind == "annulus":
-        return EtaSupport("annulus", sup.lo, radius)
-    return EtaSupport("ball", 0.0, radius)
 
 
 def symbol_block(a: SeparableSymbol, j: int, fam: LPFamily) -> SeparableSymbol:
-    """Dyadic x-localisation a_j; coefficients formed products-first."""
-    if j < 0:
-        return SeparableSymbol(a.d, a.n, ())
-    if j == 0:
-        return symbol_modulate(a, 0, fam.profile)
-    prof = fam.profile
-    new_terms = []
-    for t in a.terms:
-        out = {}
-        for xi, c in t.xpart.items():
-            rho = freq_abs(xi)
-            out[xi] = prof.radial(rho / 2**j) * c - prof.radial(rho / 2 ** (j - 1)) * c
-        xp = SparseField(a.n, out, t.xpart.tau)
-        if len(xp):
-            new_terms.append(replace(t, xpart=xp))
-    return SeparableSymbol(a.d, a.n, tuple(new_terms))
+    """Dyadic x-localisation a_j = a^j - a^(j-1); coefficients formed products-first."""
+    return symbol_ball_diff(a, j, j - 1, fam)
 
 
 def symbol_ball(a: SeparableSymbol, j: int, fam: LPFamily) -> SeparableSymbol:
@@ -318,14 +347,9 @@ def symbol_ball_diff(a: SeparableSymbol, j: int, k: int, fam: LPFamily) -> Separ
         return SeparableSymbol(a.d, a.n, ())
     if k < 0:
         return symbol_ball(a, j, fam)
-    prof = fam.profile
     new_terms = []
     for t in a.terms:
-        out = {}
-        for xi, c in t.xpart.items():
-            rho = freq_abs(xi)
-            out[xi] = prof.radial(rho / 2**j) * c - prof.radial(rho / 2**k) * c
-        xp = SparseField(a.n, out, t.xpart.tau)
+        xp = SparseField(a.n, ball_diff_coeffs(t.xpart, j, k, fam.profile), t.xpart.tau)
         if len(xp):
             new_terms.append(replace(t, xpart=xp))
     return SeparableSymbol(a.d, a.n, tuple(new_terms))
@@ -346,7 +370,7 @@ def twisted_diagonal_check(
         raise ValueError("aperture constant C must be >= 1")
     rng = rng or np.random.default_rng(0)
     for t in a.terms:
-        lo, hi = t.support.lo, t.support.hi
+        lo, hi = t.mult.lo, t.mult.hi
         for xi in sorted(t.xpart.spectrum()):
             axi = freq_abs(xi)
             worst = min(max(axi, lo), hi) if math.isfinite(hi) else max(axi, lo)
@@ -363,7 +387,7 @@ def twisted_diagonal_check(
 def _find_lattice_witness(t: Term, xi: Frequency, C: float, budget: int, rng):
     n = len(xi)
     axi = freq_abs(xi)
-    lo, hi = t.support.lo, t.support.hi
+    lo, hi = t.mult.lo, t.mult.hi
     hi_eff = hi if math.isfinite(hi) else max(axi * 2.0, lo + 1.0)
     candidates: list[Frequency] = []
     neg = tuple(-c for c in xi)
@@ -437,7 +461,7 @@ def _eta_derivative(t: Term, eta: tuple[float, ...], alpha: tuple[int, ...]) -> 
         return t.mult_at(eta)
     axis = next(i for i, k in enumerate(alpha) if k > 0)
     lower = tuple(k - (1 if i == axis else 0) for i, k in enumerate(alpha))
-    h = 1e-3 * max(1.0, math.sqrt(math.fsum(c * c for c in eta)))
+    h = 1e-3 * max(1.0, freq_abs(eta))
     up = tuple(c + (h if i == axis else 0.0) for i, c in enumerate(eta))
     dn = tuple(c - (h if i == axis else 0.0) for i, c in enumerate(eta))
     return (_eta_derivative(t, up, lower) - _eta_derivative(t, dn, lower)) / (2.0 * h)
@@ -461,7 +485,7 @@ def class_verify(
     xs = [tuple(2.0 * math.pi * k / 8.0 for _ in range(n)) for k in range(8)]
     etas: list[tuple[float, ...]] = []
     for t in a.terms:
-        lo, hi = t.support.lo, t.support.hi
+        lo, hi = t.mult.lo, t.mult.hi
         hi_eff = hi if math.isfinite(hi) else max(4.0 * max(lo, 1.0), 64.0)
         lo_eff = max(lo, 0.5)
         for frac in (0.05, 0.25, 0.5, 0.75, 0.95):
@@ -481,7 +505,7 @@ def class_verify(
         for beta in _multi_indices(n, beta_max):
             worst = 0.0
             for eta in etas:
-                ang = math.sqrt(1.0 + math.fsum(c * c for c in eta))
+                ang = angled(eta)
                 weight = ang ** -(a.d - sum(alpha) + sum(beta))
                 deta = {id(t): _eta_derivative(t, eta, alpha) for t in a.terms}
                 for x in xs:
@@ -565,23 +589,8 @@ def meyer_to_terms(
         xp = dense_to_sparse(mk, tau)
         if not len(xp):
             continue
-        lo, hi = fam.block_bounds(k)
-        support = EtaSupport("ball", 0.0, hi) if k == 0 else EtaSupport("annulus", lo, hi)
-        mult = _block_mult(fam, k)
-        terms.append(
-            Term(xp, mult, support, {"kind": "block", "j": k, "profile": fam.profile})
-        )
+        terms.append(Term(xp, Block(fam.profile, k)))
     return SeparableSymbol(0.0, n, tuple(terms))
-
-
-def _block_mult(fam: LPFamily, k: int):
-    def mult(eta):
-        rho = math.sqrt(math.fsum(float(c) ** 2 for c in eta))
-        if k == 0:
-            return fam.profile.radial(rho)
-        return fam.profile.radial(rho / 2**k) - fam.profile.radial(rho / 2 ** (k - 1))
-
-    return mult
 
 
 def _require_real(u: DenseField) -> np.ndarray:
@@ -615,13 +624,8 @@ def lp_project_dense(g: DenseField, j: int, fam: LPFamily, mode: str = "block") 
     spec = np.fft.fftn(g.samples)
     if mode == "ball":
         w = _radial_on_grid(lambda r: prof.radial(r / 2**j), g.M, g.n)
-        return DenseField(g.n, g.M, np.fft.ifftn(w * spec))
-    if mode != "block":
+    elif mode == "block":
+        w = _radial_on_grid(lambda r: prof.block_weight(r, j), g.M, g.n)
+    else:
         raise ValueError(f"unknown mode {mode!r}")
-    if j == 0:
-        w = _radial_on_grid(prof.radial, g.M, g.n)
-        return DenseField(g.n, g.M, np.fft.ifftn(w * spec))
-    w = _radial_on_grid(
-        lambda r: prof.radial(r / 2**j) - prof.radial(r / 2 ** (j - 1)), g.M, g.n
-    )
     return DenseField(g.n, g.M, np.fft.ifftn(w * spec))

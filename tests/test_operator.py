@@ -47,7 +47,7 @@ from torspec.operator import (
     vanishing_limit,
 )
 from torspec.symbols import (
-    ALL_ETA,
+    One,
     SeparableSymbol,
     Term,
     ching_symbol,
@@ -293,9 +293,8 @@ def test_support_rule_flip_collapses_to_negative_cone():
 
 
 def test_support_rule_strict_inclusion_by_cancellation():
-    one = lambda eta: 1.0
-    t1 = Term(delta_field((3,), 1.0), one, ALL_ETA, {"kind": "one"})
-    t2 = Term(delta_field((5,), -1.0), one, ALL_ETA, {"kind": "one"})
+    t1 = Term(delta_field((3,), 1.0), One())
+    t2 = Term(delta_field((5,), -1.0), One())
     a = SeparableSymbol(0.0, 1, (t1, t2))
     u = SparseField(1, {(10,): 1.0, (8,): 1.0})
     au = apply(a, u)

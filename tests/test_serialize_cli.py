@@ -8,6 +8,8 @@ import numpy as np
 
 from torspec.cli import load_config, main
 from torspec.constructions import lacunary_field, random_band_limited
+from torspec.cutoffs import default_families
+from torspec.experiments import random_symbol
 from torspec.fields import SparseField, delta_field, sparse_to_dense
 from torspec.operator import apply, max_coeff_diff
 from torspec.serialize import (
@@ -19,7 +21,16 @@ from torspec.serialize import (
     save_symbol,
     sparse_to_json,
 )
-from torspec.symbols import ching_symbol, identity_symbol
+from torspec.symbols import (
+    Ball,
+    Corona,
+    RadialBump,
+    SeparableSymbol,
+    Term,
+    ching_symbol,
+    identity_symbol,
+    symbol_full_modulate,
+)
 
 
 def test_sparse_json_round_trip(tmp_path, rng):
@@ -48,12 +59,27 @@ def test_dense_round_trip_complex64(tmp_path, rng):
     )
 
 
-def test_symbol_round_trip_preserves_action(tmp_path, rng):
-    _, a = ching_symbol(0.5, (1,), 4, 9)
-    save_symbol(a, tmp_path / "a.json")
-    b = load_symbol(tmp_path / "a.json")
-    u = lacunary_field((1,), 0.5, 4, 9, delta_field((0,)))
-    assert apply(a, u).coeffs == apply(b, u).coeffs
+def _round_trip_cases():
+    _, ching = ching_symbol(0.5, (1,), 4, 9)
+    yield "ching", ching, lacunary_field((1,), 0.5, 4, 9, delta_field((0,)))
+    # The eta-modulation and its support clip must survive a save/load.
+    corona = SeparableSymbol(0.0, 1, (Term(delta_field((0,)), Corona(RadialBump(), 6)),))
+    modulated = symbol_full_modulate(corona, 5, default_families()[0].profile)
+    yield "modulated-corona", modulated, SparseField(1, {(k,): 1 for k in range(40, 82, 3)})
+    rng = np.random.default_rng(5)
+    balls = 0
+    while balls < 3:
+        a = random_symbol(1 + balls % 2, rng)
+        if any(isinstance(t.mult, Ball) for t in a.terms):
+            balls += 1
+            yield f"random-ball-{balls}", a, random_band_limited(a.n, 12, 200, rng)
+
+
+def test_symbol_round_trip_preserves_action(tmp_path):
+    for name, a, u in _round_trip_cases():
+        save_symbol(a, tmp_path / f"{name}.json")
+        b = load_symbol(tmp_path / f"{name}.json")
+        assert apply(a, u).coeffs == apply(b, u).coeffs, name
 
 
 def test_identity_symbol_round_trip(tmp_path):
@@ -210,21 +236,44 @@ def test_apply_modulate_zero_empties_high_frequencies(tmp_path):
     assert len(load_sparse(tmp_path / "out.json")) == 0
 
 
+def _symbol_text(mult: dict) -> str:
+    xpart = {"n": 1, "coeffs": [{"xi": [0], "re": 1.0, "im": 0.0}]}
+    return json.dumps({"d": 0.0, "n": 1, "terms": [{"xpart": xpart, "mult": mult}]})
+
+
 def test_apply_parse_failure_exits_two(tmp_path):
-    (tmp_path / "broken.json").write_text("{not json")
+    # Each input is malformed; none may be coerced, truncated or dropped.
+    chi = {"lo": 0.75, "hi": 1.25, "plo": 0.9, "phi": 1.1, "kind": "exp", "zero_order": 0}
+    profile = {"r": 1.1, "R": 2.0, "kind": "exp"}
+    inputs = {
+        "broken": "{not json",
+        "unknown-kind": _symbol_text({"kind": "ballind"}),
+        "fractional-j": _symbol_text({"kind": "corona", "j": 2.7, "chi": chi}),
+        "bool-j": _symbol_text({"kind": "block", "j": True, "profile": profile}),
+        "fractional-m": _symbol_text(
+            {"kind": "modulated", "m": 1.5, "profile": profile, "inner": {"kind": "one"}}
+        ),
+        "missing-chi": _symbol_text({"kind": "corona", "j": 2}),
+        "missing-profile": _symbol_text({"kind": "block", "j": 1}),
+        "bad-profile": _symbol_text(
+            {"kind": "block", "j": 1, "profile": {"r": 3.0, "R": 1.0, "kind": "exp"}}
+        ),
+    }
     save_sparse(delta_field((0,)), tmp_path / "u.json")
-    code = main(
-        [
-            "apply",
-            "--symbol",
-            str(tmp_path / "broken.json"),
-            "--field",
-            str(tmp_path / "u.json"),
-            "--out-field",
-            str(tmp_path / "o.json"),
-        ]
-    )
-    assert code == 2
+    for name, text in inputs.items():
+        (tmp_path / f"{name}.json").write_text(text)
+        code = main(
+            [
+                "apply",
+                "--symbol",
+                str(tmp_path / f"{name}.json"),
+                "--field",
+                str(tmp_path / "u.json"),
+                "--out-field",
+                str(tmp_path / "o.json"),
+            ]
+        )
+        assert code == 2, name
 
 
 def test_emit_plots_writes_scripts(tmp_path):

@@ -78,7 +78,7 @@ def test_ching_outside_corona_is_exact_zero():
 
 def test_ching_terms_have_disjoint_eta_supports():
     _, a = ching_symbol(0.5, (1,), 3, 12)
-    bounds = sorted((t.support.lo, t.support.hi) for t in a.terms)
+    bounds = sorted((t.mult.lo, t.mult.hi) for t in a.terms)
     for (lo1, hi1), (lo2, hi2) in zip(bounds, bounds[1:]):
         assert hi1 <= lo2
 
@@ -109,7 +109,7 @@ def test_double_direction_lies_in_outgoing_cone():
     _, a = ching_symbol(0.0, (2,), 1, 20)
     for t in a.terms:
         ((xi, _),) = t.xpart.items()
-        for rho in (t.support.lo, t.support.hi):
+        for rho in (t.mult.lo, t.mult.hi):
             for sign in (1.0, -1.0):
                 eta = sign * rho
                 dist = abs(xi[0] + eta)

@@ -27,7 +27,7 @@ from .errors import (
     TorspecError,
     WindowTooLarge,
 )
-from .experiments import REGISTRY
+from .experiments import REGISTRY, ExperimentReport
 from .operator import apply as op_apply
 from .operator import support_rule_xi
 from .serialize import load_sparse, load_symbol, save_sparse, write_json
@@ -37,13 +37,10 @@ RESOURCE_ERRORS = (BudgetExceeded, RangeTooLarge, WindowTooLarge, FrequencyOutOf
 
 @dataclass
 class RunConfig:
-    """Static run configuration: output root, profiles, seeds, overrides."""
+    """Static run configuration: output root, plots, profiles, overrides."""
 
     out: Path = Path("runs")
-    seed: int = 0
-    grid_m: int = 2**15
     emit_plots: bool = False
-    parallel: bool = False
     profiles: dict[str, CutoffProfile] = field(default_factory=dict)
     overrides: dict[str, dict] = field(default_factory=dict)
 
@@ -69,7 +66,11 @@ def _parse_value(raw: str):
 
 
 def load_config(path: str | None) -> RunConfig:
-    """Parse the flat dotted key-value configuration file."""
+    """Parse the flat dotted key-value configuration file.
+
+    Besides ``out`` and ``emit_plots``, a key is ``profile.<name>`` or
+    ``<experiment>.<param>``; anything else raises ValueError.
+    """
     cfg = RunConfig()
     env_out = os.environ.get("TORSPEC_OUT")
     if env_out:
@@ -87,10 +88,6 @@ def load_config(path: str | None) -> RunConfig:
             value = _parse_value(raw)
             if key == "out":
                 cfg.out = Path(str(value))
-            elif key == "seed":
-                cfg.seed = int(value)
-            elif key == "grid.M":
-                cfg.grid_m = int(value)
             elif key == "emit_plots":
                 cfg.emit_plots = bool(value)
             elif key.startswith("profile."):
@@ -98,11 +95,11 @@ def load_config(path: str | None) -> RunConfig:
                 cfg.profiles[key.split(".", 1)[1]] = CutoffProfile(
                     float(spec["r"]), float(spec["R"]), str(spec.get("kind", "exp"))
                 )
-            elif "." in key:
-                exp, param = key.split(".", 1)
-                cfg.overrides.setdefault(exp, {})[param] = value
             else:
-                raise ValueError(f"{path}:{line_no}: unknown key {key!r}")
+                exp, _, param = key.partition(".")
+                if exp not in REGISTRY or not param:
+                    raise ValueError(f"{path}:{line_no}: unknown key {key!r}")
+                cfg.overrides.setdefault(exp, {})[param] = value
     return cfg
 
 
@@ -159,7 +156,7 @@ def _experiment_kwargs(name: str, cfg: RunConfig, flag_params: dict) -> dict:
     return kwargs
 
 
-def run_experiment(name: str, cfg: RunConfig, flag_params: dict) -> int:
+def _run_one(name: str, cfg: RunConfig, flag_params: dict) -> ExperimentReport:
     outdir = cfg.out / name
     outdir.mkdir(parents=True, exist_ok=True)
     kwargs = _experiment_kwargs(name, cfg, flag_params)
@@ -167,6 +164,11 @@ def run_experiment(name: str, cfg: RunConfig, flag_params: dict) -> int:
     if cfg.emit_plots:
         report.artifacts.append(_emit_plot_script(name, outdir, report.artifacts))
     write_json(outdir / "report.json", report.to_json())
+    return report
+
+
+def run_experiment(name: str, cfg: RunConfig, flag_params: dict) -> int:
+    report = _run_one(name, cfg, flag_params)
     for assertion in report.assertions:
         state = "PASS" if assertion.passed else "FAIL"
         print(f"[{state}] {name}: {assertion.id} (measured {assertion.measured:.3g},"
@@ -174,33 +176,11 @@ def run_experiment(name: str, cfg: RunConfig, flag_params: dict) -> int:
     return 0 if report.passed else 1
 
 
-def run_suite(cfg: RunConfig, flag_params: dict) -> int:
+def run_suite(cfg: RunConfig) -> int:
     started = time.time()
     summary = {"experiments": [], "pass": True}
-    jobs = list(REGISTRY)
-    if cfg.parallel:
-        from concurrent.futures import ThreadPoolExecutor
-
-        def job(name):
-            outdir = cfg.out / name
-            outdir.mkdir(parents=True, exist_ok=True)
-            kwargs = _experiment_kwargs(name, cfg, {})
-            return name, REGISTRY[name](outdir=outdir, **kwargs)
-
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            results = list(pool.map(job, jobs))
-    else:
-        results = []
-        for name in jobs:
-            outdir = cfg.out / name
-            outdir.mkdir(parents=True, exist_ok=True)
-            kwargs = _experiment_kwargs(name, cfg, {})
-            results.append((name, REGISTRY[name](outdir=outdir, **kwargs)))
-    for name, report in results:
-        outdir = cfg.out / name
-        if cfg.emit_plots:
-            report.artifacts.append(_emit_plot_script(name, outdir, report.artifacts))
-        write_json(outdir / "report.json", report.to_json())
+    for name in REGISTRY:
+        report = _run_one(name, cfg, {})
         summary["experiments"].append(report.to_json())
         summary["pass"] = summary["pass"] and report.passed
         print(f"[{'PASS' if report.passed else 'FAIL'}] {name}")
@@ -236,6 +216,13 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--emit-plots", action="store_true")
 
 
+def _strict_bool(raw: str) -> bool:
+    lowered = raw.lower()
+    if lowered not in ("true", "false"):
+        raise argparse.ArgumentTypeError(f"expected true or false, got {raw!r}")
+    return lowered == "true"
+
+
 _RUN_FLAGS = [
     ("--d", str),
     ("--j0", int),
@@ -252,7 +239,7 @@ _RUN_FLAGS = [
     ("--M", int),
     ("--K", int),
     ("--Q", int),
-    ("--with-2d", str),
+    ("--with-2d", _strict_bool),
 ]
 
 
@@ -281,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_suite = sub.add_parser("suite", help="run every experiment at default parameters")
     _add_common(p_suite)
-    p_suite.add_argument("--parallel", action="store_true")
 
     p_part = sub.add_parser("partition-check", help="shortcut for `run partition-check`")
     _add_common(p_part)
@@ -311,8 +297,6 @@ def main(argv=None) -> int:
             cfg.out = Path(args.out)
         if getattr(args, "emit_plots", False):
             cfg.emit_plots = True
-        if getattr(args, "parallel", False):
-            cfg.parallel = True
     except (OSError, ValueError, KeyError, json.JSONDecodeError, BadRadii) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
@@ -326,7 +310,7 @@ def main(argv=None) -> int:
         if args.command == "partition-check":
             return run_experiment("partition-check", cfg, _collect_flag_params(args))
         if args.command == "suite":
-            return run_suite(cfg, {})
+            return run_suite(cfg)
         if args.command == "apply":
             try:
                 return run_apply(args, cfg)

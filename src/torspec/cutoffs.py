@@ -116,10 +116,6 @@ class LPFamily:
                 f"r*2^(h-2)={self.profile.r * 2 ** (self.h - 2)}"
             )
 
-    def phi(self, xi: Frequency) -> float:
-        rho = freq_abs(xi)
-        return self.profile.radial(rho) - self.profile.radial(2.0 * rho)
-
     def block_multiplier(self, j: int, xi: Frequency) -> float:
         """Phi_j(xi)."""
         return self.profile.block_weight(freq_abs(xi), j)

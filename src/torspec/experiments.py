@@ -39,6 +39,7 @@ from .operator import (
     max_coeff_diff,
     norm_ratio_probe,
     pi_product,
+    rel_coeff_diff,
     support_rule_xi,
     vanishing_limit,
 )
@@ -116,13 +117,6 @@ def _emit_csv(report: ExperimentReport, outdir, filename: str, header, rows) -> 
     report.artifacts.append(str(path))
 
 
-def _rel_diff(u: SparseField, v: SparseField) -> float:
-    scale = max(
-        [abs(c) for _, c in u.items()] + [abs(c) for _, c in v.items()] + [1e-300]
-    )
-    return max_coeff_diff(u, v) / scale
-
-
 def _as_tuple(value, cast):
     if isinstance(value, (int, float, str)):
         return (cast(value),)
@@ -194,7 +188,7 @@ def exp_unclosable(
         out = apply(a, vN)
         rN = harmonic_ratio(N)
         expected = v.scale(rN)
-        resid = _rel_diff(out, expected)
+        resid = rel_coeff_diff(out, expected)
         lo, hi = harmonic_ratio_bracket(N)
         vnorm = sobolev_norm(vN, d)
         report.metrics[f"harmonic_ratio[{N}]"] = rN
@@ -215,7 +209,7 @@ def exp_unclosable(
     diag = vanishing_limit(a, vN, [f.profile for f in fams], (0, j_hi + 3))
     report.metrics["diagnostic_m_star"] = float(diag.m_star if diag.m_star is not None else -1)
     report.metrics["diagnostic_cross_profile"] = diag.cross_profile_max
-    report.metrics["limit_residual"] = _rel_diff(diag.limit, v.scale(harmonic_ratio(N0)))
+    report.metrics["limit_residual"] = rel_coeff_diff(diag.limit, v.scale(harmonic_ratio(N0)))
     report.check_flag("vanishing-limit-pass", diag.passed)
     _emit_csv(
         report,
@@ -263,7 +257,7 @@ def exp_wavefront_flip(
         out = apply(a2, w_in)
         target_dir = tuple(t - 2 * s for t, s in zip(theta_n, shift_dir))
         expected = lacunary_field(target_dir, 0.0, j0, J, v)
-        resid = _rel_diff(out, expected)
+        resid = rel_coeff_diff(out, expected)
         report.metrics[f"residual[{tag}]"] = resid
         report.check(f"flip-exact[{tag}]", resid, 1e-12)
         slope_in = _slope_at(cone_report(w_in), theta_n)
@@ -603,12 +597,12 @@ def exp_product(
         f = random_band_limited(1, int(rng.integers(2, 6)), 16, rng)
         diag, limit = pi_product(u, v, profiles, m_range)
         all_passed = all_passed and diag.passed
-        stab = _rel_diff(limit, pointwise_mul(u, v))
+        stab = rel_coeff_diff(limit, pointwise_mul(u, v))
         worst_stab = max(worst_stab, stab)
         _, lim_fu_v = pi_product(pointwise_mul(f, u), v, profiles, m_range)
         _, lim_u_fv = pi_product(u, pointwise_mul(f, v), profiles, m_range)
         f_uv = pointwise_mul(f, limit)
-        assoc = max(_rel_diff(f_uv, lim_fu_v), _rel_diff(f_uv, lim_u_fv))
+        assoc = max(rel_coeff_diff(f_uv, lim_fu_v), rel_coeff_diff(f_uv, lim_u_fv))
         worst_assoc = max(worst_assoc, assoc)
         rows.append((trial, diag.m_star, stab, assoc))
     report.metrics["worst_stabilisation_residual"] = worst_stab

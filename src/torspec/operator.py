@@ -34,7 +34,6 @@ from .fields import (
     freq_abs,
     freq_add,
     freq_scale,
-    inner_product,
     pointwise_mul,
     sparse_to_dense,
 )
@@ -85,11 +84,16 @@ def max_coeff_diff(u: SparseField, v: SparseField) -> float:
     return worst
 
 
-def fields_close(u: SparseField, v: SparseField, rtol: float = 1e-12) -> bool:
+def rel_coeff_diff(u: SparseField, v: SparseField) -> float:
+    """max_coeff_diff relative to the largest coefficient magnitude of u and v."""
     scale = max(
-        [abs(c) for _, c in u.items()] + [abs(c) for _, c in v.items()] + [0.0]
+        [abs(c) for _, c in u.items()] + [abs(c) for _, c in v.items()] + [1e-300]
     )
-    return max_coeff_diff(u, v) <= rtol * max(scale, 1e-300)
+    return max_coeff_diff(u, v) / scale
+
+
+def fields_close(u: SparseField, v: SparseField, rtol: float = 1e-12) -> bool:
+    return rel_coeff_diff(u, v) <= rtol
 
 
 def apply_modulated(
@@ -336,48 +340,45 @@ def paradiff_split(
 
     T1 collects symbol blocks lagging the field (j <= k - h), T2 the
     diagonal band |j - k| < h, T3 the transposed tail (k <= j - h); their sum
-    reconstructs a^m(x,D)u^m exactly.
+    reconstructs a^m(x,D)u^m exactly.  Each is summed over the levels
+    k = 0..m of _level_pieces in ascending k.
+    """
+    empty = SparseField(u.n, {}, u.tau)
+    sums = {"lag_field": empty, "diagonal": empty, "lag_symbol": empty}
+    for k in range(0, m + 1):
+        for name, piece in _level_pieces(a, u, fam, k, budget).items():
+            sums[name] = sums[name].add(piece)
+    return sums["lag_field"], sums["diagonal"], sums["lag_symbol"]
+
+
+def _level_pieces(
+    a: SeparableSymbol, u: SparseField, fam: LPFamily, k: int, budget: int
+) -> dict[str, SparseField]:
+    """The nonempty level-k summands of the split, in T1, T3, T2 order.
+
+    lag_field = a^(k-h) u_k (T1), lag_symbol = a_k u^(k-h) (T3) and
+    diagonal = a_k (u^(k-1) - u^(k-h)) + (a^k - a^(k-h)) u_k (T2).
     """
     h = fam.h
-    n = u.n
-    t1 = SparseField(n, {}, u.tau)
-    t2 = SparseField(n, {}, u.tau)
-    t3 = SparseField(n, {}, u.tau)
-    for k in range(0, m + 1):
-        u_k = lp_project(u, k, fam, "block")
-        if k >= h and len(u_k):
-            low = symbol_ball(a, k - h, fam)
-            if low.terms:
-                t1 = t1.add(apply(low, u_k, budget))
-        summand = _t2_summand(a, u, fam, k, u_k, budget)
-        if summand is not None:
-            t2 = t2.add(summand)
-    for j in range(h, m + 1):
-        a_j = symbol_block(a, j, fam)
-        if not a_j.terms:
-            continue
-        u_ball = lp_project(u, j - h, fam, "ball")
-        if len(u_ball):
-            t3 = t3.add(apply(a_j, u_ball, budget))
-    return t1, t2, t3
-
-
-def _t2_summand(a, u, fam, k, u_k, budget):
-    h = fam.h
+    pieces: dict[str, SparseField] = {}
+    u_k = lp_project(u, k, fam, "block")
+    if len(u_k):
+        low = symbol_ball(a, k - h, fam)
+        if low.terms:
+            pieces["lag_field"] = apply(low, u_k, budget)
     a_k = symbol_block(a, k, fam)
+    if a_k.terms:
+        u_ball = lp_project(u, k - h, fam, "ball")
+        if len(u_ball):
+            pieces["lag_symbol"] = apply(a_k, u_ball, budget)
     mid = _ball_diff(u, k - 1, k - h, fam)
-    parts = []
     if a_k.terms and len(mid):
-        parts.append(apply(a_k, mid, budget))
+        pieces["diagonal"] = apply(a_k, mid, budget)
     a_band = symbol_ball_diff(a, k, k - h, fam)
     if a_band.terms and len(u_k):
-        parts.append(apply(a_band, u_k, budget))
-    if not parts:
-        return None
-    out = parts[0]
-    for extra in parts[1:]:
-        out = out.add(extra)
-    return out
+        band = apply(a_band, u_k, budget)
+        pieces["diagonal"] = pieces["diagonal"].add(band) if "diagonal" in pieces else band
+    return pieces
 
 
 def _ball_diff(u: SparseField, j: int, k: int, fam: LPFamily) -> SparseField:
@@ -424,19 +425,7 @@ def corona_check(
     hi = (5.0 * R / 4.0) * 2**k
     ball_hi = 2.0 * R * 2**k
 
-    u_k = lp_project(u, k, fam, "block")
-    pieces: dict[str, SparseField] = {}
-    low = symbol_ball(a, k - h, fam)
-    if low.terms and len(u_k):
-        pieces["lag_field"] = apply(low, u_k, budget)
-    a_k = symbol_block(a, k, fam)
-    u_ball = lp_project(u, k - h, fam, "ball")
-    if a_k.terms and len(u_ball):
-        pieces["lag_symbol"] = apply(a_k, u_ball, budget)
-    mid = _t2_summand(a, u, fam, k, u_k, budget)
-    if mid is not None:
-        pieces["diagonal"] = mid
-
+    pieces = _level_pieces(a, u, fam, k, budget)
     bounds = {}
     ok = True
     refined_lo = None

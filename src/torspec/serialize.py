@@ -33,21 +33,12 @@ from .cutoffs import CutoffProfile
 
 
 def atomic_write_text(path: Path | str, text: str) -> Path:
-    """Write via a temp file and rename, so readers never see partial data."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-    return path
+    """atomic_write_bytes of the UTF-8 encoding of text."""
+    return atomic_write_bytes(path, text.encode())
 
 
 def atomic_write_bytes(path: Path | str, blob: bytes) -> Path:
+    """Write via a temp file and rename, so readers never see partial data."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")

@@ -236,15 +236,6 @@ class SeparableSymbol:
             sum(t.xpart.evaluate(x) * t.mult_at(eta) for t in self.terms)
         )
 
-    def x_frequencies(self) -> set[Frequency]:
-        out: set[Frequency] = set()
-        for t in self.terms:
-            out |= t.xpart.spectrum()
-        return out
-
-    def term_count(self) -> int:
-        return sum(len(t.xpart) for t in self.terms)
-
 
 def identity_symbol(n: int) -> SeparableSymbol:
     """The symbol a == 1, whose operator is the identity."""

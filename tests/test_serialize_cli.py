@@ -1,15 +1,17 @@
 """File formats and the command-line interface."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
 from torspec.cli import load_config, main
 from torspec.constructions import lacunary_field, random_band_limited
 from torspec.cutoffs import default_families
-from torspec.experiments import random_symbol
+from torspec.experiments import REGISTRY, random_symbol
 from torspec.fields import SparseField, delta_field, sparse_to_dense
 from torspec.operator import apply, max_coeff_diff
 from torspec.serialize import (
@@ -106,8 +108,6 @@ def test_config_parsing(tmp_path):
         """
 # comment
 out = my_runs
-seed = 42
-grid.M = 8192
 profile.main = {"r": 1.2, "R": 2.1, "kind": "exp"}
 flip.d = 0.5
 flip.J = 14
@@ -116,8 +116,6 @@ unclosable.n_list = [5, 6]
     )
     cfg = load_config(str(cfg_file))
     assert str(cfg.out) == "my_runs"
-    assert cfg.seed == 42
-    assert cfg.grid_m == 8192
     assert cfg.profile("main").r == 1.2
     assert cfg.overrides["flip"] == {"d": 0.5, "J": 14}
     assert cfg.overrides["unclosable"]["n_list"] == [5, 6]
@@ -130,10 +128,19 @@ def test_env_var_sets_output_root(tmp_path, monkeypatch):
 
 
 def test_bad_profile_rejected_before_running(tmp_path):
-    cfg_file = tmp_path / "bad.cfg"
-    cfg_file.write_text('profile.main = {"r": 3.0, "R": 1.0}\n')
-    code = main(["suite", "--config", str(cfg_file), "--out", str(tmp_path / "o")])
-    assert code == 2
+    bad_lines = [
+        'profile.main = {"r": 3.0, "R": 1.0}',
+        "seed = 42",
+        "grid.M = 8192",
+        "nosuch.x = 1",
+    ]
+    for i, line in enumerate(bad_lines):
+        cfg_file = tmp_path / f"bad{i}.cfg"
+        cfg_file.write_text(line + "\n")
+        out = tmp_path / f"o{i}"
+        code = main(["suite", "--config", str(cfg_file), "--out", str(out)])
+        assert code == 2, line
+        assert not (out / "summary.json").exists(), line
 
 
 # -- CLI behaviour ------------------------------------------------------------------
@@ -147,6 +154,15 @@ def test_run_flip_exits_zero(tmp_path):
     report = json.loads((tmp_path / "flip" / "report.json").read_text())
     assert report["name"] == "flip"
     assert all(a["pass"] for a in report["assertions"])
+
+
+def test_with_2d_flag_is_strict_boolean(tmp_path):
+    code = main(["run", "flip", "--with-2d", "False", "--J", "8", "--out", str(tmp_path)])
+    assert code == 0
+    report = json.loads((tmp_path / "flip" / "report.json").read_text())
+    assert report["params"]["with_2d"] is False
+    assert not any("2d" in a["id"] for a in report["assertions"])
+    assert main(["run", "flip", "--with-2d", "maybe", "--out", str(tmp_path)]) == 2
 
 
 def test_run_unknown_experiment_exits_two(tmp_path):
@@ -283,6 +299,31 @@ def test_emit_plots_writes_scripts(tmp_path):
     )
     assert code == 0
     assert (tmp_path / "weierstrass" / "plot_weierstrass.py").exists()
+
+
+def test_suite_reports_match_summary(tmp_path):
+    assert main(["suite", "--out", str(tmp_path), "--emit-plots"]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert [e["name"] for e in summary["experiments"]] == list(REGISTRY)
+    for entry in summary["experiments"]:
+        name = entry["name"]
+        report = json.loads((tmp_path / name / "report.json").read_text())
+        assert report == entry
+        plot = Path(report["artifacts"][-1])
+        assert plot.name == f"plot_{name}.py"
+        assert plot.exists()
+
+
+def test_stabilization_demo_script_runs():
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "stabilization_demo.py")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "verdict: PASS" in proc.stdout
 
 
 def test_console_entry_point_runs():

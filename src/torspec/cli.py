@@ -314,7 +314,7 @@ def main(argv=None) -> int:
         if args.command == "apply":
             try:
                 return run_apply(args, cfg)
-            except (OSError, KeyError, json.JSONDecodeError, BadRadii) as exc:
+            except (OSError, ValueError, KeyError, json.JSONDecodeError, BadRadii) as exc:
                 print(f"parse error: {exc}", file=sys.stderr)
                 return 2
         print(f"unknown command {args.command!r}", file=sys.stderr)

@@ -18,7 +18,7 @@ def bandwidth(u: SparseField) -> float:
     return max((freq_abs(xi) for xi in u.spectrum()), default=0.0)
 
 
-def ball_carrier(n: int, B: int, norm: str = "h0") -> SparseField:
+def ball_carrier(n: int, B: int) -> SparseField:
     """Constant-coefficient carrier with spectrum {|xi| <= B}, unit H^0 norm."""
     pts: list[Frequency] = []
     rng = range(-B, B + 1)

@@ -224,11 +224,12 @@ def exp_unclosable(
 # -- 3. wavefront flip ----------------------------------------------------------------
 
 
-def _slope_at(groups, direction, tol=0.1):
+def _slope_at(groups, direction):
+    """Slope of the cone_report group within distance 0.1 of the unit direction."""
     want = np.asarray(direction, dtype=float)
     want = want / np.linalg.norm(want)
     for rep, slope in groups:
-        if np.linalg.norm(np.asarray(rep) - want) <= tol:
+        if np.linalg.norm(np.asarray(rep) - want) <= 0.1:
             return slope
     raise TorspecError(f"no spectral group near direction {direction}")
 

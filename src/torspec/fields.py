@@ -5,8 +5,9 @@ A sparse field stores the finite Fourier series
     u(x) = sum_xi  c(xi) * exp(i <x, xi>),        xi in Z^n,
 
 with the series convention  c(xi) = (2pi)^{-n} integral u(x) exp(-i<x,xi>) dx.
-All coefficient reductions iterate in the lexicographic frequency order so
-that results are bitwise reproducible.
+Coefficients are sorted by frequency once, at construction, and never
+mutated, so every reduction walks them in one fixed order and is bitwise
+reproducible.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ Frequency = tuple[int, ...]
 # Components must leave headroom for dyadic shifts in 64-bit arithmetic.
 FREQ_CAP = 1 << 62
 
-DEFAULT_MUL_BUDGET = 10_000_000
+# Pair budget of the exact sparse products (apply, pointwise_mul).
+DEFAULT_PAIR_BUDGET = 10_000_000
 
 
 def check_frequency(xi: Frequency, n: int) -> Frequency:
@@ -66,8 +68,8 @@ class SparseField:
     """Finite frequency -> coefficient mapping; an exact trigonometric polynomial.
 
     Coefficients of magnitude <= tau are dropped at construction; tau = 0 keeps
-    everything but exact zeros.  Instances are treated as immutable: operations
-    return new fields.
+    everything but exact zeros; a NaN or infinite one raises ValueError.
+    Instances are treated as immutable: operations return new fields.
     """
 
     n: int
@@ -82,15 +84,20 @@ class SparseField:
         clean: dict[Frequency, complex] = {}
         for xi in sorted(self.coeffs):
             c = complex(self.coeffs[xi])
-            if abs(c) > self.tau:
+            mag = abs(c)  # inf if a part is infinite, else nan if a part is nan
+            if mag > self.tau:
+                if mag == math.inf:
+                    raise ValueError(f"non-finite coefficient {c!r} at {xi}")
                 clean[check_frequency(xi, self.n)] = c
+            elif mag != mag:
+                raise ValueError(f"non-finite coefficient {c!r} at {xi}")
         object.__setattr__(self, "coeffs", clean)
 
     # -- basic queries ------------------------------------------------------
 
     def items(self):
         """Coefficients in lexicographic frequency order."""
-        return [(xi, self.coeffs[xi]) for xi in sorted(self.coeffs)]
+        return list(self.coeffs.items())
 
     def spectrum(self) -> set[Frequency]:
         """Frequencies with coefficient magnitude above the prune threshold."""
@@ -114,8 +121,8 @@ class SparseField:
         if self.n != other.n:
             raise DimensionMismatch("cannot add fields of different dimension")
         out = dict(self.coeffs)
-        for xi in sorted(other.coeffs):
-            out[xi] = out.get(xi, 0.0) + other.coeffs[xi]
+        for xi, c in other.coeffs.items():
+            out[xi] = out.get(xi, 0.0) + c
         return SparseField(self.n, out, self.tau)
 
     def sub(self, other: "SparseField") -> "SparseField":
@@ -148,17 +155,17 @@ class SparseField:
         return complex(math.fsum(acc_re), math.fsum(acc_im))
 
 
-def zero_field(n: int, tau: float = 0.0) -> SparseField:
-    return SparseField(n, {}, tau)
+def zero_field(n: int) -> SparseField:
+    return SparseField(n, {})
 
 
-def delta_field(xi: Frequency, c: complex = 1.0, tau: float = 0.0) -> SparseField:
+def delta_field(xi: Frequency, c: complex = 1.0) -> SparseField:
     """Single-mode field c * exp(i<x, xi>)."""
-    return SparseField(len(xi), {tuple(xi): c}, tau)
+    return SparseField(len(xi), {tuple(xi): c})
 
 
 def pointwise_mul(
-    u: SparseField, v: SparseField, budget: int = DEFAULT_MUL_BUDGET
+    u: SparseField, v: SparseField, budget: int = DEFAULT_PAIR_BUDGET
 ) -> SparseField:
     """Exact product of trigonometric polynomials by coefficient convolution.
 
@@ -181,8 +188,8 @@ def inner_product(u: SparseField, v: SparseField) -> complex:
     """<u, v> = sum_xi u^(xi) conj(v^(xi)), i.e. (2pi)^{-n} integral of u vbar."""
     if u.n != v.n:
         raise DimensionMismatch("inner product needs matching dimension")
-    re, im = [], []
-    for xi in sorted(u.spectrum() & v.spectrum()):
+    re, im = [], []  # fsum is exactly rounded, so the visiting order is free
+    for xi in u.coeffs.keys() & v.coeffs.keys():
         z = u.coeffs[xi] * v.coeffs[xi].conjugate()
         re.append(z.real)
         im.append(z.imag)

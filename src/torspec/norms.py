@@ -106,13 +106,13 @@ def besov_norm(
     return float(math.fsum(v**q for v in per_block) ** (1.0 / q))
 
 
-def cone_report(u: SparseField, direction_tol: float = 0.05) -> list[tuple[tuple[float, ...], float]]:
+def cone_report(u: SparseField) -> list[tuple[tuple[float, ...], float]]:
     """Group the spectrum by direction and fit a decay exponent per group.
 
     Modes are clustered greedily by unit direction (largest radius first,
-    merge within direction_tol); each group gets the least-squares slope of
-    log|u^| against log|xi|.  Returns (direction, slope) pairs sorted by
-    direction.  The origin mode is ignored; a spectrum without nonzero
+    merged within distance 0.05 of a group's first direction); each group
+    gets the least-squares slope of log|u^| against log|xi|.  Returns
+    (direction, slope) pairs sorted by direction.  The origin mode is ignored; a spectrum without nonzero
     frequencies raises EmptySpectrum.
     """
     modes = []
@@ -127,7 +127,7 @@ def cone_report(u: SparseField, direction_tol: float = 0.05) -> list[tuple[tuple
     groups: list[tuple[tuple[float, ...], list[tuple[float, float]]]] = []
     for rho, direction, mag in modes:
         for rep, members in groups:
-            if math.dist(rep, direction) <= direction_tol:
+            if math.dist(rep, direction) <= 0.05:
                 members.append((rho, mag))
                 break
         else:

@@ -28,6 +28,7 @@ from .errors import (
     WindowTooLarge,
 )
 from .fields import (
+    DEFAULT_PAIR_BUDGET,
     DenseField,
     Frequency,
     SparseField,
@@ -49,10 +50,8 @@ from .symbols import (
     symbol_modulate,
 )
 
-DEFAULT_APPLY_BUDGET = 10_000_000
 
-
-def apply(a: SeparableSymbol, u: SparseField, budget: int = DEFAULT_APPLY_BUDGET) -> SparseField:
+def apply(a: SeparableSymbol, u: SparseField, budget: int = DEFAULT_PAIR_BUDGET) -> SparseField:
     """Exact operator application a(x, D) u on a sparse field."""
     if a.n != u.n:
         raise DimensionMismatch(f"symbol dimension {a.n} != field dimension {u.n}")
@@ -79,7 +78,7 @@ def apply(a: SeparableSymbol, u: SparseField, budget: int = DEFAULT_APPLY_BUDGET
 def max_coeff_diff(u: SparseField, v: SparseField) -> float:
     """Max absolute coefficient difference over the union of spectra."""
     worst = 0.0
-    for xi in sorted(u.spectrum() | v.spectrum()):
+    for xi in u.coeffs.keys() | v.coeffs.keys():
         worst = max(worst, abs(u.coeff(xi) - v.coeff(xi)))
     return worst
 
@@ -92,16 +91,13 @@ def rel_coeff_diff(u: SparseField, v: SparseField) -> float:
     return max_coeff_diff(u, v) / scale
 
 
-def fields_close(u: SparseField, v: SparseField, rtol: float = 1e-12) -> bool:
-    return rel_coeff_diff(u, v) <= rtol
+def fields_close(u: SparseField, v: SparseField) -> bool:
+    """Coefficientwise agreement within rounding: rel_coeff_diff <= 1e-12."""
+    return rel_coeff_diff(u, v) <= 1e-12
 
 
 def apply_modulated(
-    a: SeparableSymbol,
-    u: SparseField,
-    profile: CutoffProfile,
-    m: int,
-    budget: int = DEFAULT_APPLY_BUDGET,
+    a: SeparableSymbol, u: SparseField, profile: CutoffProfile, m: int
 ) -> SparseField:
     """a^m(x, D) u^m, computed as apply(symbol_modulate(a, m), modulate(u, m)).
 
@@ -110,9 +106,9 @@ def apply_modulated(
     results are asserted to agree coefficientwise; they are analytically
     identical.
     """
-    first = apply(symbol_modulate(a, m, profile), modulate(u, m, profile), budget)
-    second = apply(symbol_full_modulate(a, m, profile), u, budget)
-    if not fields_close(first, second, 1e-12):
+    first = apply(symbol_modulate(a, m, profile), modulate(u, m, profile))
+    second = apply(symbol_full_modulate(a, m, profile), u)
+    if not fields_close(first, second):
         raise AssertionError(
             "modulation-order equivalence violated beyond rounding"
         )
@@ -123,7 +119,7 @@ def apply_modulated(
 class ModulationDiagnostic:
     """Stabilisation record of a vanishing-modulation run.
 
-    delta[i] is the largest successive difference norm across profiles at
+    delta[i] is the largest successive H^0 difference norm across profiles at
     m = m_lo + i; m_star is the first index from which every profile's
     output stops changing; cross_profile_max is the largest discrepancy
     between profiles at the top of the range.
@@ -150,13 +146,13 @@ class ModulationDiagnostic:
         }
 
 
-def _diagnose(seqs: dict[str, list[SparseField]], m_lo: int, m_hi: int, norm_s: float):
+def _diagnose(seqs: dict[str, list[SparseField]], m_lo: int, m_hi: int):
     ids = tuple(seqs)
     steps = m_hi - m_lo
     delta = []
     for i in range(steps):
         delta.append(
-            max(sobolev_norm(seqs[p][i + 1].sub(seqs[p][i]), norm_s) for p in ids)
+            max(sobolev_norm(seqs[p][i + 1].sub(seqs[p][i]), 0.0) for p in ids)
         )
     m_star = None
     for i in range(steps + 1):
@@ -169,9 +165,9 @@ def _diagnose(seqs: dict[str, list[SparseField]], m_lo: int, m_hi: int, norm_s: 
     finals = [seqs[p][-1] for p in ids]
     for i in range(len(finals)):
         for j in range(i + 1, len(finals)):
-            cross = max(cross, sobolev_norm(finals[i].sub(finals[j]), norm_s))
+            cross = max(cross, sobolev_norm(finals[i].sub(finals[j]), 0.0))
     passed = m_star is not None and cross == 0.0
-    norms = {p: [sobolev_norm(f, norm_s) for f in seqs[p]] for p in ids}
+    norms = {p: [sobolev_norm(f, 0.0) for f in seqs[p]] for p in ids}
     return ModulationDiagnostic(
         ids, m_lo, m_hi, delta, m_star, cross, passed, finals[0], norms
     )
@@ -182,8 +178,6 @@ def vanishing_limit(
     u: SparseField,
     profiles: list[CutoffProfile],
     m_range: tuple[int, int],
-    norm_s: float = 0.0,
-    budget: int = DEFAULT_APPLY_BUDGET,
 ) -> ModulationDiagnostic:
     """Run a^m(x,D)u^m across m and profiles and report stabilisation.
 
@@ -195,10 +189,10 @@ def vanishing_limit(
         raise ValueError("need at least two profiles for independence checking")
     m_lo, m_hi = m_range
     seqs = {
-        p.id: [apply_modulated(a, u, p, m, budget) for m in range(m_lo, m_hi + 1)]
+        p.id: [apply_modulated(a, u, p, m) for m in range(m_lo, m_hi + 1)]
         for p in profiles
     }
-    return _diagnose(seqs, m_lo, m_hi, norm_s)
+    return _diagnose(seqs, m_lo, m_hi)
 
 
 def pi_product(
@@ -206,8 +200,6 @@ def pi_product(
     v: SparseField,
     profiles: list[CutoffProfile],
     m_range: tuple[int, int],
-    norm_s: float = 0.0,
-    budget: int = DEFAULT_APPLY_BUDGET,
 ) -> tuple[ModulationDiagnostic, SparseField]:
     """Generalised product pi(u, v) = lim_m u^m v^m with its diagnostic.
 
@@ -220,10 +212,10 @@ def pi_product(
     seqs = {}
     for p in profiles:
         seqs[p.id] = [
-            pointwise_mul(modulate(u, m, p), modulate(v, m, p), budget)
+            pointwise_mul(modulate(u, m, p), modulate(v, m, p))
             for m in range(m_lo, m_hi + 1)
         ]
-    diag = _diagnose(seqs, m_lo, m_hi, norm_s)
+    diag = _diagnose(seqs, m_lo, m_hi)
     return diag, diag.limit
 
 
@@ -280,16 +272,16 @@ def spectral_kernel(
     a: SeparableSymbol,
     zeta_window: list[Frequency],
     eta_window: list[Frequency],
-    budget: int = 4_000_000,
 ) -> np.ndarray:
     """Matrix K(zeta, eta) = a^(zeta - eta, eta) of the conjugated operator.
 
     For u supported in the eta window with image inside the zeta window,
     (F A u)(zeta) = sum_eta K(zeta, eta) u^(eta) agrees with apply().
+    Windows of more than 4,000,000 entries raise WindowTooLarge.
     """
-    if len(zeta_window) * len(eta_window) > budget:
+    if len(zeta_window) * len(eta_window) > 4_000_000:
         raise WindowTooLarge(
-            f"{len(zeta_window)} x {len(eta_window)} window exceeds {budget}"
+            f"{len(zeta_window)} x {len(eta_window)} window exceeds 4000000"
         )
     zw = [tuple(z) for z in zeta_window]
     ew = [tuple(e) for e in eta_window]
@@ -334,7 +326,6 @@ def paradiff_split(
     u: SparseField,
     fam: LPFamily,
     m: int,
-    budget: int = DEFAULT_APPLY_BUDGET,
 ) -> tuple[SparseField, SparseField, SparseField]:
     """Three-way split of a^m(x,D)u^m by dyadic block interaction.
 
@@ -346,13 +337,13 @@ def paradiff_split(
     empty = SparseField(u.n, {}, u.tau)
     sums = {"lag_field": empty, "diagonal": empty, "lag_symbol": empty}
     for k in range(0, m + 1):
-        for name, piece in _level_pieces(a, u, fam, k, budget).items():
+        for name, piece in _level_pieces(a, u, fam, k).items():
             sums[name] = sums[name].add(piece)
     return sums["lag_field"], sums["diagonal"], sums["lag_symbol"]
 
 
 def _level_pieces(
-    a: SeparableSymbol, u: SparseField, fam: LPFamily, k: int, budget: int
+    a: SeparableSymbol, u: SparseField, fam: LPFamily, k: int
 ) -> dict[str, SparseField]:
     """The nonempty level-k summands of the split, in T1, T3, T2 order.
 
@@ -365,18 +356,18 @@ def _level_pieces(
     if len(u_k):
         low = symbol_ball(a, k - h, fam)
         if low.terms:
-            pieces["lag_field"] = apply(low, u_k, budget)
+            pieces["lag_field"] = apply(low, u_k)
     a_k = symbol_block(a, k, fam)
     if a_k.terms:
         u_ball = lp_project(u, k - h, fam, "ball")
         if len(u_ball):
-            pieces["lag_symbol"] = apply(a_k, u_ball, budget)
+            pieces["lag_symbol"] = apply(a_k, u_ball)
     mid = _ball_diff(u, k - 1, k - h, fam)
     if a_k.terms and len(mid):
-        pieces["diagonal"] = apply(a_k, mid, budget)
+        pieces["diagonal"] = apply(a_k, mid)
     a_band = symbol_ball_diff(a, k, k - h, fam)
     if a_band.terms and len(u_k):
-        band = apply(a_band, u_k, budget)
+        band = apply(a_band, u_k)
         pieces["diagonal"] = pieces["diagonal"].add(band) if "diagonal" in pieces else band
     return pieces
 
@@ -409,7 +400,6 @@ def corona_check(
     fam: LPFamily,
     k: int,
     tdc_constant: float | None = None,
-    budget: int = DEFAULT_APPLY_BUDGET,
 ) -> CoronaReport:
     """Verify the dyadic support bounds of the level-k split summands.
 
@@ -425,7 +415,7 @@ def corona_check(
     hi = (5.0 * R / 4.0) * 2**k
     ball_hi = 2.0 * R * 2**k
 
-    pieces = _level_pieces(a, u, fam, k, budget)
+    pieces = _level_pieces(a, u, fam, k)
     bounds = {}
     ok = True
     refined_lo = None
@@ -476,8 +466,6 @@ def norm_ratio_probe(
     seed: int,
     p: float = 2.0,
     adversarial: list[SparseField] | None = None,
-    adversarial_labels: list[str] | None = None,
-    budget: int = DEFAULT_APPLY_BUDGET,
 ) -> RatioProbe:
     """Ratios ||A u||_{H^s_p} / ||u||_{H^{s+d}_p} over seeded band-limited fields.
 
@@ -485,14 +473,15 @@ def norm_ratio_probe(
     2^J) plus a low-frequency background, so the probe actually exercises
     the operator.  p = 2 uses the exact weighted-l2 norm; other p go through
     the dense Bessel-potential route, which needs the spectra to fit a grid
-    (J <= 16).  Extra adversarial inputs can be appended explicitly.
+    (J <= 16).  Extra adversarial inputs can be appended explicitly; their
+    rows are labelled adversarial-0, adversarial-1, ...
     """
     if p != 2.0 and J > 16:
         raise FrequencyOutOfRange("dense L_p ratios need a grid: require J <= 16")
     rng = np.random.default_rng(seed)
 
     def norm_pair(u: SparseField) -> float:
-        au = apply(a, u, budget)
+        au = apply(a, u)
         if p == 2.0:
             denom = sobolev_norm(u, s + a.d)
             num = sobolev_norm(au, s)
@@ -513,8 +502,7 @@ def norm_ratio_probe(
     for trial in range(trials):
         rows.append((f"random-{trial}", norm_pair(_probe_field(a, J, rng))))
     for i, v in enumerate(adversarial or []):
-        label = (adversarial_labels or [])[i] if adversarial_labels else f"adversarial-{i}"
-        rows.append((label, norm_pair(v)))
+        rows.append((f"adversarial-{i}", norm_pair(v)))
     max_ratio = max((v for _, v in rows), default=0.0)
     return RatioProbe(s, p, rows, max_ratio)
 

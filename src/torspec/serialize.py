@@ -59,6 +59,13 @@ def write_json(path: Path | str, obj) -> Path:
 # -- sparse fields ---------------------------------------------------------------
 
 
+def _index(obj: dict | list, key: str | int) -> int:
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"field {key!r} must be an integer, got {value!r}")
+    return value
+
+
 def sparse_to_json(u: SparseField) -> dict:
     return {
         "n": u.n,
@@ -68,12 +75,15 @@ def sparse_to_json(u: SparseField) -> dict:
     }
 
 
-def sparse_from_json(obj: dict, tau: float = 0.0) -> SparseField:
-    coeffs = {
-        tuple(int(c) for c in entry["xi"]): complex(entry["re"], entry["im"])
-        for entry in obj["coeffs"]
-    }
-    return SparseField(int(obj["n"]), coeffs, tau)
+def sparse_from_json(obj: dict) -> SparseField:
+    """Inverse of sparse_to_json; a non-integer or repeated frequency raises ValueError."""
+    coeffs = {}
+    for entry in obj["coeffs"]:
+        xi = tuple(_index(entry["xi"], i) for i in range(len(entry["xi"])))
+        if xi in coeffs:
+            raise ValueError(f"frequency {list(xi)} appears twice")
+        coeffs[xi] = complex(entry["re"], entry["im"])
+    return SparseField(_index(obj, "n"), coeffs)
 
 
 def save_sparse(u: SparseField, path: Path | str) -> Path:
@@ -107,13 +117,6 @@ def load_dense(base: Path | str) -> DenseField:
 
 
 # -- term-form symbols ---------------------------------------------------------------
-
-
-def _index(obj: dict, key: str) -> int:
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"multiplier field {key!r} must be an integer, got {value!r}")
-    return value
 
 
 def _bump(obj: dict) -> RadialBump:

@@ -1,7 +1,15 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from torspec.cutoffs import default_families
+
+# pyproject's pythonpath puts src/ on this process's path; subprocesses that
+# run `python -m torspec.cli` inherit it through PYTHONPATH instead.
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture(scope="session")

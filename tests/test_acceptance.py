@@ -41,9 +41,9 @@ from torspec.operator import (
     apply,
     apply_modulated,
     corona_check,
-    max_coeff_diff,
     paradiff_split,
     pi_product,
+    rel_coeff_diff,
     spectral_kernel,
     vanishing_limit,
 )
@@ -53,13 +53,6 @@ from torspec.symbols import ching_symbol, twisted_diagonal_check
 def _verdict(criterion: str, ok: bool, detail: str) -> None:
     print(f"[{'PASS' if ok else 'FAIL'}] {criterion}: {detail}")
     assert ok, f"{criterion}: {detail}"
-
-
-def _rel(u, v):
-    scale = max(
-        [abs(c) for _, c in u.items()] + [abs(c) for _, c in v.items()] + [1e-300]
-    )
-    return max_coeff_diff(u, v) / scale
 
 
 def test_criterion_1_partition_identity():
@@ -91,7 +84,7 @@ def test_criterion_2_unclosability():
         out = apply(a, vN)
         # independent oracle: exact rational harmonic sums
         rN = float(sum(Fraction(1, j) for j in range(N, N * N + 1))) / math.log(N)
-        resid = _rel(out, v.scale(rN))
+        resid = rel_coeff_diff(out, v.scale(rN))
         hi = math.log(N * N / (N - 1.0)) / math.log(N)
         ok = ok and resid <= 1e-12 and 1.0 <= rN <= hi
         norms.append(sobolev_norm(vN, 0.0))
@@ -153,7 +146,7 @@ def test_criterion_6_paradifferential_reconstruction():
         m = 11
         t1, t2, t3 = paradiff_split(a, u, fam, m)
         ref = apply_modulated(a, u, fam.profile, m)
-        worst = max(worst, _rel(t1.add(t2).add(t3), ref))
+        worst = max(worst, rel_coeff_diff(t1.add(t2).add(t3), ref))
         for k in range(0, 11, 2):
             corona_ok = corona_ok and corona_check(a, u, fam, k).ok
     # twisted-diagonal refinement on the doubled direction
@@ -218,7 +211,7 @@ def test_criterion_9_operator_algebra_properties():
         be = complex(rng.normal(), rng.normal())
         lhs = apply(a, u.scale(al).add(v.scale(be)))
         rhs = apply(a, u).scale(al).add(apply(a, v).scale(be))
-        worst_lin = max(worst_lin, _rel(lhs, rhs))
+        worst_lin = max(worst_lin, rel_coeff_diff(lhs, rhs))
 
     # modulation-order equivalence is asserted inside apply_modulated
     for _ in range(cases):
@@ -269,7 +262,7 @@ def test_criterion_9_operator_algebra_properties():
         _, fu_v = pi_product(pointwise_mul(f, u), v, profiles, (0, 7))
         _, u_fv = pi_product(u, pointwise_mul(f, v), profiles, (0, 7))
         f_uv = pointwise_mul(f, uv)
-        worst_pi = max(worst_pi, _rel(f_uv, fu_v), _rel(f_uv, u_fv))
+        worst_pi = max(worst_pi, rel_coeff_diff(f_uv, fu_v), rel_coeff_diff(f_uv, u_fv))
 
     elapsed = time.time() - t0
     ok = (

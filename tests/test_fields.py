@@ -69,6 +69,38 @@ def test_non_integer_frequency_rejected():
         SparseField(1, {(1.5,): 1.0})
 
 
+def test_non_finite_coefficient_rejected():
+    # NaN fails the prune compare and inf passes it; neither may be dropped or kept.
+    for c in (math.nan, complex(0.0, math.nan), math.inf, complex(1.0, -math.inf)):
+        for tau in (0.0, 1.0):
+            with pytest.raises(ValueError):
+                SparseField(1, {(0,): 1.0, (1,): c}, tau)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    sparse_fields(max_freq=12, max_modes=8),
+    sparse_fields(max_freq=12, max_modes=5),
+    st.randoms(use_true_random=False),
+)
+def test_coefficient_order_is_set_at_construction(u, v, rnd):
+    shuffled = list(u.coeffs.items())
+    rnd.shuffle(shuffled)
+    w = SparseField(1, dict(shuffled))
+    assert w.coeffs == u.coeffs
+    results = (
+        w,
+        w.add(v),
+        w.sub(v),
+        w.scale(-0.5j),
+        w.conjugate(),
+        w.multiplier(lambda xi: xi[0] - 3),
+        pointwise_mul(w, v),
+    )
+    for out in results:
+        assert list(out.coeffs) == sorted(out.coeffs)
+
+
 # -- sparse_to_dense -------------------------------------------------------------
 
 

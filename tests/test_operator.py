@@ -37,10 +37,10 @@ from torspec.operator import (
     corona_check,
     fields_close,
     kernel_pairing_1d,
-    max_coeff_diff,
     norm_ratio_probe,
     paradiff_split,
     pi_product,
+    rel_coeff_diff,
     spatial_kernel_1d,
     spectral_kernel,
     support_rule_xi,
@@ -54,13 +54,6 @@ from torspec.symbols import (
     identity_symbol,
     multiplication_symbol,
 )
-
-
-def rel_diff(u, v):
-    scale = max(
-        [abs(c) for _, c in u.items()] + [abs(c) for _, c in v.items()] + [1e-300]
-    )
-    return max_coeff_diff(u, v) / scale
 
 
 # -- basic application ------------------------------------------------------------
@@ -84,7 +77,7 @@ def test_ching_on_vanishing_family_gives_harmonic_multiple():
         _, a = ching_symbol(0.0, (1,), N, j_hi)
         out = apply(a, vN)
         rN_exact = float(sum(Fraction(1, j) for j in range(N, N * N + 1))) / math.log(N)
-        assert rel_diff(out, v.scale(rN_exact)) <= 1e-12
+        assert rel_coeff_diff(out, v.scale(rN_exact)) <= 1e-12
         assert abs(harmonic_ratio(N) - rN_exact) <= 1e-15 * rN_exact
 
 
@@ -111,7 +104,7 @@ def test_linearity_over_seeded_cases(rng):
         beta = complex(rng.normal(), rng.normal())
         lhs = apply(a, u.scale(alpha).add(v.scale(beta)))
         rhs = apply(a, u).scale(alpha).add(apply(a, v).scale(beta))
-        worst = max(worst, rel_diff(lhs, rhs))
+        worst = max(worst, rel_coeff_diff(lhs, rhs))
     assert worst <= 1e-12
 
 
@@ -321,7 +314,7 @@ def test_split_reconstructs_modulated_application(rng, fam):
         t1, t2, t3 = paradiff_split(a, u, fam, m)
         recon = t1.add(t2).add(t3)
         ref = apply_modulated(a, u, fam.profile, m)
-        assert rel_diff(recon, ref) <= 1e-12
+        assert rel_coeff_diff(recon, ref) <= 1e-12
 
 
 def test_split_blocks_isolate_lacunary_terms(fam):
@@ -346,7 +339,7 @@ def test_split_of_eta_independent_symbol_is_exact(fam, rng):
     m = 11
     t1, t2, t3 = paradiff_split(a, u, fam, m)
     ref = apply_modulated(a, u, fam.profile, m)
-    assert rel_diff(t1.add(t2).add(t3), ref) <= 1e-12
+    assert rel_coeff_diff(t1.add(t2).add(t3), ref) <= 1e-12
 
 
 def test_single_mode_input_touches_few_pairs(fam):
@@ -405,7 +398,7 @@ def test_pi_product_stabilises_to_pointwise_product(profiles, rng):
     v = random_band_limited(1, 6, 16, rng)
     diag, limit = pi_product(u, v, profiles, (0, 8))
     assert diag.passed
-    assert rel_diff(limit, pointwise_mul(u, v)) == 0.0
+    assert rel_coeff_diff(limit, pointwise_mul(u, v)) == 0.0
 
 
 def test_pi_product_partial_associativity(profiles, rng):
@@ -418,7 +411,7 @@ def test_pi_product_partial_associativity(profiles, rng):
         _, fu_v = pi_product(pointwise_mul(f, u), v, profiles, (0, 7))
         _, u_fv = pi_product(u, pointwise_mul(f, v), profiles, (0, 7))
         f_uv = pointwise_mul(f, uv)
-        worst = max(worst, rel_diff(f_uv, fu_v), rel_diff(f_uv, u_fv))
+        worst = max(worst, rel_coeff_diff(f_uv, fu_v), rel_coeff_diff(f_uv, u_fv))
     assert worst <= 1e-12
 
 
@@ -438,7 +431,7 @@ def test_pi_product_disagrees_before_stabilisation(profiles):
     from torspec.cutoffs import modulate
 
     early = pointwise_mul(modulate(u, 2, prof), modulate(v, 2, prof))
-    assert rel_diff(early, pointwise_mul(u, v)) > 0.1
+    assert rel_coeff_diff(early, pointwise_mul(u, v)) > 0.1
 
 
 # -- norm ratios ----------------------------------------------------------------------------------
@@ -555,7 +548,7 @@ def test_paradiff_reconstruction_2d(fam, rng):
     m = 9
     t1, t2, t3 = paradiff_split(a, u, fam, m)
     ref = apply_modulated(a, u, fam.profile, m)
-    assert rel_diff(t1.add(t2).add(t3), ref) <= 1e-12
+    assert rel_coeff_diff(t1.add(t2).add(t3), ref) <= 1e-12
 
 
 def test_support_rule_2d(rng):
@@ -582,4 +575,4 @@ def test_flip_identity_negative_order_and_deep_range():
         _, a2 = ching_symbol(d, (2,), 5, J)
         out = apply(a2, w)
         expected = lacunary_field((-1,), 0.0, 5, J, v)
-        assert rel_diff(out, expected) <= 1e-12
+        assert rel_coeff_diff(out, expected) <= 1e-12

@@ -1,6 +1,7 @@
 """File formats and the command-line interface."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -275,21 +276,42 @@ def test_apply_parse_failure_exits_two(tmp_path):
             {"kind": "block", "j": 1, "profile": {"r": 3.0, "R": 1.0, "kind": "exp"}}
         ),
     }
-    save_sparse(delta_field((0,)), tmp_path / "u.json")
-    for name, text in inputs.items():
-        (tmp_path / f"{name}.json").write_text(text)
-        code = main(
+
+    def apply_code(symbol, field):
+        return main(
             [
                 "apply",
                 "--symbol",
-                str(tmp_path / f"{name}.json"),
+                str(symbol),
                 "--field",
-                str(tmp_path / "u.json"),
+                str(field),
                 "--out-field",
                 str(tmp_path / "o.json"),
             ]
         )
+
+    save_sparse(delta_field((0,)), tmp_path / "u.json")
+    for name, text in inputs.items():
+        (tmp_path / f"{name}.json").write_text(text)
+        code = apply_code(tmp_path / f"{name}.json", tmp_path / "u.json")
         assert code == 2, name
+
+    def entry(xi, re=1.0):
+        return {"xi": xi, "re": re, "im": 0.0}
+
+    fields = {
+        "fractional-xi": json.dumps({"n": 1, "coeffs": [entry([1.7])]}),
+        "fractional-n": json.dumps({"n": 1.9, "coeffs": [entry([1])]}),
+        "bool-xi": json.dumps({"n": 1, "coeffs": [entry([True])]}),
+        "duplicate-xi": json.dumps({"n": 1, "coeffs": [entry([1]), entry([1], 2.0)]}),
+        "nan-coefficient": json.dumps({"n": 1, "coeffs": [entry([1], math.nan)]}),
+    }
+    save_symbol(identity_symbol(1), tmp_path / "a.json")
+    for name, text in fields.items():
+        (tmp_path / f"{name}.json").write_text(text)
+        code = apply_code(tmp_path / "a.json", tmp_path / f"{name}.json")
+        assert code == 2, name
+    assert not (tmp_path / "o.json").exists()
 
 
 def test_emit_plots_writes_scripts(tmp_path):

@@ -4,7 +4,10 @@ The action of a separable symbol on a sparse field is the exact finite sum
 
     (Au)^(zeta) = sum_t sum_{xi + eta = zeta} c_t(xi) m_t(eta) u^(eta),
 
-iterated in sorted (term, xi, eta) order so results are reproducible.
+iterated in sorted (term, xi, eta) order so results are reproducible.  A
+term's multiplier is evaluated only on the modes of u whose radius |eta|
+lies in its support [lo, hi] (the spectral support rule): the radii are
+computed once per call and each term's window is found by bisection.
 Everything else here is built on top of that kernel: frequency-modulated
 approximants and their stabilisation diagnostics, the adjoint of the
 lacunary family, spectral kernels, the frequency-support rule, the
@@ -15,6 +18,7 @@ product, norm-ratio probes and the one-dimensional spatial kernel.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,7 +56,15 @@ from .symbols import (
 
 
 def apply(a: SeparableSymbol, u: SparseField, budget: int = DEFAULT_PAIR_BUDGET) -> SparseField:
-    """Exact operator application a(x, D) u on a sparse field."""
+    """Exact operator application a(x, D) u on a sparse field.
+
+    Each term evaluates its multiplier only on the modes inside its radius
+    window (see _support_hits); every output coefficient still sums its
+    (term, xi) contributions in the order of the full per-pair loop, so the
+    result is bitwise the same.  The budget counts the nominal pairs
+    sum_t |xpart_t| * |u|, inside the windows or not; more raise
+    BudgetExceeded.
+    """
     if a.n != u.n:
         raise DimensionMismatch(f"symbol dimension {a.n} != field dimension {u.n}")
     work = sum(len(t.xpart) for t in a.terms) * len(u)
@@ -60,19 +72,41 @@ def apply(a: SeparableSymbol, u: SparseField, budget: int = DEFAULT_PAIR_BUDGET)
         raise BudgetExceeded(f"{work} coefficient products exceed budget {budget}")
     out: dict[Frequency, complex] = {}
     u_items = u.items()
-    for t in a.terms:
-        weighted = []
-        for eta, cu in u_items:
-            mv = t.mult_at(eta)
-            if mv != 0.0:
-                weighted.append((eta, mv * cu))
-        if not weighted:
+    for t, hits in _support_hits(a, u):
+        if not hits:
             continue
+        weighted = [(u_items[i][0], mv * u_items[i][1]) for i, mv in hits]
         for xi, cx in t.xpart.items():
             for eta, wu in weighted:
                 zeta = freq_add(xi, eta)
                 out[zeta] = out.get(zeta, 0.0) + cx * wu
     return SparseField(u.n, out, u.tau)
+
+
+def _support_hits(a: SeparableSymbol, u: SparseField):
+    """Yield (t, hits) per term of a: hits lists (i, m_t(eta_i)) for the modes
+    eta_i of u (in u.items() order) where m_t(eta_i) != 0.
+
+    m_t is evaluated only where lo <= |eta_i| <= hi, found by bisecting the
+    radii in ascending order; outside it Term.mult_at is exactly zero.  The
+    window is visited in ascending i, u's own order, which keeps apply's
+    output dict nearly sorted and so cheap for SparseField to sort.
+    """
+    radii = [freq_abs(eta) for eta in u.coeffs]
+    whole = range(len(radii))
+    order = sorted(whole, key=radii.__getitem__)
+    ranked = [radii[i] for i in order]
+    for t in a.terms:
+        lo = bisect_left(ranked, t.mult.lo)
+        hi = bisect_right(ranked, t.mult.hi)
+        window = whole if hi - lo == len(ranked) else sorted(order[lo:hi])
+        radial = t.mult.radial
+        hits = []
+        for i in window:
+            mv = complex(radial(radii[i]))
+            if mv != 0.0:
+                hits.append((i, mv))
+        yield t, hits
 
 
 def max_coeff_diff(u: SparseField, v: SparseField) -> float:
@@ -122,7 +156,8 @@ class ModulationDiagnostic:
     delta[i] is the largest successive H^0 difference norm across profiles at
     m = m_lo + i; m_star is the first index from which every profile's
     output stops changing; cross_profile_max is the largest discrepancy
-    between profiles at the top of the range.
+    between profiles at the top of the range.  passed needs at least one
+    step (m_hi > m_lo): a one-point range is no evidence of stabilisation.
     """
 
     profile_ids: tuple[str, ...]
@@ -166,7 +201,7 @@ def _diagnose(seqs: dict[str, list[SparseField]], m_lo: int, m_hi: int):
     for i in range(len(finals)):
         for j in range(i + 1, len(finals)):
             cross = max(cross, sobolev_norm(finals[i].sub(finals[j]), 0.0))
-    passed = m_star is not None and cross == 0.0
+    passed = steps > 0 and m_star is not None and cross == 0.0
     norms = {p: [sobolev_norm(f, 0.0) for f in seqs[p]] for p in ids}
     return ModulationDiagnostic(
         ids, m_lo, m_hi, delta, m_star, cross, passed, finals[0], norms
@@ -181,9 +216,9 @@ def vanishing_limit(
 ) -> ModulationDiagnostic:
     """Run a^m(x,D)u^m across m and profiles and report stabilisation.
 
-    PASS means the outputs became constant in m within the range and agree
-    across every supplied profile - the executable rendering of membership
-    of u in the operator domain.
+    PASS means the outputs became constant in m within a range of at least
+    one step and agree across every supplied profile - the executable
+    rendering of membership of u in the operator domain.
     """
     if len(profiles) < 2:
         raise ValueError("need at least two profiles for independence checking")
@@ -306,8 +341,9 @@ def support_rule_xi(
     The containment spectrum(Au) within Xi is asserted before returning.
     """
     xi_set: set[Frequency] = set()
-    for t in a.terms:
-        active = [eta for eta, _ in u.items() if t.mult_at(eta) != 0.0]
+    etas = list(u.coeffs)
+    for t, hits in _support_hits(a, u):
+        active = [etas[i] for i, _ in hits]
         for xi in t.xpart.spectrum():
             for eta in active:
                 xi_set.add(freq_add(xi, eta))

@@ -53,7 +53,10 @@ def atomic_write_bytes(path: Path | str, blob: bytes) -> Path:
 
 
 def write_json(path: Path | str, obj) -> Path:
-    return atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=False) + "\n")
+    """Write obj as standard JSON; a NaN or infinite float raises ValueError."""
+    return atomic_write_text(
+        path, json.dumps(obj, indent=2, sort_keys=False, allow_nan=False) + "\n"
+    )
 
 
 # -- sparse fields ---------------------------------------------------------------
@@ -63,6 +66,19 @@ def _index(obj: dict | list, key: str | int) -> int:
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"field {key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _number(obj: dict, key: str) -> float:
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"field {key!r} must be a number, got {value!r}")
+    return value
+
+
+def _typed(value, kind: type, what: str):
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} must be a JSON {kind.__name__}, got {value!r}")
     return value
 
 
@@ -76,14 +92,26 @@ def sparse_to_json(u: SparseField) -> dict:
 
 
 def sparse_from_json(obj: dict) -> SparseField:
-    """Inverse of sparse_to_json; a non-integer or repeated frequency raises ValueError."""
+    """Inverse of sparse_to_json; a malformed shape or value raises ValueError.
+
+    That covers a field or coefficient entry that is not an object, a
+    dimension other than 1 or 2, a "coeffs" or "xi" that is not a list, a
+    frequency of the wrong length or with a non-integer component, a repeated
+    frequency and a non-numeric "re"/"im".
+    """
+    n = _index(_typed(obj, dict, "sparse field"), "n")
+    if n not in (1, 2):
+        raise ValueError(f"dimension {n} not in {{1, 2}}")
     coeffs = {}
-    for entry in obj["coeffs"]:
-        xi = tuple(_index(entry["xi"], i) for i in range(len(entry["xi"])))
+    for entry in _typed(obj["coeffs"], list, "coeffs"):
+        xi = _typed(_typed(entry, dict, "coefficient entry")["xi"], list, "xi")
+        if len(xi) != n:
+            raise ValueError(f"frequency {xi!r} does not have {n} components")
+        xi = tuple(_index(xi, i) for i in range(n))
         if xi in coeffs:
             raise ValueError(f"frequency {list(xi)} appears twice")
-        coeffs[xi] = complex(entry["re"], entry["im"])
-    return SparseField(_index(obj, "n"), coeffs)
+        coeffs[xi] = complex(_number(entry, "re"), _number(entry, "im"))
+    return SparseField(n, coeffs)
 
 
 def save_sparse(u: SparseField, path: Path | str) -> Path:

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torspec.constructions import (
     harmonic_ratio,
@@ -12,7 +14,7 @@ from torspec.constructions import (
     random_band_limited,
     vanishing_family,
 )
-from torspec.cutoffs import lp_project
+from torspec.cutoffs import CutoffProfile, lp_project
 from torspec.errors import (
     BudgetExceeded,
     DimensionUnsupported,
@@ -47,7 +49,12 @@ from torspec.operator import (
     vanishing_limit,
 )
 from torspec.symbols import (
+    Ball,
+    Block,
+    Corona,
+    Modulated,
     One,
+    RadialBump,
     SeparableSymbol,
     Term,
     ching_symbol,
@@ -154,6 +161,18 @@ def test_vanishing_limit_zero_field(profiles):
     diag = vanishing_limit(a, zero_field(1), profiles, (0, 4))
     assert diag.passed and len(diag.limit) == 0
     assert all(d == 0.0 for d in diag.delta)
+
+
+def test_one_point_range_is_not_a_pass(profiles):
+    # A range with no step gives no evidence of stabilisation.
+    u = SparseField(1, {(1,): 1.0, (3,): -0.5j})
+    diag = vanishing_limit(identity_symbol(1), u, profiles, (3, 3))
+    prod, _ = pi_product(u, u, profiles, (3, 3))
+    for d in (diag, prod):
+        assert d.delta == [] and d.m_star == 3 and d.cross_profile_max == 0.0
+        assert not d.passed
+    assert vanishing_limit(identity_symbol(1), u, profiles, (3, 4)).passed
+    assert pi_product(u, u, profiles, (3, 4))[0].passed
 
 
 def test_vanishing_limit_unclosability_signature(profiles):
@@ -301,6 +320,91 @@ def test_support_rule_containment_seeded(rng):
         a = random_symbol(1, rng)
         u = random_band_limited(1, 10, 300, rng)
         support_rule_xi(a, u)  # raises on violation
+
+
+def _apply_by_pairs(a, u):
+    """Reference for apply: m_t evaluated by Term.mult_at on every (term, eta) pair."""
+    out = {}
+    for t in a.terms:
+        weighted = []
+        for eta, cu in u.items():
+            mv = t.mult_at(eta)
+            if mv != 0.0:
+                weighted.append((eta, mv * cu))
+        for xi, cx in t.xpart.items():
+            for eta, wu in weighted:
+                zeta = tuple(x + e for x, e in zip(xi, eta))
+                out[zeta] = out.get(zeta, 0.0) + cx * wu
+    return SparseField(u.n, out, u.tau)
+
+
+def _support_by_pairs(a, u):
+    """Reference for support_rule_xi's Xi, by the same per-pair loop."""
+    return {
+        tuple(x + e for x, e in zip(xi, eta))
+        for t in a.terms
+        for xi in t.xpart.spectrum()
+        for eta in u.spectrum()
+        if t.mult_at(eta) != 0.0
+    }
+
+
+# Every bound below is an integer radius k, so the boundary modes +-k e_1 and
+# (3k/5, -4k/5) sit exactly on |eta| = lo or hi.
+_PROFILE = CutoffProfile(1.0, 2.0)
+_CHI = RadialBump(1.0, 2.5, 1.5, 2.0)
+_PLAIN_MULTS = st.one_of(
+    st.just(One()),
+    st.builds(Corona, st.just(_CHI), st.integers(0, 3)),
+    st.builds(Block, st.just(_PROFILE), st.integers(0, 4)),
+    st.builds(Ball, st.sampled_from([0.0, 1.0, 2.0, 5.0, 10.0])),
+)
+_MULTS = st.one_of(
+    _PLAIN_MULTS,
+    st.builds(Modulated, _PLAIN_MULTS, st.integers(0, 3), st.just(_PROFILE)),
+)
+_COEFFS = st.complex_numbers(min_magnitude=0.1, max_magnitude=10, allow_nan=False)
+
+
+def _boundary_modes(a, n):
+    modes = set()
+    for t in a.terms:
+        for r in (t.mult.lo, t.mult.hi):
+            if math.isfinite(r) and r == int(r):
+                k = int(r)
+                modes.add((k,) + (0,) * (n - 1))
+                modes.add((-k,) + (0,) * (n - 1))
+                if n == 2 and k % 5 == 0:
+                    modes.add((3 * k // 5, -4 * k // 5))
+    return modes
+
+
+@st.composite
+def _symbol_and_field(draw):
+    n = draw(st.sampled_from([1, 2]))
+    freq = st.tuples(*[st.integers(-24, 24)] * n)
+    terms = tuple(
+        Term(SparseField(n, draw(st.dictionaries(freq, _COEFFS, min_size=1, max_size=3))), mult)
+        for mult in draw(st.lists(_MULTS, min_size=1, max_size=6))
+    )
+    a = SeparableSymbol(0.0, n, terms)
+    coeffs = draw(st.dictionaries(freq, _COEFFS, max_size=40))
+    for eta in _boundary_modes(a, n):
+        coeffs[eta] = draw(_COEFFS)
+    return a, SparseField(n, coeffs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_symbol_and_field())
+def test_windowed_apply_matches_per_pair_loop_bitwise(case):
+    a, u = case
+    got, want = apply(a, u), _apply_by_pairs(a, u)
+
+    def hexed(f):
+        return {xi: (c.real.hex(), c.imag.hex()) for xi, c in f.items()}
+
+    assert hexed(got) == hexed(want)
+    assert support_rule_xi(a, u) == _support_by_pairs(a, u)
 
 
 # -- paradifferential splitting ---------------------------------------------------------------

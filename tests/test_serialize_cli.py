@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from torspec.cli import load_config, main
 from torspec.constructions import lacunary_field, random_band_limited
@@ -23,6 +24,7 @@ from torspec.serialize import (
     save_sparse,
     save_symbol,
     sparse_to_json,
+    write_json,
 )
 from torspec.symbols import (
     Ball,
@@ -98,6 +100,13 @@ def test_atomic_write_leaves_no_temp_files(tmp_path, rng):
         save_sparse(u, tmp_path / "u.json")
     leftovers = [p for p in tmp_path.iterdir() if p.name != "u.json"]
     assert leftovers == []
+
+
+def test_write_json_rejects_non_finite_floats(tmp_path):
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            write_json(tmp_path / "report.json", {"metrics": {"ratio": bad}})
+    assert list(tmp_path.iterdir()) == []
 
 
 # -- configuration ---------------------------------------------------------------
@@ -305,6 +314,13 @@ def test_apply_parse_failure_exits_two(tmp_path):
         "bool-xi": json.dumps({"n": 1, "coeffs": [entry([True])]}),
         "duplicate-xi": json.dumps({"n": 1, "coeffs": [entry([1]), entry([1], 2.0)]}),
         "nan-coefficient": json.dumps({"n": 1, "coeffs": [entry([1], math.nan)]}),
+        "scalar-xi": json.dumps({"n": 1, "coeffs": [entry(5)]}),
+        "scalar-coeffs": json.dumps({"n": 1, "coeffs": 5}),
+        "string-re": json.dumps({"n": 1, "coeffs": [entry([1], "1.0")]}),
+        "short-xi": json.dumps({"n": 2, "coeffs": [entry([1])]}),
+        "three-d": json.dumps({"n": 3, "coeffs": [entry([1, 0, 0])]}),
+        "scalar-entry": json.dumps({"n": 1, "coeffs": [5]}),
+        "list-field": json.dumps([1, 2]),
     }
     save_symbol(identity_symbol(1), tmp_path / "a.json")
     for name, text in fields.items():

@@ -54,6 +54,13 @@ class RunConfig:
         raise KeyError(f"unknown profile {name!r}")
 
 
+# Each experiment's parameter defaults: the types config overrides must have.
+_DEFAULTS = {
+    name: {p.name: p.default for p in inspect.signature(fn).parameters.values()}
+    for name, fn in REGISTRY.items()
+}
+
+
 def _parse_value(raw: str):
     raw = raw.strip()
     try:
@@ -65,11 +72,34 @@ def _parse_value(raw: str):
     return raw
 
 
+def _check_typed(value, default, what: str) -> None:
+    """Raise ValueError unless value has the type of the parameter's default.
+
+    A bool comes only from a JSON true/false, an int never from a float or a
+    bool, a float from an int or a float, a str from a str; a tuple default
+    takes one such element or a list of them, checked one by one.
+    """
+    if isinstance(default, tuple):
+        for item in value if isinstance(value, list) else [value]:
+            _check_typed(item, default[0], what)
+        return
+    if isinstance(default, bool) or isinstance(value, bool):
+        ok = isinstance(value, bool) and isinstance(default, bool)
+    elif isinstance(default, float):
+        ok = isinstance(value, (int, float))
+    else:
+        ok = isinstance(value, type(default))
+    if not ok:
+        raise ValueError(f"{what} must be {type(default).__name__}, got {value!r}")
+
+
 def load_config(path: str | None) -> RunConfig:
     """Parse the flat dotted key-value configuration file.
 
-    Besides ``out`` and ``emit_plots``, a key is ``profile.<name>`` or
-    ``<experiment>.<param>``; anything else raises ValueError.
+    Besides ``out`` and ``emit_plots`` (a JSON true/false), a key is
+    ``profile.<name>`` or ``<experiment>.<param>`` naming a parameter of
+    that experiment, with a value of the type of its default; anything else
+    raises ValueError.
     """
     cfg = RunConfig()
     env_out = os.environ.get("TORSPEC_OUT")
@@ -89,7 +119,8 @@ def load_config(path: str | None) -> RunConfig:
             if key == "out":
                 cfg.out = Path(str(value))
             elif key == "emit_plots":
-                cfg.emit_plots = bool(value)
+                _check_typed(value, False, f"{path}:{line_no}: {key}")
+                cfg.emit_plots = value
             elif key.startswith("profile."):
                 spec = value if isinstance(value, dict) else json.loads(str(value))
                 cfg.profiles[key.split(".", 1)[1]] = CutoffProfile(
@@ -97,8 +128,10 @@ def load_config(path: str | None) -> RunConfig:
                 )
             else:
                 exp, _, param = key.partition(".")
-                if exp not in REGISTRY or not param:
+                default = _DEFAULTS.get(exp, {}).get(param.replace("-", "_"))
+                if default is None:
                     raise ValueError(f"{path}:{line_no}: unknown key {key!r}")
+                _check_typed(value, default, f"{path}:{line_no}: {key}")
                 cfg.overrides.setdefault(exp, {})[param] = value
     return cfg
 

@@ -120,12 +120,6 @@ class LPFamily:
         """Phi_j(xi)."""
         return self.profile.block_weight(freq_abs(xi), j)
 
-    def block_bounds(self, j: int) -> tuple[float, float]:
-        """Support annulus radii of Phi_j (a ball for j = 0)."""
-        if j == 0:
-            return (0.0, self.profile.R)
-        return (self.profile.r * 2 ** (j - 1), self.profile.R * 2**j)
-
     def top_block(self, u: SparseField) -> int:
         """Smallest j0 with Phi_j vanishing on spectrum(u) for all j > j0."""
         top = 0

@@ -7,6 +7,13 @@ Block norms aggregate dyadic pieces either as
 
     besov:    ( sum_j (2^{js} ||Phi_j(D)u||_p)^q )^{1/q}        (sup for q=inf)
     triebel:  || sup_j 2^{js} |Phi_j(D)u| ||_p                  (q = inf form)
+
+Each dense transform is computed once and reduced many times:
+block_norms puts every dyadic block on the grid once and returns both the
+per-block L_p norms and the envelope sup_j 2^{js}|Phi_j(D)u|, whose L_p
+norm is the Triebel value for any p; bessel_potential gives the grid field
+<D>^s g once, and lp_norm reduces it for each p.  Only one block grid is
+alive at a time.
 """
 
 from __future__ import annotations
@@ -54,17 +61,43 @@ def hsp_norm(u: SparseField, s: float, p: float, M: int) -> float:
     return lp_norm(sparse_to_dense(weighted, M), p)
 
 
-def hsp_norm_dense(g: DenseField, s: float, p: float) -> float:
-    """Bessel-potential norm of a grid field (spectrally truncated at M/2)."""
+def bessel_potential(g: DenseField, s: float) -> DenseField:
+    """The grid field <D>^s g (spectrally truncated at M/2)."""
     rho = grid_frequencies(g.M, g.n)
     weight = (1.0 + rho * rho) ** (0.5 * s)
     spec = np.fft.fftn(g.samples) * weight
-    return lp_norm(DenseField(g.n, g.M, np.fft.ifftn(spec)), p)
+    return DenseField(g.n, g.M, np.fft.ifftn(spec))
 
 
-def _blocks(u: SparseField, fam: LPFamily):
-    top = fam.top_block(u)
-    return [(j, lp_project(u, j, fam, "block")) for j in range(top + 1)]
+def hsp_norm_dense(g: DenseField, s: float, p: float) -> float:
+    """Bessel-potential norm of a grid field: lp_norm of bessel_potential(g, s).
+
+    A caller that needs several p for one (g, s) computes bessel_potential
+    once and reduces it with lp_norm per p.
+    """
+    return lp_norm(bessel_potential(g, s), p)
+
+
+def block_norms(
+    u: SparseField, s: float, p: float, fam: LPFamily, M: int
+) -> tuple[list[float], DenseField]:
+    """One pass over the nonempty dyadic blocks u_j of a sparse field.
+
+    Each block goes through sparse_to_dense exactly once.  Returns the
+    per-block values 2^{js} ||u_j||_p in ascending j and the envelope
+    sup_j 2^{js} |u_j| on the M grid (zero when every block is empty).
+    """
+    env = np.zeros((M,) * u.n)
+    per_block = []
+    for j in range(fam.top_block(u) + 1):
+        uj = lp_project(u, j, fam, "block")
+        if len(uj) == 0:
+            continue
+        g = sparse_to_dense(uj, M)
+        per_block.append(2.0 ** (j * s) * lp_norm(g, p))
+        env = np.maximum(env, 2.0 ** (j * s) * np.abs(g.samples))
+        del g  # free this grid before the next block's is built
+    return per_block, DenseField(u.n, M, env.astype(np.complex128))
 
 
 def besov_norm(
@@ -76,29 +109,20 @@ def besov_norm(
     M: int,
     aggregation: str = "besov",
 ) -> float:
-    """Dyadic block norm of a sparse field.
+    """Dyadic block norm of a sparse field, reduced from one block_norms pass.
 
     aggregation="besov" computes the B^s_{p,q} norm from per-block L_p norms;
     aggregation="triebel" computes the F^s_{p,inf} seminorm (q must be inf):
-    the pointwise sup over blocks is taken before the L_p quadrature.
+    the pointwise sup over blocks is taken before the L_p quadrature.  A
+    caller that needs both aggregations or several p calls block_norms once.
     """
-    blocks = _blocks(u, fam)
-    if aggregation == "triebel":
-        if not math.isinf(q):
-            raise ValueError("triebel aggregation is provided for q = inf only")
-        env = np.zeros((M,) * u.n)
-        for j, uj in blocks:
-            if len(uj) == 0:
-                continue
-            env = np.maximum(env, 2.0 ** (j * s) * np.abs(sparse_to_dense(uj, M).samples))
-        return lp_norm(DenseField(u.n, M, env.astype(np.complex128)), p)
-    if aggregation != "besov":
+    if aggregation not in ("besov", "triebel"):
         raise ValueError(f"unknown aggregation {aggregation!r}")
-    per_block = []
-    for j, uj in blocks:
-        if len(uj) == 0:
-            continue
-        per_block.append(2.0 ** (j * s) * lp_norm(sparse_to_dense(uj, M), p))
+    if aggregation == "triebel" and not math.isinf(q):
+        raise ValueError("triebel aggregation is provided for q = inf only")
+    per_block, env = block_norms(u, s, p, fam, M)
+    if aggregation == "triebel":
+        return lp_norm(env, p)
     if not per_block:
         return 0.0
     if math.isinf(q):

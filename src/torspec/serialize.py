@@ -73,7 +73,10 @@ def _number(obj: dict, key: str) -> float:
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"field {key!r} must be a number, got {value!r}")
-    return value
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"field {key!r} is too large for a float") from None
 
 
 def _typed(value, kind: type, what: str):
@@ -97,7 +100,7 @@ def sparse_from_json(obj: dict) -> SparseField:
     That covers a field or coefficient entry that is not an object, a
     dimension other than 1 or 2, a "coeffs" or "xi" that is not a list, a
     frequency of the wrong length or with a non-integer component, a repeated
-    frequency and a non-numeric "re"/"im".
+    frequency and a non-numeric "re"/"im" or one too large for a float.
     """
     n = _index(_typed(obj, dict, "sparse field"), "n")
     if n not in (1, 2):

@@ -134,13 +134,20 @@ class Corona(Multiplier):
 
 @dataclass(frozen=True)
 class Block(Multiplier):
-    """Dyadic block Phi_j of the Littlewood-Paley family built on `profile`."""
+    """Dyadic block Phi_j of the Littlewood-Paley family built on `profile`.
+
+    Phi_0 = psi lives in the ball |eta| <= R, Phi_j in the annulus
+    r 2^(j-1) <= |eta| <= R 2^j; no family gap h is needed for that.
+    """
 
     profile: CutoffProfile
     j: int
 
     def __post_init__(self):
-        self._bound(*LPFamily(self.profile).block_bounds(self.j))
+        if self.j == 0:
+            self._bound(0.0, self.profile.R)
+        else:
+            self._bound(self.profile.r * 2 ** (self.j - 1), self.profile.R * 2**self.j)
 
     def radial(self, rho: float) -> float:
         return self.profile.block_weight(rho, self.j)
@@ -535,7 +542,8 @@ def meyer_symbol(
 
     m_k(x) = integral_0^1 F'(u^{k-1}(x) + t u_k(x)) dt, evaluated per grid
     point with Q-node Gauss-Legendre quadrature; u_k and u^{k-1} are the
-    dyadic block and ball pieces of u.  The symbol they carry is
+    dyadic block and ball pieces of u.  All blocks u_k come from one forward
+    FFT of u, one at a time.  The symbol they carry is
     sum_{k=0..K} m_k(x) Phi_k(eta).
     """
     real = _require_real(u)
@@ -546,8 +554,9 @@ def meyer_symbol(
     tweights = 0.5 * weights
     out = []
     ball = np.zeros_like(real)
+    spec = np.fft.fftn(u.samples)
     for k in range(K + 1):
-        uk = np.real(lp_project_dense(u, k, fam, "block").samples)
+        uk = np.real(_block_from_spectrum(spec, k, fam))
         mk = np.zeros_like(real)
         for t, w in zip(tnodes, tweights):
             mk = mk + w * np.asarray(Fprime(ball + t * uk), dtype=float)
@@ -561,9 +570,9 @@ def meyer_apply(
 ) -> DenseField:
     """Apply the dense multiplier-sum symbol: sum_k m_k(x) (Phi_k(D)u)(x)."""
     acc = np.zeros((u.M,) * u.n, dtype=np.complex128)
+    spec = np.fft.fftn(u.samples)
     for mk, k in mks:
-        uk = lp_project_dense(u, k, fam, "block").samples
-        acc = acc + mk.samples * uk
+        acc = acc + mk.samples * _block_from_spectrum(spec, k, fam)
     return DenseField(u.n, u.M, acc)
 
 
@@ -598,24 +607,29 @@ def check_vanishes_at_zero(F: Callable[[float], float]) -> None:
 # -- grid-side dyadic projections (used by the composite machinery) -------------
 
 
-def _radial_on_grid(fn, M: int, n: int) -> np.ndarray:
+def _radial_on_grid(mult: Block, M: int, n: int) -> np.ndarray:
+    """mult.radial at every |xi| of the FFT grid.
+
+    The profile is evaluated once per unique radius inside the closed
+    support window [mult.lo, mult.hi]; outside it the weight is the exact
+    0.0 that block_weight returns there.
+    """
     rho = grid_frequencies(M, n)
-    flat = rho.ravel()
-    uniq, inverse = np.unique(flat, return_inverse=True)
-    vals = np.array([fn(float(r)) for r in uniq])
+    uniq, inverse = np.unique(rho.ravel(), return_inverse=True)
+    lo = int(np.searchsorted(uniq, mult.lo, side="left"))
+    hi = int(np.searchsorted(uniq, mult.hi, side="right"))
+    vals = np.zeros(len(uniq))
+    vals[lo:hi] = [mult.radial(float(r)) for r in uniq[lo:hi]]
     return vals[inverse].reshape(rho.shape)
 
 
-def lp_project_dense(g: DenseField, j: int, fam: LPFamily, mode: str = "block") -> DenseField:
-    """Grid counterpart of lp_project (block Phi_j or ball psi(2^-j .))."""
+def _block_from_spectrum(spec: np.ndarray, j: int, fam: LPFamily) -> np.ndarray:
+    """Grid samples of Phi_j(D)g from spec = fftn(g.samples), for j >= 0."""
+    return np.fft.ifftn(_radial_on_grid(Block(fam.profile, j), spec.shape[0], spec.ndim) * spec)
+
+
+def lp_project_dense(g: DenseField, j: int, fam: LPFamily) -> DenseField:
+    """Grid counterpart of lp_project's block mode: Phi_j(D)g (zero for j < 0)."""
     if j < 0:
         return DenseField(g.n, g.M, np.zeros((g.M,) * g.n, dtype=np.complex128))
-    prof = fam.profile
-    spec = np.fft.fftn(g.samples)
-    if mode == "ball":
-        w = _radial_on_grid(lambda r: prof.radial(r / 2**j), g.M, g.n)
-    elif mode == "block":
-        w = _radial_on_grid(lambda r: prof.block_weight(r, j), g.M, g.n)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return DenseField(g.n, g.M, np.fft.ifftn(w * spec))
+    return DenseField(g.n, g.M, _block_from_spectrum(np.fft.fftn(g.samples), j, fam))

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from torspec.errors import RangeTooLarge, TorspecError
@@ -88,6 +89,31 @@ def test_composite_identity_and_square():
     report = exp_composite(f=("square",), M=1024, K=6)
     assert report.passed
     assert report.metrics["sup_error[square]"] <= 1e-10
+
+
+def _count_ffts(monkeypatch, run):
+    calls = []
+    for name in ("fftn", "ifftn"):
+        original = getattr(np.fft, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    run()
+    monkeypatch.undo()
+    return len(calls)
+
+
+def test_dense_transforms_are_computed_once(monkeypatch):
+    # One inverse FFT per nonempty block per d: 2 d values x 4 blocks.
+    assert _count_ffts(monkeypatch, lambda: exp_weierstrass(J=4, M=128)) == 8
+    # Per function: one forward FFT plus 5 blocks in meyer_symbol and in
+    # meyer_apply (12), 2 s x 2 FFTs for F(u) (4) and 2 s x 4 deltas x 2 FFTs
+    # for the differences (16); plus 2 FFTs to build u and w and 2 s x 2 FFTs
+    # for u's potential, shared by both functions.
+    assert _count_ffts(monkeypatch, lambda: exp_composite(seed=0, M=256, K=4)) == 70
 
 
 def test_composite_unknown_function():

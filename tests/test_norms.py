@@ -8,10 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torspec.constructions import lacunary_field, vanishing_family, weierstrass_field
+from torspec.cutoffs import lp_project
 from torspec.errors import EmptySpectrum
-from torspec.fields import DenseField, SparseField, delta_field, sparse_to_dense
+from torspec.fields import (
+    DenseField,
+    SparseField,
+    delta_field,
+    grid_frequencies,
+    sparse_to_dense,
+)
 from torspec.norms import (
+    bessel_potential,
     besov_norm,
+    block_norms,
     cone_report,
     hsp_norm,
     hsp_norm_dense,
@@ -165,6 +174,91 @@ def test_finite_q_aggregation(fam):
 def test_triebel_needs_q_infinity(fam):
     with pytest.raises(ValueError):
         besov_norm(delta_field((2,)), 0.0, 2.0, 2.0, fam, 64, aggregation="triebel")
+
+
+# Brute-force references: one sparse_to_dense per block per pass and per p,
+# the loops that block_norms and bessel_potential replace.
+
+
+def _besov_by_passes(u, s, p, q, fam, M, aggregation="besov"):
+    blocks = [(j, lp_project(u, j, fam, "block")) for j in range(fam.top_block(u) + 1)]
+    if aggregation == "triebel":
+        env = np.zeros((M,) * u.n)
+        for j, uj in blocks:
+            if len(uj) == 0:
+                continue
+            env = np.maximum(env, 2.0 ** (j * s) * np.abs(sparse_to_dense(uj, M).samples))
+        return lp_norm(DenseField(u.n, M, env.astype(np.complex128)), p)
+    per_block = []
+    for j, uj in blocks:
+        if len(uj) == 0:
+            continue
+        per_block.append(2.0 ** (j * s) * lp_norm(sparse_to_dense(uj, M), p))
+    if not per_block:
+        return 0.0
+    if math.isinf(q):
+        return max(per_block)
+    return float(math.fsum(v**q for v in per_block) ** (1.0 / q))
+
+
+def _potential_by_pass(g, s):
+    rho = grid_frequencies(g.M, g.n)
+    return np.fft.ifftn(np.fft.fftn(g.samples) * (1.0 + rho * rho) ** (0.5 * s))
+
+
+def _gapped_fields():
+    """n = 1 and n = 2 fields whose block ranges contain empty blocks."""
+    rng = np.random.default_rng(6)
+    yield SparseField(1, {(1,): 1.0, (-3,): 0.5j, (40,): 0.25 - 0.5j})
+    yield SparseField(1, {(0,): 2.0, (33,): 1.0})
+    yield SparseField(1, {})
+    yield SparseField(2, {(1, 0): 1.0, (0, -1): 0.5, (20, 5): 1j, (-6, 25): 0.3})
+    for n, window in ((1, 30), (2, 12)):
+        for _ in range(2):
+            keys = rng.integers(-window, window + 1, size=(5, n))
+            coeffs = rng.normal(size=5) + 1j * rng.normal(size=5)
+            yield SparseField(n, {tuple(int(k) for k in key): c for key, c in zip(keys, coeffs)})
+
+
+def test_block_pass_matches_per_pass_loops_bitwise(families):
+    gapped = set()
+    for fam in families:
+        for u in _gapped_fields():
+            M = 128 if u.n == 1 else 64
+            blocks = [lp_project(u, j, fam, "block") for j in range(fam.top_block(u) + 1)]
+            if len(u) and not all(blocks):
+                gapped.add(u.n)
+            for s in (0.0, 0.75, -0.5):
+                for p in (1.0, 2.0, 3.5, math.inf):
+                    per_block, env = block_norms(u, s, p, fam, M)
+                    want = [
+                        2.0 ** (j * s) * lp_norm(sparse_to_dense(uj, M), p)
+                        for j, uj in enumerate(blocks)
+                        if len(uj)
+                    ]
+                    assert [v.hex() for v in per_block] == [v.hex() for v in want]
+                    triebel = _besov_by_passes(u, s, p, math.inf, fam, M, "triebel")
+                    assert lp_norm(env, p).hex() == triebel.hex()
+                    got = besov_norm(u, s, p, math.inf, fam, M, aggregation="triebel")
+                    assert got.hex() == triebel.hex()
+                    for q in (1.0, 2.0, math.inf):
+                        got = besov_norm(u, s, p, q, fam, M)
+                        assert got.hex() == _besov_by_passes(u, s, p, q, fam, M).hex()
+    assert gapped == {1, 2}
+
+
+def test_bessel_potential_split_matches_one_pass_bitwise():
+    for u in _gapped_fields():
+        M = 128 if u.n == 1 else 64
+        g = sparse_to_dense(u, M)
+        for s in (-1.0, 0.0, 0.5, 2.0):
+            field = bessel_potential(g, s)
+            want = _potential_by_pass(g, s)
+            assert field.samples.tobytes() == want.tobytes()
+            for p in (1.0, 2.0, 4.0, math.inf):
+                ref = lp_norm(DenseField(u.n, M, want), p).hex()
+                assert lp_norm(field, p).hex() == ref
+                assert hsp_norm_dense(g, s, p).hex() == ref
 
 
 # -- directional decay ----------------------------------------------------------------------

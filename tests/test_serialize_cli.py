@@ -122,13 +122,23 @@ profile.main = {"r": 1.2, "R": 2.1, "kind": "exp"}
 flip.d = 0.5
 flip.J = 14
 unclosable.n_list = [5, 6]
+emit_plots = true
+flip.with_2d = false
+unclosable.d = 1
+weierstrass.p_list = 1, 2.5, Infinity
+composite.f = sin
+continuity.theta = 1
 """
     )
     cfg = load_config(str(cfg_file))
     assert str(cfg.out) == "my_runs"
     assert cfg.profile("main").r == 1.2
-    assert cfg.overrides["flip"] == {"d": 0.5, "J": 14}
-    assert cfg.overrides["unclosable"]["n_list"] == [5, 6]
+    assert cfg.overrides["flip"] == {"d": 0.5, "J": 14, "with_2d": False}
+    assert cfg.overrides["unclosable"] == {"n_list": [5, 6], "d": 1}
+    assert cfg.emit_plots is True
+    assert cfg.overrides["weierstrass"] == {"p_list": [1, 2.5, math.inf]}
+    assert cfg.overrides["composite"] == {"f": "sin"}
+    assert cfg.overrides["continuity"] == {"theta": 1}
 
 
 def test_env_var_sets_output_root(tmp_path, monkeypatch):
@@ -143,6 +153,19 @@ def test_bad_profile_rejected_before_running(tmp_path):
         "seed = 42",
         "grid.M = 8192",
         "nosuch.x = 1",
+        # A value must have the type of the parameter's default.
+        "flip.with_2d = False",
+        'emit_plots = "no"',
+        "emit_plots = 1",
+        "weierstrass.J = 3.0",
+        "flip.J = true",
+        "unclosable.d = true",
+        "composite.f = 3",
+        "unclosable.theta = 1.5",
+        "unclosable.n_list = 5, 6.5",
+        "weierstrass.p_list = [2.0, yes]",
+        "weierstrass.outdir = elsewhere",
+        "flip.nosuch = 1",
     ]
     for i, line in enumerate(bad_lines):
         cfg_file = tmp_path / f"bad{i}.cfg"
@@ -321,6 +344,8 @@ def test_apply_parse_failure_exits_two(tmp_path):
         "three-d": json.dumps({"n": 3, "coeffs": [entry([1, 0, 0])]}),
         "scalar-entry": json.dumps({"n": 1, "coeffs": [5]}),
         "list-field": json.dumps([1, 2]),
+        "huge-re": json.dumps({"n": 1, "coeffs": [entry([1], 10**400)]}),
+        "huge-im": json.dumps({"n": 1, "coeffs": [{"xi": [1], "re": 0.0, "im": -(10**400)}]}),
     }
     save_symbol(identity_symbol(1), tmp_path / "a.json")
     for name, text in fields.items():

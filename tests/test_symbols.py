@@ -11,17 +11,21 @@ from torspec.errors import (
     NonRealInput,
     ZeroDirection,
 )
+from torspec.cutoffs import LPFamily, make_cutoff
 from torspec.fields import (
     DenseField,
     SparseField,
     delta_field,
     freq_abs,
+    grid_frequencies,
     sparse_to_dense,
 )
 from torspec.norms import lp_norm
 from torspec.constructions import random_band_limited
 from torspec.symbols import (
+    Block,
     RadialBump,
+    _radial_on_grid,
     check_vanishes_at_zero,
     ching_symbol,
     class_verify,
@@ -323,7 +327,7 @@ def test_dense_block_prunes_match_sparse(fam, rng):
     from torspec.fields import dense_to_sparse
 
     for j in (0, 2, 5):
-        dense_block = dense_to_sparse(lp_project_dense(g, j, fam, "block"), 1e-12)
+        dense_block = dense_to_sparse(lp_project_dense(g, j, fam), 1e-12)
         sparse_block = lp_project(u, j, fam, "block")
         for xi in dense_block.spectrum() | sparse_block.spectrum():
             assert abs(dense_block.coeff(xi) - sparse_block.coeff(xi)) <= 1e-10
@@ -341,3 +345,95 @@ def test_class_verify_2d_symbol():
     assert abs(report.entries[((0, 0), (0, 0))] - 1.0) <= 1e-9
     assert report.entries[((0, 0), (0, 1))] <= 2.0
     assert not report.violations
+
+
+# -- one transform, many blocks: bitwise against the per-call forms ----------------------
+
+
+def _radial_every_radius(fn, M, n):
+    """fn at every unique grid radius, with no support window."""
+    rho = grid_frequencies(M, n)
+    uniq, inverse = np.unique(rho.ravel(), return_inverse=True)
+    vals = np.array([fn(float(r)) for r in uniq])
+    return vals[inverse].reshape(rho.shape)
+
+
+def _block_by_own_fft(g, j, fam):
+    w = _radial_every_radius(lambda r: fam.profile.block_weight(r, j), g.M, g.n)
+    return np.fft.ifftn(w * np.fft.fftn(g.samples))
+
+
+def _meyer_by_own_ffts(u, Fprime, fam, K, Q):
+    nodes, weights = np.polynomial.legendre.leggauss(Q)
+    tnodes, tweights = 0.5 * (nodes + 1.0), 0.5 * weights
+    real = np.real(u.samples).copy()
+    out, ball = [], np.zeros_like(real)
+    for k in range(K + 1):
+        uk = np.real(_block_by_own_fft(u, k, fam))
+        mk = np.zeros_like(real)
+        for t, w in zip(tnodes, tweights):
+            mk = mk + w * np.asarray(Fprime(ball + t * uk), dtype=float)
+        out.append(mk.astype(np.complex128))
+        ball = ball + uk
+    return out
+
+
+# r = 1 and r = 1.5 put both window ends r 2^(j-1) and R 2^j on grid radii;
+# the last family needs the wider gap h = 4.
+_EDGE_FAMILIES = (
+    LPFamily(make_cutoff(1.0, 2.0, "exp")),
+    LPFamily(make_cutoff(1.5, 3.0, "poly7")),
+    LPFamily(make_cutoff(1.0, 3.0, "exp"), h=4),
+)
+
+
+def test_windowed_radial_weights_match_every_radius_bitwise(families):
+    for fam in (*families, *_EDGE_FAMILIES):
+        for n, M in ((1, 64), (1, 128), (2, 32)):
+            for j in range(8):
+                got = _radial_on_grid(Block(fam.profile, j), M, n)
+                want = _radial_every_radius(lambda r: fam.profile.block_weight(r, j), M, n)
+                assert got.tobytes() == want.tobytes(), (fam.profile.id, n, M, j)
+
+
+def test_radial_weights_evaluate_exactly_the_closed_window():
+    seen = []
+
+    class Recording(Block):
+        def radial(self, rho):
+            seen.append(rho)
+            return 1.0 + rho
+
+    for fam in _EDGE_FAMILIES:
+        for n, M in ((1, 64), (2, 64)):
+            radii = np.unique(grid_frequencies(M, n))
+            for j in (2, 3):
+                mult = Recording(fam.profile, j)
+                assert mult.lo in radii and mult.hi in radii
+                seen.clear()
+                got = _radial_on_grid(mult, M, n)
+                inside = [float(r) for r in radii if mult.lo <= r <= mult.hi]
+                assert seen == inside
+                want = _radial_every_radius(
+                    lambda r: 1.0 + r if mult.lo <= r <= mult.hi else 0.0, M, n
+                )
+                assert got.tobytes() == want.tobytes()
+
+
+def test_one_transform_blocks_match_per_block_ffts_bitwise(families, rng):
+    for fam in (*families, *_EDGE_FAMILIES):
+        for n, M in ((1, 256), (2, 32)):
+            u = random_band_limited(n, 10, 12 if n == 1 else 6, rng, hermitian=True)
+            g = sparse_to_dense(u, M)
+            g = DenseField(n, M, g.samples.real.astype(np.complex128))
+            for j in range(-1, 7):
+                got = lp_project_dense(g, j, fam).samples
+                want = np.zeros_like(got) if j < 0 else _block_by_own_fft(g, j, fam)
+                assert got.tobytes() == want.tobytes()
+            mks = meyer_symbol(g, np.cos, fam, K=5, Q=6)
+            want = _meyer_by_own_ffts(g, np.cos, fam, K=5, Q=6)
+            assert [mk.samples.tobytes() for mk, _ in mks] == [w.tobytes() for w in want]
+            acc = np.zeros((M,) * n, dtype=np.complex128)
+            for mk, k in mks:
+                acc = acc + mk.samples * _block_by_own_fft(g, k, fam)
+            assert meyer_apply(mks, fam, g).samples.tobytes() == acc.tobytes()

@@ -177,22 +177,23 @@ def _emit_plot_script(name: str, outdir: Path, artifacts: list[str]) -> str:
 
 
 def _experiment_kwargs(name: str, cfg: RunConfig, flag_params: dict) -> dict:
-    fn = REGISTRY[name]
-    accepted = set(inspect.signature(fn).parameters)
+    """Config overrides, then flags; each value must have its default's type."""
+    params = inspect.signature(REGISTRY[name]).parameters
     kwargs = {}
     for source in (cfg.overrides.get(name, {}), flag_params):
         for key, value in source.items():
             pkey = key.replace("-", "_")
-            if pkey not in accepted:
+            if pkey not in params:
                 raise ValueError(f"experiment {name!r} has no parameter {key!r}")
+            _check_typed(value, params[pkey].default, f"{name} parameter {key!r}")
             kwargs[pkey] = value
     return kwargs
 
 
 def _run_one(name: str, cfg: RunConfig, flag_params: dict) -> ExperimentReport:
+    kwargs = _experiment_kwargs(name, cfg, flag_params)
     outdir = cfg.out / name
     outdir.mkdir(parents=True, exist_ok=True)
-    kwargs = _experiment_kwargs(name, cfg, flag_params)
     report = REGISTRY[name](outdir=outdir, **kwargs)
     if cfg.emit_plots:
         report.artifacts.append(_emit_plot_script(name, outdir, report.artifacts))

@@ -118,12 +118,14 @@ def random_band_limited(
 ) -> SparseField:
     """Seeded random trigonometric polynomial with i.i.d. Gaussian coefficients.
 
-    Frequencies are drawn uniformly from the cube [-window, window]^n; with
-    hermitian=True the spectrum is symmetrised so the field is real-valued.
+    Frequencies are drawn uniformly from the cube [-window, window]^n, one
+    scalar draw per component (the same stream as one draw of size n, without
+    numpy's per-call cost for sized draws); with hermitian=True the spectrum
+    is symmetrised so the field is real-valued.
     """
     coeffs: dict[Frequency, complex] = {}
     for _ in range(n_modes):
-        xi = tuple(int(c) for c in rng.integers(-window, window + 1, size=n))
+        xi = tuple(int(rng.integers(-window, window + 1)) for _ in range(n))
         coeffs[xi] = complex(rng.normal(), rng.normal())
     if hermitian:
         sym: dict[Frequency, complex] = {}

@@ -11,6 +11,7 @@ from torspec.errors import BudgetExceeded, DimensionMismatch, FrequencyOutOfRang
 from torspec.fields import (
     DenseField,
     SparseField,
+    check_frequency,
     delta_field,
     dense_to_sparse,
     grid_points,
@@ -19,6 +20,8 @@ from torspec.fields import (
     sparse_to_dense,
     zero_field,
 )
+from torspec.operator import apply
+from torspec.symbols import One, SeparableSymbol, Term
 
 
 def direct_samples(u, M):
@@ -75,6 +78,63 @@ def test_non_finite_coefficient_rejected():
         for tau in (0.0, 1.0):
             with pytest.raises(ValueError):
                 SparseField(1, {(0,): 1.0, (1,): c}, tau)
+
+
+def _checked_coeffs(n, coeffs):
+    """Reference construction: every kept key goes through check_frequency."""
+    clean = {}
+    for xi in sorted(coeffs):
+        c = complex(coeffs[xi])
+        if abs(c) > 0.0:
+            clean[check_frequency(xi, n)] = c
+    return clean
+
+
+def _outcome(build):
+    try:
+        return build(), None
+    except Exception as exc:  # the class is what must match
+        return None, type(exc)
+
+
+_EDGE = (2**62 - 1, -(2**62 - 1), 2**62, -(2**62), 0, 1, -1)
+frequency_component_st = st.one_of(
+    st.sampled_from(_EDGE),
+    st.integers(-40, 40),
+    st.booleans(),
+    st.sampled_from(_EDGE).map(np.int64),
+    st.integers(-40, 40).map(np.int64),
+    st.sampled_from((0.0, 2.0, -1.5, 2.0**62)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from((1, 2)),
+    st.dictionaries(
+        st.lists(frequency_component_st, min_size=1, max_size=3).map(tuple),
+        st.sampled_from((1.0, -2.5 + 0.5j, 1e-300j, 0.0)),
+        max_size=6,
+    ),
+)
+def test_plain_int_fast_path_matches_checked_construction(n, coeffs):
+    ref, ref_exc = _outcome(lambda: _checked_coeffs(n, coeffs))
+    got, got_exc = _outcome(lambda: SparseField(n, coeffs).coeffs)
+    assert got_exc is ref_exc
+    if ref_exc is None:
+        assert list(got) == list(ref)
+        assert all(type(k) is int for xi in got for k in xi)
+        for (xi, c), d in zip(got.items(), ref.values()):
+            assert (c.real.hex(), c.imag.hex()) == (d.real.hex(), d.imag.hex()), xi
+
+
+def test_apply_output_frequency_cap():
+    # Inputs just inside the cap whose sum xi + eta reaches it: the guard
+    # lives in SparseField construction and must survive the fast path.
+    for k in (2**61, -(2**61)):
+        a = SeparableSymbol(0.0, 1, (Term(SparseField(1, {(k,): 1.0}), One()),))
+        with pytest.raises(FrequencyOutOfRange):
+            apply(a, SparseField(1, {(k,): 1.0}))
 
 
 @settings(max_examples=40, deadline=None)

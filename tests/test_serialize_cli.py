@@ -207,6 +207,16 @@ def test_run_unclosable_with_list_flag(tmp_path):
         ["run", "unclosable", "--n-list", "5,6", "--d", "0", "--out", str(tmp_path)]
     )
     assert code == 0
+    # A flag of the wrong type is rejected, never cast: 5.9 must not run as 5.
+    for bad in (
+        ["--n-list", "5.9,6.2"],
+        ["--n-list", "5,true"],
+        ["--theta", "1.5"],
+        ["--d", "zero"],
+    ):
+        out = tmp_path / "bad"
+        assert main(["run", "unclosable", *bad, "--out", str(out)]) == 2
+        assert not (out / "unclosable" / "report.json").exists()
 
 
 def test_resource_error_exits_three(tmp_path):

@@ -77,7 +77,6 @@ from .symbols import (
     identity_symbol,
     meyer_apply,
     meyer_symbol,
-    meyer_to_terms,
     multiplication_symbol,
     symbol_modulate,
     twisted_diagonal_check,

@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .cutoffs import CutoffProfile, make_cutoff
+from .cutoffs import CutoffProfile, default_families
 from .errors import (
     BadRadii,
     BudgetExceeded,
@@ -30,28 +30,41 @@ from .errors import (
 from .experiments import REGISTRY, ExperimentReport
 from .operator import apply as op_apply
 from .operator import support_rule_xi
-from .serialize import load_sparse, load_symbol, save_sparse, write_json
+from .serialize import (
+    atomic_write_text,
+    load_sparse,
+    load_symbol,
+    profile_from_json,
+    save_sparse,
+    write_json,
+)
+from .symbols import symbol_full_modulate
 
 RESOURCE_ERRORS = (BudgetExceeded, RangeTooLarge, WindowTooLarge, FrequencyOutOfRange)
 
 
+def _builtin_profiles() -> dict[str, CutoffProfile]:
+    main, alt = default_families()
+    return {"main": main.profile, "alt": alt.profile}
+
+
 @dataclass
 class RunConfig:
-    """Static run configuration: output root, plots, profiles, overrides."""
+    """Static run configuration: output root, plots, profiles, overrides.
+
+    profiles starts with the cutoffs of default_families() as "main" and
+    "alt"; a profile.<name> config line adds or replaces one.
+    """
 
     out: Path = Path("runs")
     emit_plots: bool = False
-    profiles: dict[str, CutoffProfile] = field(default_factory=dict)
+    profiles: dict[str, CutoffProfile] = field(default_factory=_builtin_profiles)
     overrides: dict[str, dict] = field(default_factory=dict)
 
     def profile(self, name: str) -> CutoffProfile:
-        if name in self.profiles:
-            return self.profiles[name]
-        if name == "main":
-            return make_cutoff(1.1, 2.0, "exp")
-        if name == "alt":
-            return make_cutoff(1.05, 1.9, "poly7")
-        raise KeyError(f"unknown profile {name!r}")
+        if name not in self.profiles:
+            raise KeyError(f"unknown profile {name!r}")
+        return self.profiles[name]
 
 
 # Each experiment's parameter defaults: the types config overrides must have.
@@ -99,7 +112,8 @@ def load_config(path: str | None) -> RunConfig:
     Besides ``out`` and ``emit_plots`` (a JSON true/false), a key is
     ``profile.<name>`` or ``<experiment>.<param>`` naming a parameter of
     that experiment, with a value of the type of its default; anything else
-    raises ValueError.
+    raises ValueError.  A profile value is a JSON object with numbers "r"
+    and "R", an optional string "kind" (default "exp") and no other key.
     """
     cfg = RunConfig()
     env_out = os.environ.get("TORSPEC_OUT")
@@ -122,10 +136,9 @@ def load_config(path: str | None) -> RunConfig:
                 _check_typed(value, False, f"{path}:{line_no}: {key}")
                 cfg.emit_plots = value
             elif key.startswith("profile."):
-                spec = value if isinstance(value, dict) else json.loads(str(value))
-                cfg.profiles[key.split(".", 1)[1]] = CutoffProfile(
-                    float(spec["r"]), float(spec["R"]), str(spec.get("kind", "exp"))
-                )
+                if not isinstance(value, dict):
+                    raise ValueError(f"{path}:{line_no}: {key} must be a JSON object")
+                cfg.profiles[key.split(".", 1)[1]] = profile_from_json({"kind": "exp", **value})
             else:
                 exp, _, param = key.partition(".")
                 default = _DEFAULTS.get(exp, {}).get(param.replace("-", "_"))
@@ -170,8 +183,6 @@ print("wrote plots next to the CSV tables")
 def _emit_plot_script(name: str, outdir: Path, artifacts: list[str]) -> str:
     tables = [Path(a).name for a in artifacts if a.endswith(".csv")]
     path = outdir / f"plot_{name}.py"
-    from .serialize import atomic_write_text
-
     atomic_write_text(path, _PLOT_TEMPLATE.format(name=name, tables=tables))
     return str(path)
 
@@ -230,10 +241,7 @@ def run_apply(args, cfg: RunConfig) -> int:
     field_in = load_sparse(args.field)
     if args.modulate is not None:
         profile = cfg.profile(args.profile)
-        symbol_m = args.modulate
-        from .symbols import symbol_full_modulate
-
-        out = op_apply(symbol_full_modulate(symbol, symbol_m, profile), field_in)
+        out = op_apply(symbol_full_modulate(symbol, args.modulate, profile), field_in)
     else:
         out = op_apply(symbol, field_in)
     xi_set = support_rule_xi(symbol, field_in, out if args.modulate is None else None)

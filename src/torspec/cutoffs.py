@@ -8,6 +8,11 @@ from which the annulus bump phi = psi - psi(2 .) and the dyadic family
 Phi_0 = psi, Phi_j = phi(2^{-j} .) are derived.  The plateau and support
 branches return exact 0.0 / 1.0 so dyadic stabilisation is detectable as
 bitwise equality downstream.
+
+Every dyadic localisation of a field is one rule, ball_diff(u, j, k): the
+products-first difference u^j - u^k of modulations u^i = psi(2^{-i} D) u,
+with u^i empty for i < 0.  The ball u^j is ball_diff(u, j, -1) (or modulate)
+and the block u_j = lp_project(u, j) is ball_diff(u, j, j - 1).
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ def _blend_poly7(t: float) -> float:
     return s * s * s * s * (35.0 - 84.0 * s + 70.0 * s * s - 20.0 * s * s * s)
 
 
-_BLENDS = {"exp": _blend_exp, "poly7": _blend_poly7}
+BLENDS = {"exp": _blend_exp, "poly7": _blend_poly7}
 
 
 def falling_blend(kind: str, t: float) -> float:
@@ -45,7 +50,7 @@ def falling_blend(kind: str, t: float) -> float:
         return 1.0
     if t >= 1.0:
         return 0.0
-    return _BLENDS[kind](t)
+    return BLENDS[kind](t)
 
 
 @dataclass(frozen=True)
@@ -59,7 +64,7 @@ class CutoffProfile:
     def __post_init__(self):
         if not (0.0 < self.r < self.R):
             raise BadRadii(f"need 0 < r < R, got r={self.r}, R={self.R}")
-        if self.kind not in _BLENDS:
+        if self.kind not in BLENDS:
             raise BadRadii(f"unknown smoothstep kind {self.kind!r}")
 
     @property
@@ -72,7 +77,7 @@ class CutoffProfile:
             return 1.0
         if rho >= self.R:
             return 0.0
-        return _BLENDS[self.kind]((rho - self.r) / (self.R - self.r))
+        return BLENDS[self.kind]((rho - self.r) / (self.R - self.r))
 
     def __call__(self, xi: Frequency) -> float:
         return self.radial(freq_abs(xi))
@@ -85,7 +90,7 @@ class CutoffProfile:
         """Phi_j at radius rho: psi(rho) for j = 0, else psi(2^{-j} rho) - psi(2^{1-j} rho).
 
         This weight form is for multiplier values; coefficients use the
-        products-first ball_diff_coeffs, which is not bitwise the same.
+        products-first ball_diff, which is not bitwise the same.
         """
         if j == 0:
             return self.radial(rho)
@@ -169,32 +174,30 @@ def modulate(u: SparseField, m: int, profile: CutoffProfile) -> SparseField:
     return u.multiplier(lambda xi: profile.dilated(m, xi))
 
 
-def lp_project(u: SparseField, j: int, fam: LPFamily, mode: str = "block") -> SparseField:
-    """Dyadic localisation u_j (mode="block") or u^j (mode="ball").
+def ball_diff(u: SparseField, j: int, k: int, profile: CutoffProfile) -> SparseField:
+    """The dyadic difference u^j - u^k, where u^i is empty for i < 0.
 
-    Block coefficients are formed as psi(2^{-j} xi) c - psi(2^{-j+1} xi) c,
-    products first, so that sum_{j=0}^{m} u_j telescopes bitwise to u^m and
-    u^j - u^{j-1} = u_j holds exactly.  Negative j gives the empty field.
+    j < 0 gives the empty field and k < 0 gives modulate(u, j, profile).
+    Otherwise each coefficient is psi(2^{-j} xi) c - psi(2^{-k} xi) c,
+    products first, never (psi(..) - psi(..)) c: only that form telescopes
+    bitwise across dyadic levels.
     """
     if j < 0:
         return SparseField(u.n, {}, u.tau)
-    if mode == "ball":
-        return modulate(u, j, fam.profile)
-    if mode != "block":
-        raise ValueError(f"unknown mode {mode!r}")
-    if j == 0:
-        return modulate(u, 0, fam.profile)
-    return SparseField(u.n, ball_diff_coeffs(u, j, j - 1, fam.profile), u.tau)
-
-
-def ball_diff_coeffs(u: SparseField, j: int, k: int, profile: CutoffProfile) -> dict:
-    """Coefficients of u^j - u^k, formed products-first.
-
-    Each is psi(2^{-j} xi) c - psi(2^{-k} xi) c, never (psi(..) - psi(..)) c:
-    only the products-first form telescopes bitwise across dyadic levels.
-    """
+    if k < 0:
+        return modulate(u, j, profile)
     out = {}
     for xi, c in u.items():
         rho = freq_abs(xi)
         out[xi] = profile.radial(rho / 2**j) * c - profile.radial(rho / 2**k) * c
-    return out
+    return SparseField(u.n, out, u.tau)
+
+
+def lp_project(u: SparseField, j: int, fam: LPFamily) -> SparseField:
+    """Dyadic block u_j = u^j - u^(j-1), which is u^0 for j = 0 and empty for j < 0.
+
+    It is ball_diff(u, j, j - 1), so u^j - u^{j-1} = u_j holds bitwise, and
+    sum_{j=0}^{m} u_j telescopes to u^m = modulate(u, m): exactly on plateau
+    frequencies, to rounding in the transition zones.
+    """
+    return ball_diff(u, j, j - 1, fam.profile)

@@ -307,7 +307,7 @@ def exp_weierstrass(
         f = weierstrass_field(d_val, J)
         worst = 0.0
         for k in range(1, J + 1):
-            block = lp_project(f, k, fam, "block")
+            block = lp_project(f, k, fam)
             target = delta_field((2**k,), 2.0 ** (-k * d_val))
             worst = max(worst, max_coeff_diff(block, target))
         report.metrics[f"block_isolation_error[d={d_val}]"] = worst

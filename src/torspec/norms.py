@@ -90,7 +90,7 @@ def block_norms(
     env = np.zeros((M,) * u.n)
     per_block = []
     for j in range(fam.top_block(u) + 1):
-        uj = lp_project(u, j, fam, "block")
+        uj = lp_project(u, j, fam)
         if len(uj) == 0:
             continue
         g = sparse_to_dense(uj, M)

@@ -13,6 +13,11 @@ approximants and their stabilisation diagnostics, the adjoint of the
 lacunary family, spectral kernels, the frequency-support rule, the
 paradifferential three-way split with corona checks, the generalised
 product, norm-ratio probes and the one-dimensional spatial kernel.
+
+vanishing_limit and pi_product share one modulation-run loop: each builds
+a sequence per cutoff profile over its m range and _diagnose judges them.
+The split localises fields with cutoffs.ball_diff, the one products-first
+rule for u^j - u^k (lp_project is its block case j - k = 1).
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cutoffs import CutoffProfile, LPFamily, ball_diff_coeffs, lp_project, modulate
+from .cutoffs import CutoffProfile, LPFamily, ball_diff, lp_project, modulate
 from .errors import (
     BudgetExceeded,
     DimensionMismatch,
@@ -42,12 +47,11 @@ from .fields import (
     pointwise_mul,
     sparse_to_dense,
 )
-from .norms import sobolev_norm
+from .norms import hsp_norm, sobolev_norm
 from .symbols import (
     ChingData,
     SeparableSymbol,
     pow2,
-    symbol_ball,
     symbol_ball_diff,
     symbol_block,
     symbol_full_modulate,
@@ -208,6 +212,15 @@ def _diagnose(seqs: dict[str, list[SparseField]], m_lo: int, m_hi: int):
     )
 
 
+def _modulation_run(step, profiles: list[CutoffProfile], m_range: tuple[int, int]):
+    """Diagnose the sequences step(p, m), m = m_lo..m_hi, one per profile p."""
+    if len(profiles) < 2:
+        raise ValueError("need at least two profiles for independence checking")
+    m_lo, m_hi = m_range
+    seqs = {p.id: [step(p, m) for m in range(m_lo, m_hi + 1)] for p in profiles}
+    return _diagnose(seqs, m_lo, m_hi)
+
+
 def vanishing_limit(
     a: SeparableSymbol,
     u: SparseField,
@@ -220,14 +233,7 @@ def vanishing_limit(
     one step and agree across every supplied profile - the executable
     rendering of membership of u in the operator domain.
     """
-    if len(profiles) < 2:
-        raise ValueError("need at least two profiles for independence checking")
-    m_lo, m_hi = m_range
-    seqs = {
-        p.id: [apply_modulated(a, u, p, m) for m in range(m_lo, m_hi + 1)]
-        for p in profiles
-    }
-    return _diagnose(seqs, m_lo, m_hi)
+    return _modulation_run(lambda p, m: apply_modulated(a, u, p, m), profiles, m_range)
 
 
 def pi_product(
@@ -241,16 +247,9 @@ def pi_product(
     For trigonometric polynomials the sequence stabilises at the exact
     coefficient convolution of u and v.
     """
-    if len(profiles) < 2:
-        raise ValueError("need at least two profiles for independence checking")
-    m_lo, m_hi = m_range
-    seqs = {}
-    for p in profiles:
-        seqs[p.id] = [
-            pointwise_mul(modulate(u, m, p), modulate(v, m, p))
-            for m in range(m_lo, m_hi + 1)
-        ]
-    diag = _diagnose(seqs, m_lo, m_hi)
+    diag = _modulation_run(
+        lambda p, m: pointwise_mul(modulate(u, m, p), modulate(v, m, p)), profiles, m_range
+    )
     return diag, diag.limit
 
 
@@ -277,27 +276,6 @@ def adjoint_apply_ching(b: ChingData, v: SparseField) -> SparseField:
             w = coeff * chi_val  # chi is real-valued, so conjugation is trivial
             out[xi] = out.get(xi, 0.0) + w * cv
     return SparseField(v.n, out, v.tau)
-
-
-def adjoint_norm_paths(b: ChingData, v: SparseField, s: float) -> tuple[float, float]:
-    """Two routes to ||B v||_{H^s}^2: direct, and the reindexed disjoint sum.
-
-    The second path groups by the frequencies of v, using that the dyadic
-    coronas are pairwise disjoint.
-    """
-    direct = sobolev_norm(adjoint_apply_ching(b, v), s) ** 2
-    acc = []
-    for eta, cv in v.items():
-        inner = []
-        for j in range(b.j_lo, b.j_hi + 1):
-            xi = freq_add(eta, freq_scale(2**j, b.theta))
-            chi_val = b.chi.radial(freq_abs(xi) / float(2**j))
-            if chi_val == 0.0:
-                continue
-            w2 = (1.0 + freq_abs(xi) ** 2) ** s * pow2(2 * j * b.d) * chi_val**2
-            inner.append(w2)
-        acc.append(math.fsum(inner) * abs(cv) ** 2)
-    return direct, math.fsum(acc)
 
 
 # -- spectral kernel and support rule --------------------------------------------
@@ -384,21 +362,23 @@ def _level_pieces(
     """The nonempty level-k summands of the split, in T1, T3, T2 order.
 
     lag_field = a^(k-h) u_k (T1), lag_symbol = a_k u^(k-h) (T3) and
-    diagonal = a_k (u^(k-1) - u^(k-h)) + (a^k - a^(k-h)) u_k (T2).
+    diagonal = a_k (u^(k-1) - u^(k-h)) + (a^k - a^(k-h)) u_k (T2).  Each
+    localisation is one products-first difference: ball_diff on u
+    (u_k = lp_project(u, k)) and symbol_ball_diff on the x-parts of a.
     """
     h = fam.h
     pieces: dict[str, SparseField] = {}
-    u_k = lp_project(u, k, fam, "block")
+    u_k = lp_project(u, k, fam)
     if len(u_k):
-        low = symbol_ball(a, k - h, fam)
+        low = symbol_ball_diff(a, k - h, -1, fam)
         if low.terms:
             pieces["lag_field"] = apply(low, u_k)
     a_k = symbol_block(a, k, fam)
     if a_k.terms:
-        u_ball = lp_project(u, k - h, fam, "ball")
+        u_ball = ball_diff(u, k - h, -1, fam.profile)
         if len(u_ball):
             pieces["lag_symbol"] = apply(a_k, u_ball)
-    mid = _ball_diff(u, k - 1, k - h, fam)
+    mid = ball_diff(u, k - 1, k - h, fam.profile)
     if a_k.terms and len(mid):
         pieces["diagonal"] = apply(a_k, mid)
     a_band = symbol_ball_diff(a, k, k - h, fam)
@@ -406,15 +386,6 @@ def _level_pieces(
         band = apply(a_band, u_k)
         pieces["diagonal"] = pieces["diagonal"].add(band) if "diagonal" in pieces else band
     return pieces
-
-
-def _ball_diff(u: SparseField, j: int, k: int, fam: LPFamily) -> SparseField:
-    """u^j - u^k for j >= k, coefficients formed products-first."""
-    if j < 0:
-        return SparseField(u.n, {}, u.tau)
-    if k < 0:
-        return lp_project(u, j, fam, "ball")
-    return SparseField(u.n, ball_diff_coeffs(u, j, k, fam.profile), u.tau)
 
 
 @dataclass(frozen=True)
@@ -522,8 +493,6 @@ def norm_ratio_probe(
             denom = sobolev_norm(u, s + a.d)
             num = sobolev_norm(au, s)
         else:
-            from .norms import hsp_norm
-
             top = max(
                 [freq_abs(x) for x in u.spectrum()]
                 + [freq_abs(x) for x in au.spectrum()]

@@ -5,12 +5,14 @@ dense fields as a raw little-endian complex64 array next to a JSON sidecar.
 Term-form symbols store one descriptor per multiplier, written by the
 multiplier's own to_json() and read back by a lookup on its "kind".  The
 support radii are not stored: they are derived from the multiplier when it
-is rebuilt.  Malformed descriptors raise ValueError or KeyError.
+is rebuilt.  Malformed input raises ValueError (KeyError for a missing
+key): a value of the wrong JSON type is never cast, truncated or dropped.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from pathlib import Path
@@ -74,9 +76,12 @@ def _number(obj: dict, key: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"field {key!r} must be a number, got {value!r}")
     try:
-        return float(value)
+        value = float(value)
     except OverflowError:
         raise ValueError(f"field {key!r} is too large for a float") from None
+    if not math.isfinite(value):
+        raise ValueError(f"field {key!r} must be finite, got {value!r}")
+    return value
 
 
 def _typed(value, kind: type, what: str):
@@ -100,7 +105,8 @@ def sparse_from_json(obj: dict) -> SparseField:
     That covers a field or coefficient entry that is not an object, a
     dimension other than 1 or 2, a "coeffs" or "xi" that is not a list, a
     frequency of the wrong length or with a non-integer component, a repeated
-    frequency and a non-numeric "re"/"im" or one too large for a float.
+    frequency and a non-numeric or non-finite "re"/"im" (also one too large
+    for a float).
     """
     n = _index(_typed(obj, dict, "sparse field"), "n")
     if n not in (1, 2):
@@ -151,28 +157,37 @@ def load_dense(base: Path | str) -> DenseField:
 
 
 def _bump(obj: dict) -> RadialBump:
+    _typed(obj, dict, "chi")
     return RadialBump(
-        obj["lo"], obj["hi"], obj["plo"], obj["phi"], obj["kind"], obj["zero_order"]
+        *(_number(obj, key) for key in ("lo", "hi", "plo", "phi")),
+        _typed(obj["kind"], str, "chi kind"),
+        _index(obj, "zero_order"),
     )
 
 
-def _profile(obj: dict) -> CutoffProfile:
-    return CutoffProfile(obj["r"], obj["R"], obj["kind"])
+def profile_from_json(obj: dict) -> CutoffProfile:
+    """A cutoff profile from exactly the keys "r", "R" (numbers) and "kind" (a string)."""
+    extra = _typed(obj, dict, "profile").keys() - {"r", "R", "kind"}
+    if extra:
+        raise ValueError(f"unknown profile keys {sorted(extra)}")
+    return CutoffProfile(
+        _number(obj, "r"), _number(obj, "R"), _typed(obj["kind"], str, "profile kind")
+    )
 
 
 _MULT_FROM_JSON = {
     "one": lambda m: One(),
     "corona": lambda m: Corona(_bump(m["chi"]), _index(m, "j")),
-    "block": lambda m: Block(_profile(m["profile"]), _index(m, "j")),
-    "ball": lambda m: Ball(float(m["radius"])),
+    "block": lambda m: Block(profile_from_json(m["profile"]), _index(m, "j")),
+    "ball": lambda m: Ball(_number(m, "radius")),
     "modulated": lambda m: Modulated(
-        mult_from_json(m["inner"]), _index(m, "m"), _profile(m["profile"])
+        mult_from_json(m["inner"]), _index(m, "m"), profile_from_json(m["profile"])
     ),
 }
 
 
 def mult_from_json(obj: dict) -> Multiplier:
-    kind = obj["kind"]
+    kind = _typed(obj, dict, "multiplier")["kind"]
     if not isinstance(kind, str) or kind not in _MULT_FROM_JSON:
         raise ValueError(f"unknown multiplier kind {kind!r}")
     return _MULT_FROM_JSON[kind](obj)
@@ -184,11 +199,24 @@ def symbol_to_json(a: SeparableSymbol) -> dict:
 
 
 def symbol_from_json(obj: dict) -> SeparableSymbol:
-    terms = tuple(
-        Term(sparse_from_json(entry["xpart"]), mult_from_json(entry["mult"]))
-        for entry in obj["terms"]
-    )
-    return SeparableSymbol(float(obj["d"]), int(obj["n"]), terms)
+    """Inverse of symbol_to_json; a malformed shape or value raises ValueError.
+
+    Besides the checks of sparse_from_json on each x-part and of the
+    multiplier constructors, that covers a symbol or term that is not an
+    object, a "terms" that is not a list, an order "d" that is not a finite
+    number, a dimension "n" other than the integers 1 and 2, an x-part of
+    another dimension, and a radius, bump or profile value of the wrong type.
+    """
+    n = _index(_typed(obj, dict, "symbol"), "n")
+    if n not in (1, 2):
+        raise ValueError(f"dimension {n} not in {{1, 2}}")
+    terms = []
+    for entry in _typed(obj["terms"], list, "terms"):
+        xpart = sparse_from_json(_typed(entry, dict, "term")["xpart"])
+        if xpart.n != n:
+            raise ValueError(f"x-part of dimension {xpart.n} in a symbol of dimension {n}")
+        terms.append(Term(xpart, mult_from_json(entry["mult"])))
+    return SeparableSymbol(_number(obj, "d"), n, tuple(terms))
 
 
 def save_symbol(a: SeparableSymbol, path: Path | str) -> Path:

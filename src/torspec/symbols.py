@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cutoffs import CutoffProfile, LPFamily, ball_diff_coeffs, falling_blend
+from .cutoffs import BLENDS, CutoffProfile, LPFamily, ball_diff, falling_blend
 from .errors import (
     BadRange,
     DimensionMismatch,
@@ -34,7 +34,6 @@ from .fields import (
     Frequency,
     SparseField,
     angled,
-    dense_to_sparse,
     freq_abs,
     freq_scale,
     grid_frequencies,
@@ -56,7 +55,8 @@ class RadialBump:
 
     zero_order > 0 multiplies by (|eta| - 1)^zero_order, planting a radial
     zero of that order on the unit sphere (used to probe continuity
-    thresholds); the plateau value is then no longer 1.
+    thresholds); the plateau value is then no longer 1.  An unknown blend
+    kind or a zero_order that is not a non-negative int raises ValueError.
     """
 
     lo: float = 0.75
@@ -69,6 +69,11 @@ class RadialBump:
     def __post_init__(self):
         if not (0.0 < self.lo < self.plo < self.phi < self.hi):
             raise ValueError("need 0 < lo < plo < phi < hi")
+        if self.kind not in BLENDS:
+            raise ValueError(f"unknown blend kind {self.kind!r}")
+        order = self.zero_order
+        if isinstance(order, bool) or not isinstance(order, int) or order < 0:
+            raise ValueError(f"zero_order must be a non-negative int, got {order!r}")
 
     def radial(self, rho: float) -> float:
         if rho <= self.lo or rho >= self.hi:
@@ -163,6 +168,8 @@ class Ball(Multiplier):
     radius: float
 
     def __post_init__(self):
+        if not self.radius >= 0.0:
+            raise ValueError(f"ball radius must be >= 0, got {self.radius!r}")
         self._bound(0.0, self.radius)
 
     def radial(self, rho: float) -> float:
@@ -227,20 +234,6 @@ class SeparableSymbol:
                 raise DimensionMismatch("term x-part dimension mismatch")
         object.__setattr__(
             self, "terms", tuple(sorted(self.terms, key=Term.sort_key))
-        )
-
-    def partial_hat(self, xi: Frequency, eta) -> complex:
-        """a^(xi, eta) = sum_t c_t(xi) m_t(eta)."""
-        total = 0.0 + 0.0j
-        for t in self.terms:
-            c = t.xpart.coeff(xi)
-            if c != 0.0:
-                total += c * t.mult_at(eta)
-        return total
-
-    def evaluate(self, x, eta) -> complex:
-        return complex(
-            sum(t.xpart.evaluate(x) * t.mult_at(eta) for t in self.terms)
         )
 
 
@@ -332,22 +325,14 @@ def symbol_block(a: SeparableSymbol, j: int, fam: LPFamily) -> SeparableSymbol:
     return symbol_ball_diff(a, j, j - 1, fam)
 
 
-def symbol_ball(a: SeparableSymbol, j: int, fam: LPFamily) -> SeparableSymbol:
-    """Ball x-localisation a^j (empty symbol for j < 0)."""
-    if j < 0:
-        return SeparableSymbol(a.d, a.n, ())
-    return symbol_modulate(a, j, fam.profile)
-
-
 def symbol_ball_diff(a: SeparableSymbol, j: int, k: int, fam: LPFamily) -> SeparableSymbol:
-    """The difference a^j - a^k (j >= k), coefficients formed products-first."""
-    if j < 0:
-        return SeparableSymbol(a.d, a.n, ())
-    if k < 0:
-        return symbol_ball(a, j, fam)
+    """a^j - a^k: ball_diff on each x-part, dropping the terms it empties.
+
+    a^j alone is symbol_ball_diff(a, j, -1); j < 0 gives the empty symbol.
+    """
     new_terms = []
     for t in a.terms:
-        xp = SparseField(a.n, ball_diff_coeffs(t.xpart, j, k, fam.profile), t.xpart.tau)
+        xp = ball_diff(t.xpart, j, k, fam.profile)
         if len(xp):
             new_terms.append(replace(t, xpart=xp))
     return SeparableSymbol(a.d, a.n, tuple(new_terms))
@@ -576,22 +561,6 @@ def meyer_apply(
     return DenseField(u.n, u.M, acc)
 
 
-def meyer_to_terms(
-    mks: list[tuple[DenseField, int]], fam: LPFamily, tau: float = 1e-12
-) -> SeparableSymbol:
-    """Convert dense multiplier coefficients to an exact term-form symbol."""
-    if not mks:
-        raise ValueError("empty multiplier list")
-    n = mks[0][0].n
-    terms = []
-    for mk, k in mks:
-        xp = dense_to_sparse(mk, tau)
-        if not len(xp):
-            continue
-        terms.append(Term(xp, Block(fam.profile, k)))
-    return SeparableSymbol(0.0, n, tuple(terms))
-
-
 def _require_real(u: DenseField) -> np.ndarray:
     tol = 1e-12 * max(1.0, float(np.max(np.abs(u.samples))))
     if float(np.max(np.abs(u.samples.imag))) > tol:
@@ -629,7 +598,7 @@ def _block_from_spectrum(spec: np.ndarray, j: int, fam: LPFamily) -> np.ndarray:
 
 
 def lp_project_dense(g: DenseField, j: int, fam: LPFamily) -> DenseField:
-    """Grid counterpart of lp_project's block mode: Phi_j(D)g (zero for j < 0)."""
+    """Grid counterpart of lp_project: Phi_j(D)g (zero for j < 0)."""
     if j < 0:
         return DenseField(g.n, g.M, np.zeros((g.M,) * g.n, dtype=np.complex128))
     return DenseField(g.n, g.M, _block_from_spectrum(np.fft.fftn(g.samples), j, fam))

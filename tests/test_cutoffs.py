@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from torspec.cutoffs import (
     LPFamily,
+    ball_diff,
     default_families,
     lp_project,
     make_cutoff,
@@ -115,9 +116,9 @@ def test_blocks_disjoint_when_two_apart(rng):
 
 def test_block_isolates_a_dyadic_mode(fam):
     u = delta_field((2**5,))
-    assert lp_project(u, 5, fam, "block").coeffs == u.coeffs
+    assert lp_project(u, 5, fam).coeffs == u.coeffs
     for j in (0, 1, 4, 6, 9):
-        assert len(lp_project(u, j, fam, "block")) == 0
+        assert len(lp_project(u, j, fam)) == 0
 
 
 def test_block_sum_telescopes_to_ball(fam, rng):
@@ -129,8 +130,8 @@ def test_block_sum_telescopes_to_ball(fam, rng):
     m = 10
     total = SparseField(1, {})
     for j in range(m + 1):
-        total = total.add(lp_project(u, j, fam, "block"))
-    ball = lp_project(u, m, fam, "ball")
+        total = total.add(lp_project(u, j, fam))
+    ball = ball_diff(u, m, -1, fam.profile)
     scale = max(abs(c) for _, c in u.items())
     worst = max(
         abs(total.coeff(x) - ball.coeff(x)) for x in total.spectrum() | ball.spectrum()
@@ -145,27 +146,31 @@ def test_ball_difference_equals_block_bitwise(fam, rng):
     }
     u = SparseField(1, coeffs)
     for j in range(1, 10):
-        lhs = lp_project(u, j, fam, "ball").sub(lp_project(u, j - 1, fam, "ball"))
-        rhs = lp_project(u, j, fam, "block")
+        lhs = ball_diff(u, j, -1, fam.profile).sub(ball_diff(u, j - 1, -1, fam.profile))
+        rhs = lp_project(u, j, fam)
         assert lhs.coeffs == rhs.coeffs
+        # every products-first difference u^j - u^k, not only k = j - 1
+        for k in range(j):
+            lhs = ball_diff(u, j, -1, fam.profile).sub(ball_diff(u, k, -1, fam.profile))
+            assert ball_diff(u, j, k, fam.profile).coeffs == lhs.coeffs
 
 
 def test_negative_index_gives_empty_field(fam):
     u = delta_field((3,))
-    assert len(lp_project(u, -1, fam, "block")) == 0
-    assert len(lp_project(u, -2, fam, "ball")) == 0
+    assert len(lp_project(u, -1, fam)) == 0
+    assert len(ball_diff(u, -2, -1, fam.profile)) == 0
+    assert len(ball_diff(u, -1, 3, fam.profile)) == 0
 
 
 def test_ball_mode_is_identity_once_plateau_covers(fam):
     u = SparseField(1, {(3,): 1 + 1j, (-17,): 2.0})
-    assert lp_project(u, 6, fam, "ball").coeffs == u.coeffs
+    assert ball_diff(u, 6, -1, fam.profile).coeffs == u.coeffs
+    assert ball_diff(u, 2, -1, fam.profile).coeffs == modulate(u, 2, fam.profile).coeffs
 
 
 def test_ball_at_zero_equals_block_at_zero(fam):
     u = SparseField(1, {(0,): 1.0, (1,): 2.0, (40,): 3.0})
-    assert (
-        lp_project(u, 0, fam, "ball").coeffs == lp_project(u, 0, fam, "block").coeffs
-    )
+    assert ball_diff(u, 0, -1, fam.profile).coeffs == lp_project(u, 0, fam).coeffs
 
 
 # -- modulation ------------------------------------------------------------------------

@@ -181,7 +181,7 @@ def test_triebel_needs_q_infinity(fam):
 
 
 def _besov_by_passes(u, s, p, q, fam, M, aggregation="besov"):
-    blocks = [(j, lp_project(u, j, fam, "block")) for j in range(fam.top_block(u) + 1)]
+    blocks = [(j, lp_project(u, j, fam)) for j in range(fam.top_block(u) + 1)]
     if aggregation == "triebel":
         env = np.zeros((M,) * u.n)
         for j, uj in blocks:
@@ -225,7 +225,7 @@ def test_block_pass_matches_per_pass_loops_bitwise(families):
     for fam in families:
         for u in _gapped_fields():
             M = 128 if u.n == 1 else 64
-            blocks = [lp_project(u, j, fam, "block") for j in range(fam.top_block(u) + 1)]
+            blocks = [lp_project(u, j, fam) for j in range(fam.top_block(u) + 1)]
             if len(u) and not all(blocks):
                 gapped.add(u.n)
             for s in (0.0, 0.75, -0.5):

@@ -133,6 +133,7 @@ continuity.theta = 1
     cfg = load_config(str(cfg_file))
     assert str(cfg.out) == "my_runs"
     assert cfg.profile("main").r == 1.2
+    assert cfg.profile("alt") == default_families()[1].profile
     assert cfg.overrides["flip"] == {"d": 0.5, "J": 14, "with_2d": False}
     assert cfg.overrides["unclosable"] == {"n_list": [5, 6], "d": 1}
     assert cfg.emit_plots is True
@@ -166,6 +167,13 @@ def test_bad_profile_rejected_before_running(tmp_path):
         "weierstrass.p_list = [2.0, yes]",
         "weierstrass.outdir = elsewhere",
         "flip.nosuch = 1",
+        # A profile is an object with numeric r/R, an optional string kind
+        # and no other key.
+        "profile.main = 5",
+        "profile.main = [1, 2]",
+        'profile.main = {"r": true, "R": 2.0}',
+        'profile.main = {"r": "1.1", "R": 2.0}',
+        'profile.main = {"r": 1.1, "R": 2.0, "extra": 1}',
     ]
     for i, line in enumerate(bad_lines):
         cfg_file = tmp_path / f"bad{i}.cfg"
@@ -295,9 +303,9 @@ def test_apply_modulate_zero_empties_high_frequencies(tmp_path):
     assert len(load_sparse(tmp_path / "out.json")) == 0
 
 
-def _symbol_text(mult: dict) -> str:
+def _symbol_text(mult: dict, **top) -> str:
     xpart = {"n": 1, "coeffs": [{"xi": [0], "re": 1.0, "im": 0.0}]}
-    return json.dumps({"d": 0.0, "n": 1, "terms": [{"xpart": xpart, "mult": mult}]})
+    return json.dumps({"d": 0.0, "n": 1, "terms": [{"xpart": xpart, "mult": mult}], **top})
 
 
 def test_apply_parse_failure_exits_two(tmp_path):
@@ -316,6 +324,27 @@ def test_apply_parse_failure_exits_two(tmp_path):
         "missing-profile": _symbol_text({"kind": "block", "j": 1}),
         "bad-profile": _symbol_text(
             {"kind": "block", "j": 1, "profile": {"r": 3.0, "R": 1.0, "kind": "exp"}}
+        ),
+        "fractional-symbol-n": _symbol_text({"kind": "one"}, n=1.9),
+        "bool-symbol-n": _symbol_text({"kind": "one"}, n=True),
+        "two-d-symbol-over-1d-xpart": _symbol_text({"kind": "one"}, n=2),
+        "object-terms": _symbol_text({"kind": "one"}, terms={}),
+        "string-terms": _symbol_text({"kind": "one"}, terms="ab"),
+        "list-symbol": json.dumps([{"kind": "one"}]),
+        "nan-order": _symbol_text({"kind": "one"}, d=math.nan),
+        "string-mult": _symbol_text("ball"),
+        "bool-radius": _symbol_text({"kind": "ball", "radius": True}),
+        "negative-radius": _symbol_text({"kind": "ball", "radius": -3}),
+        "huge-radius": _symbol_text({"kind": "ball", "radius": 7.5}).replace("7.5", "1e400"),
+        "string-chi-lo": _symbol_text({"kind": "corona", "j": 2, "chi": {**chi, "lo": "a"}}),
+        "unknown-chi-kind": _symbol_text(
+            {"kind": "corona", "j": 2, "chi": {**chi, "kind": "nosuch"}}
+        ),
+        "negative-zero-order": _symbol_text(
+            {"kind": "corona", "j": 2, "chi": {**chi, "zero_order": -1}}
+        ),
+        "extra-profile-key": _symbol_text(
+            {"kind": "block", "j": 1, "profile": {**profile, "h": 3}}
         ),
     }
 

@@ -25,6 +25,8 @@ from torspec.constructions import random_band_limited
 from torspec.symbols import (
     Block,
     RadialBump,
+    SeparableSymbol,
+    Term,
     _radial_on_grid,
     check_vanishes_at_zero,
     ching_symbol,
@@ -33,7 +35,6 @@ from torspec.symbols import (
     lp_project_dense,
     meyer_apply,
     meyer_symbol,
-    meyer_to_terms,
     multiplication_symbol,
     symbol_modulate,
     twisted_diagonal_check,
@@ -53,6 +54,20 @@ def test_bump_plateau_and_support():
     assert 0.0 < chi.radial(0.8) < 1.0
 
 
+def test_bump_rejects_unknown_kind_and_bad_zero_order():
+    # Checked at construction: not when a radius first lands in a blend band,
+    # and no pole at |eta| = 1 from a negative order.
+    for kwargs in (
+        {"kind": "nosuch"},
+        {"zero_order": -1},
+        {"zero_order": True},
+        {"zero_order": 1.0},
+        {"zero_order": "1"},
+    ):
+        with pytest.raises(ValueError):
+            RadialBump(**kwargs)
+
+
 def test_bump_zero_order_plants_zero_at_unit_sphere():
     chi = RadialBump(zero_order=1)
     assert chi.radial(1.0) == 0.0
@@ -66,18 +81,22 @@ def test_bump_zero_order_plants_zero_at_unit_sphere():
 def test_ching_partial_transform_matches_formula():
     d, j_lo, j_hi = 0.0, 5, 9
     data, a = ching_symbol(d, (1,), j_lo, j_hi)
-    for j in range(j_lo, j_hi + 1):
+    # a^(xi, eta) = sum_t c_t(xi) m_t(eta); term j (in ascending order) alone
+    # carries the x-frequency -2^j.
+    assert len(a.terms) == j_hi - j_lo + 1
+    for j, t in zip(range(j_lo, j_hi + 1), a.terms):
+        assert t.xpart.coeffs == {(-(2**j),): 1.0}
         for eta_val in (0.8 * 2**j, 2**j, 1.2 * 2**j):
-            got = a.partial_hat((-(2**j),), (eta_val,))
-            assert got == data.chi.radial(eta_val / 2**j)
+            assert t.mult_at((eta_val,)) == data.chi.radial(eta_val / 2**j)
     # off the lattice of x-frequencies the transform vanishes
-    assert a.partial_hat((-100,), (2**6,)) == 0.0
+    assert all(t.xpart.coeff((-100,)) == 0.0 for t in a.terms)
 
 
 def test_ching_outside_corona_is_exact_zero():
     _, a = ching_symbol(0.0, (1,), 5, 9)
-    assert a.partial_hat((-(2**7),), (2**7 * 1.3,)) == 0.0
-    assert a.partial_hat((-(2**7),), (2**7 * 0.7,)) == 0.0
+    (t,) = [t for t in a.terms if t.xpart.coeff((-(2**7),)) != 0.0]
+    assert t.mult_at((2**7 * 1.3,)) == 0.0
+    assert t.mult_at((2**7 * 0.7,)) == 0.0
 
 
 def test_ching_terms_have_disjoint_eta_supports():
@@ -313,7 +332,9 @@ def test_meyer_term_conversion_applies_like_dense(fam, rng):
     u = _real_dense(rng, M=256, window=8, sup=1.0)
     mks = meyer_symbol(u, np.cos, fam, K=5, Q=16)
     dense_out = meyer_apply(mks, fam, u)
-    terms = meyer_to_terms(mks, fam, tau=1e-10)
+    # The exact term form of sum_k m_k(x) Phi_k(eta), one Block term per m_k.
+    blocks = [Term(dense_to_sparse(mk, 1e-10), Block(fam.profile, k)) for mk, k in mks]
+    terms = SeparableSymbol(0.0, 1, tuple(t for t in blocks if len(t.xpart)))
     u_sparse = dense_to_sparse(u, tau=1e-13)
     sparse_out = apply(terms, u_sparse, budget=20_000_000)
     grid_out = sparse_to_dense(sparse_out, 256)
@@ -328,15 +349,16 @@ def test_dense_block_prunes_match_sparse(fam, rng):
 
     for j in (0, 2, 5):
         dense_block = dense_to_sparse(lp_project_dense(g, j, fam), 1e-12)
-        sparse_block = lp_project(u, j, fam, "block")
+        sparse_block = lp_project(u, j, fam)
         for xi in dense_block.spectrum() | sparse_block.spectrum():
             assert abs(dense_block.coeff(xi) - sparse_block.coeff(xi)) <= 1e-10
 
 
 def test_identity_symbol_structure():
     a = identity_symbol(1)
-    assert a.partial_hat((0,), (17.0,)) == 1.0
-    assert a.partial_hat((1,), (17.0,)) == 0.0
+    (t,) = a.terms
+    assert t.xpart.coeff((0,)) * t.mult_at((17.0,)) == 1.0
+    assert t.xpart.coeff((1,)) == 0.0
 
 
 def test_class_verify_2d_symbol():

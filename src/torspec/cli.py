@@ -237,6 +237,9 @@ def run_suite(cfg: RunConfig) -> int:
 
 
 def run_apply(args, cfg: RunConfig) -> int:
+    if args.modulate is not None and args.modulate < 0:
+        print(f"bad flags: --modulate must be >= 0, got {args.modulate}", file=sys.stderr)
+        return 2
     symbol = load_symbol(args.symbol)
     field_in = load_sparse(args.field)
     if args.modulate is not None:

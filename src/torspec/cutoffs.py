@@ -82,10 +82,6 @@ class CutoffProfile:
     def __call__(self, xi: Frequency) -> float:
         return self.radial(freq_abs(xi))
 
-    def dilated(self, m: int, xi: Frequency) -> float:
-        """psi(2^{-m} xi)."""
-        return self.radial(freq_abs(xi) / float(2**m))
-
     def block_weight(self, rho: float, j: int) -> float:
         """Phi_j at radius rho: psi(rho) for j = 0, else psi(2^{-j} rho) - psi(2^{1-j} rho).
 
@@ -166,12 +162,17 @@ def telescope_check(profile: CutoffProfile, m: int, samples) -> float:
 def modulate(u: SparseField, m: int, profile: CutoffProfile) -> SparseField:
     """Frequency modulation u^m: scale coefficient at xi by psi(2^{-m} xi).
 
-    Idempotent once the plateau covers the spectrum: the output is then
-    bitwise equal to u.
+    Each coefficient becomes profile.radial(freq_abs(xi) / 2^m) * c, built in
+    one pass over u.  Idempotent once the plateau covers the spectrum: the
+    output is then bitwise equal to u.
     """
     if m < 0:
         raise ValueError("modulation index must be >= 0")
-    return u.multiplier(lambda xi: profile.dilated(m, xi))
+    radial = profile.radial
+    scale = float(2**m)
+    return SparseField(
+        u.n, {xi: radial(freq_abs(xi) / scale) * c for xi, c in u.coeffs.items()}, u.tau
+    )
 
 
 def ball_diff(u: SparseField, j: int, k: int, profile: CutoffProfile) -> SparseField:

@@ -57,14 +57,32 @@ def freq_scale(k: int, a: Frequency) -> Frequency:
     return tuple(k * x for x in a)
 
 
+def _square_sum(a: Frequency) -> float:
+    """|xi|^2 in floats: x*x for n = 1, x*x + y*y for n = 2.
+
+    This is bitwise math.fsum of the float squares: fsum of one float is
+    that float, and fsum of two is their correctly rounded sum, which one
+    IEEE addition already gives.  Components are below 2^62, so no square
+    overflows.
+    """
+    if len(a) == 1:
+        x = float(a[0])
+        return x * x
+    if len(a) == 2:
+        x = float(a[0])
+        y = float(a[1])
+        return x * x + y * y
+    raise DimensionMismatch(f"frequency {a} is not 1- or 2-dimensional")
+
+
 def freq_abs(a: Frequency) -> float:
     """Euclidean length, computed in floats (components may exceed 2^31)."""
-    return math.sqrt(math.fsum(float(c) * float(c) for c in a))
+    return math.sqrt(_square_sum(a))
 
 
 def angled(a: Frequency) -> float:
-    """The weight (1 + |xi|^2)^(1/2)."""
-    return math.sqrt(1.0 + math.fsum(float(c) * float(c) for c in a))
+    """The weight (1 + |xi|^2)^(1/2); |xi|^2 is rounded before the 1 is added."""
+    return math.sqrt(1.0 + _square_sum(a))
 
 
 @dataclass(frozen=True)

@@ -559,7 +559,7 @@ def spatial_kernel_1d(
     idx = (np.arange(M)[:, None] - np.arange(M)[None, :]) % M
     band = profile.R * 2**m
     for t in a.terms:
-        xp = t.xpart.multiplier(lambda xi: profile.dilated(m, xi))
+        xp = modulate(t.xpart, m, profile)
         if not len(xp):
             continue
         if xp.max_abs_freq() >= half:

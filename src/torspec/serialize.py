@@ -145,12 +145,24 @@ def save_dense(g: DenseField, base: Path | str) -> tuple[Path, Path]:
 
 
 def load_dense(base: Path | str) -> DenseField:
+    """Inverse of save_dense; a malformed sidecar or sample file raises ValueError.
+
+    The sidecar must be an object with an integer "n" in {1, 2} and an
+    integer "M" that is a power of two >= 2, and the .c64 file must hold
+    exactly M^n samples.
+    """
     base = Path(base)
     with open(base.with_suffix(".json")) as handle:
-        meta = json.load(handle)
+        meta = _typed(json.load(handle), dict, "dense sidecar")
+    n, M = _index(meta, "n"), _index(meta, "M")
+    if n not in (1, 2):
+        raise ValueError(f"dimension {n} not in {{1, 2}}")
+    if M < 2 or M & (M - 1):
+        raise ValueError(f"grid size {M} is not a power of two >= 2")
     raw = np.fromfile(base.with_suffix(".c64"), dtype="<c8")
-    shape = (int(meta["M"]),) * int(meta["n"])
-    return DenseField(int(meta["n"]), int(meta["M"]), raw.reshape(shape).astype(np.complex128))
+    if raw.size != M**n:
+        raise ValueError(f"{raw.size} samples in the .c64 file, expected M^n = {M**n}")
+    return DenseField(n, M, raw.reshape((M,) * n).astype(np.complex128))
 
 
 # -- term-form symbols ---------------------------------------------------------------

@@ -16,12 +16,12 @@ checks) decidable.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .cutoffs import BLENDS, CutoffProfile, LPFamily, ball_diff, falling_blend
+from .cutoffs import BLENDS, CutoffProfile, LPFamily, ball_diff, falling_blend, modulate
 from .errors import (
     BadRange,
     DimensionMismatch,
@@ -181,13 +181,15 @@ class Ball(Multiplier):
 
 @dataclass(frozen=True)
 class Modulated(Multiplier):
-    """inner(eta) psi(2^-m eta), the eta side of the full modulation a^m (1 x psi_m)."""
+    """inner(eta) psi(2^-m eta), m >= 0: the eta side of the full modulation a^m (1 x psi_m)."""
 
     inner: Multiplier
     m: int
     profile: CutoffProfile
 
     def __post_init__(self):
+        if self.m < 0:
+            raise ValueError("modulation index must be >= 0")
         self._bound(self.inner.lo, min(self.inner.hi, self.profile.R * 2**self.m))
 
     def radial(self, rho: float) -> float:
@@ -307,16 +309,16 @@ def symbol_modulate(a: SeparableSymbol, m: int, profile: CutoffProfile) -> Separ
     """
     new_terms = []
     for t in a.terms:
-        xp = t.xpart.multiplier(lambda xi: profile.dilated(m, xi))
+        xp = modulate(t.xpart, m, profile)
         if len(xp):
-            new_terms.append(replace(t, xpart=xp))
+            new_terms.append(Term(xp, t.mult))
     return SeparableSymbol(a.d, a.n, tuple(new_terms))
 
 
 def symbol_full_modulate(a: SeparableSymbol, m: int, profile: CutoffProfile) -> SeparableSymbol:
     """Full modulation a^m (1 x psi_m): modulate x-parts and eta-multipliers."""
     base = symbol_modulate(a, m, profile)
-    new_terms = [replace(t, mult=Modulated(t.mult, m, profile)) for t in base.terms]
+    new_terms = [Term(t.xpart, Modulated(t.mult, m, profile)) for t in base.terms]
     return SeparableSymbol(a.d, a.n, tuple(new_terms))
 
 
@@ -334,7 +336,7 @@ def symbol_ball_diff(a: SeparableSymbol, j: int, k: int, fam: LPFamily) -> Separ
     for t in a.terms:
         xp = ball_diff(t.xpart, j, k, fam.profile)
         if len(xp):
-            new_terms.append(replace(t, xpart=xp))
+            new_terms.append(Term(xp, t.mult))
     return SeparableSymbol(a.d, a.n, tuple(new_terms))
 
 

@@ -1,5 +1,7 @@
 """Plateau cutoffs, the dyadic family and frequency projections."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -78,7 +80,7 @@ def test_telescope_outside_support_all_zero():
     prof = make_cutoff()
     m = 6
     xi = (int(prof.R * 2**m) + 5,)
-    assert prof.dilated(m, xi) == 0.0
+    assert len(modulate(delta_field(xi), m, prof)) == 0
     assert prof(xi) == 0.0
     assert telescope_check(prof, m, [xi]) == 0.0
 
@@ -195,6 +197,42 @@ def test_modulate_intermediate_scaling_matches_profile(fam):
     assert 0.0 < expected < 1.0
     out = modulate(SparseField(1, {xi: 2.0}), m, prof)
     assert out.coeff(xi) == expected * 2.0
+
+
+def _ref_abs(xi) -> float:
+    # Reference radius: math.fsum of the float squares.
+    return math.sqrt(math.fsum(float(c) * float(c) for c in xi))
+
+
+def _transition_field(n: int, rng) -> SparseField:
+    """Modes on every profile's plateau, transition and support edges for m = 0..60."""
+    radii = [0.0, 1.0, 1.05, 1.1, 1.3, 1.5, 1.7, 1.9, 2.0, 2.5]
+    coeffs = {}
+    for m in range(61):
+        for rho in radii:
+            k = int(rho * 2**m)
+            for dk in (-1, 0, 1):
+                if n == 1:
+                    xi = (k + dk,)
+                else:
+                    t = rng.uniform(0.0, math.pi / 2)
+                    xi = (int(k * math.cos(t)) + dk, int(k * math.sin(t)))
+                coeffs[xi] = complex(rng.normal(), rng.normal())
+    return SparseField(n, coeffs)
+
+
+def test_modulate_matches_per_mode_multiplier_bitwise(rng):
+    for n in (1, 2):
+        u = _transition_field(n, rng)
+        for fam in default_families():
+            profile = fam.profile
+            for m in range(61):
+                want = u.multiplier(lambda xi: profile.radial(_ref_abs(xi) / float(2**m)))
+                got = modulate(u, m, profile)
+                assert list(got.coeffs) == list(want.coeffs), (n, m)
+                for xi, c in want.items():
+                    d = got.coeff(xi)
+                    assert (d.real.hex(), d.imag.hex()) == (c.real.hex(), c.imag.hex()), xi
 
 
 @settings(max_examples=60, deadline=None)

@@ -11,9 +11,11 @@ from torspec.errors import BudgetExceeded, DimensionMismatch, FrequencyOutOfRang
 from torspec.fields import (
     DenseField,
     SparseField,
+    angled,
     check_frequency,
     delta_field,
     dense_to_sparse,
+    freq_abs,
     grid_points,
     inner_product,
     pointwise_mul,
@@ -126,6 +128,45 @@ def test_plain_int_fast_path_matches_checked_construction(n, coeffs):
         assert all(type(k) is int for xi in got for k in xi)
         for (xi, c), d in zip(got.items(), ref.values()):
             assert (c.real.hex(), c.imag.hex()) == (d.real.hex(), d.imag.hex()), xi
+
+
+# Reference forms: math.fsum of the float squares.
+def _ref_abs(xi) -> float:
+    return math.sqrt(math.fsum(float(c) * float(c) for c in xi))
+
+
+def _ref_angled(xi) -> float:
+    return math.sqrt(1.0 + math.fsum(float(c) * float(c) for c in xi))
+
+
+_EDGES = (0, 1, -1, 2**62 - 1, -(2**62 - 1))
+component_st = st.one_of(st.sampled_from(_EDGES), st.integers(-(2**62) + 1, 2**62 - 1))
+
+
+def _assert_radii_match_fsum(xi):
+    assert freq_abs(xi).hex() == _ref_abs(xi).hex(), xi
+    assert angled(xi).hex() == _ref_angled(xi).hex(), xi
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(1, 2).flatmap(lambda n: st.tuples(*[component_st] * n)))
+def test_radii_match_fsum_bitwise(xi):
+    _assert_radii_match_fsum(xi)
+
+
+def test_radii_match_fsum_bitwise_on_edges():
+    for x in _EDGES:
+        _assert_radii_match_fsum((x,))
+        for y in _EDGES:
+            _assert_radii_match_fsum((x, y))
+
+
+def test_radii_need_one_or_two_components():
+    for xi in ((), (1, 2, 3)):
+        with pytest.raises(DimensionMismatch):
+            freq_abs(xi)
+        with pytest.raises(DimensionMismatch):
+            angled(xi)
 
 
 def test_apply_output_frequency_cap():

@@ -1,5 +1,6 @@
 """Operator application, modulation limits, splits, kernels, adjoints."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from torspec.constructions import (
     random_band_limited,
     vanishing_family,
 )
-from torspec.cutoffs import CutoffProfile, lp_project
+from torspec.cutoffs import CutoffProfile, default_families, lp_project
 from torspec.errors import (
     BudgetExceeded,
     DimensionUnsupported,
@@ -555,6 +556,46 @@ def test_pi_product_disagrees_before_stabilisation(profiles):
 
     early = pointwise_mul(modulate(u, 2, prof), modulate(v, 2, prof))
     assert rel_coeff_diff(early, pointwise_mul(u, v)) > 0.1
+
+
+MODULATION_SHA256 = "70dd0ab135c3351c0f0e2f96a0774eb07d308fc40ceb4b1ef1baec711c09e324"
+
+
+def _modulation_digest() -> str:
+    """SHA-256 over vanishing_limit and pi_product outputs, floats as float.hex.
+
+    vanishing_limit runs the ching symbol on vanishing-family member 5 over
+    both default profiles and m = 0..27; pi_product runs one seeded pair of
+    1-d fields.  Every delta, norm, verdict and limit coefficient enters.
+    """
+    h = hashlib.sha256()
+
+    def feed(diag, limit):
+        h.update(f"{diag.profile_ids}|{diag.m_star}|{diag.passed}|".encode())
+        h.update(f"{diag.cross_profile_max.hex()}|".encode())
+        h.update(",".join(d.hex() for d in diag.delta).encode())
+        for pid, norms in diag.per_profile_norms.items():
+            h.update(f"|{pid}:{','.join(x.hex() for x in norms)}".encode())
+        for xi, c in limit.items():
+            h.update(f"|{xi}:{c.real.hex()}:{c.imag.hex()}".encode())
+        h.update(b";")
+
+    profiles = [fam.profile for fam in default_families()]
+    vN, _, j_hi = vanishing_family(5, 0.0, (1,))
+    _, a = ching_symbol(0.0, (1,), 5, j_hi)
+    diag = vanishing_limit(a, vN, profiles, (0, 27))
+    feed(diag, diag.limit)
+    rng = np.random.default_rng(11)
+    u = random_band_limited(1, 12, 40, rng)
+    v = random_band_limited(1, 12, 40, rng)
+    feed(*pi_product(u, v, profiles, (0, 8)))
+    return h.hexdigest()
+
+
+def test_modulation_outputs_are_pinned():
+    # Any change to the radius or the cutoff arithmetic that moves one bit of
+    # a modulated coefficient, a norm or a verdict fails here.
+    assert _modulation_digest() == MODULATION_SHA256
 
 
 # -- norm ratios ----------------------------------------------------------------------------------

@@ -64,6 +64,28 @@ def test_dense_round_trip_complex64(tmp_path, rng):
     )
 
 
+def test_dense_sidecar_is_typed(tmp_path, rng):
+    save_dense(sparse_to_dense(random_band_limited(1, 4, 5, rng), 16), tmp_path / "g")
+    sidecar = tmp_path / "g.json"
+    # Each sidecar is malformed; none may be cast or truncated into a grid.
+    for meta in (
+        {"M": 16.9, "n": 1},
+        {"M": 16, "n": True},
+        {"M": "16", "n": 1},
+        {"M": 16, "n": 3},
+        {"M": 12, "n": 1},
+        {"M": 1, "n": 1},
+        {"M": 8, "n": 1},
+        {"M": 8, "n": 2},
+        [16, 1],
+    ):
+        sidecar.write_text(json.dumps(meta))
+        with pytest.raises(ValueError):
+            load_dense(tmp_path / "g")
+    sidecar.write_text(json.dumps({"M": 16, "n": 1}))
+    assert load_dense(tmp_path / "g").M == 16
+
+
 def _round_trip_cases():
     _, ching = ching_symbol(0.5, (1,), 4, 9)
     yield "ching", ching, lacunary_field((1,), 0.5, 4, 9, delta_field((0,)))
@@ -346,9 +368,12 @@ def test_apply_parse_failure_exits_two(tmp_path):
         "extra-profile-key": _symbol_text(
             {"kind": "block", "j": 1, "profile": {**profile, "h": 3}}
         ),
+        "negative-m": _symbol_text(
+            {"kind": "modulated", "m": -1, "profile": profile, "inner": {"kind": "one"}}
+        ),
     }
 
-    def apply_code(symbol, field):
+    def apply_code(symbol, field, *flags):
         return main(
             [
                 "apply",
@@ -358,6 +383,7 @@ def test_apply_parse_failure_exits_two(tmp_path):
                 str(field),
                 "--out-field",
                 str(tmp_path / "o.json"),
+                *flags,
             ]
         )
 
@@ -390,6 +416,12 @@ def test_apply_parse_failure_exits_two(tmp_path):
     for name, text in fields.items():
         (tmp_path / f"{name}.json").write_text(text)
         code = apply_code(tmp_path / "a.json", tmp_path / f"{name}.json")
+        assert code == 2, name
+
+    save_sparse(delta_field((3,)), tmp_path / "d3.json")
+    flag_sets = {"negative-modulate": ["--modulate", "-1"]}
+    for name, flags in flag_sets.items():
+        code = apply_code(tmp_path / "a.json", tmp_path / "d3.json", *flags)
         assert code == 2, name
     assert not (tmp_path / "o.json").exists()
 

@@ -203,8 +203,8 @@ def _experiment_kwargs(name: str, cfg: RunConfig, flag_params: dict) -> dict:
 
 def _run_one(name: str, cfg: RunConfig, flag_params: dict) -> ExperimentReport:
     kwargs = _experiment_kwargs(name, cfg, flag_params)
+    # Every writer creates its directory, so a run that fails writes nothing.
     outdir = cfg.out / name
-    outdir.mkdir(parents=True, exist_ok=True)
     report = REGISTRY[name](outdir=outdir, **kwargs)
     if cfg.emit_plots:
         report.artifacts.append(_emit_plot_script(name, outdir, report.artifacts))

@@ -146,12 +146,18 @@ def telescope_check(profile: CutoffProfile, m: int, samples) -> float:
 
     Checks | psi(2^{-m} xi) - psi(xi) - sum_{k=1}^{m} phi(2^{-k} xi) |, which
     is algebraically zero; the return value measures floating cancellation.
+    The deviation depends on the radius alone, so it is evaluated once per
+    distinct |xi|; a max of non-negative floats does not depend on the order,
+    so this is bitwise the per-sample loop.  An empty sample set is no
+    evidence and raises ValueError, like m < 1.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
+    radii = {freq_abs(xi) for xi in samples}
+    if not radii:
+        raise ValueError("need at least one sample frequency")
     worst = 0.0
-    for xi in samples:
-        rho = freq_abs(xi)
+    for rho in radii:
         total = profile.block_weight(rho, 0)
         for k in range(1, m + 1):
             total += profile.block_weight(rho, k)

@@ -117,6 +117,12 @@ def _emit_csv(report: ExperimentReport, outdir, filename: str, header, rows) -> 
     report.artifacts.append(str(path))
 
 
+def _need_positive(name: str, count: int) -> None:
+    """Raise ValueError unless count >= 1: zero trials or samples are no evidence."""
+    if count < 1:
+        raise ValueError(f"{name} must be >= 1, got {count}")
+
+
 def _as_tuple(value, cast):
     if isinstance(value, (int, float, str)):
         return (cast(value),)
@@ -130,6 +136,7 @@ def exp_partition_check(
     m: int = 8, n_samples: int = 10_000, seed: int = 0, outdir=None
 ) -> ExperimentReport:
     """Telescoping partition identity on both default profiles."""
+    _need_positive("n_samples", n_samples)
     report = ExperimentReport(
         "partition-check", {"m": m, "n_samples": n_samples, "seed": seed}
     )
@@ -152,9 +159,11 @@ def exp_partition_check(
             for j in range(0, 12)
             for k in range(j + 2, 14)
         )
+        # All 512 are drawn, which keeps the stream of the next profile; the
+        # weights depend on |k| alone, so each distinct |k| is checked once.
         worst = 0.0
-        for k in rng.integers(-top, top + 1, size=512):
-            xi = (int(k),)
+        for k in {abs(int(k)) for k in rng.integers(-top, top + 1, size=512)}:
+            xi = (k,)
             for j in range(0, m):
                 worst = max(
                     worst,
@@ -361,6 +370,7 @@ def exp_spectral_support(
     seed: int = 7, trials: int = 500, n_modes: int = 25, outdir=None
 ) -> ExperimentReport:
     """Random containment trials plus one engineered strict inclusion."""
+    _need_positive("trials", trials)
     report = ExperimentReport(
         "support", {"seed": seed, "trials": trials, "n_modes": n_modes}
     )
@@ -513,6 +523,7 @@ def exp_continuity(
     outdir=None,
 ) -> ExperimentReport:
     """Unboundedness along the vanishing family vs twisted-diagonal boundedness."""
+    _need_positive("trials", trials)
     n_list = _as_tuple(n_list, int)
     j_list = _as_tuple(j_list, int)
     theta = tuple(int(c) for c in theta)
@@ -587,7 +598,12 @@ def exp_continuity(
 def exp_product(
     seed: int = 3, m_range: tuple[int, int] = (0, 8), trials: int = 40, outdir=None
 ) -> ExperimentReport:
-    """Stabilisation of the modulated product and partial associativity."""
+    """Stabilisation of the modulated product and partial associativity.
+
+    all-diagnostics-pass needs the diagnostics of all three pi_product runs
+    of every trial: pi(u, v), pi(f u, v) and pi(u, f v).
+    """
+    _need_positive("trials", trials)
     m_range = _as_tuple(m_range, int)
     report = ExperimentReport(
         "product", {"seed": seed, "m_range": list(m_range), "trials": trials}
@@ -603,11 +619,11 @@ def exp_product(
         v = random_band_limited(1, int(rng.integers(2, 8)), 16, rng)
         f = random_band_limited(1, int(rng.integers(2, 6)), 16, rng)
         diag, limit = pi_product(u, v, profiles, m_range)
-        all_passed = all_passed and diag.passed
         stab = rel_coeff_diff(limit, pointwise_mul(u, v))
         worst_stab = max(worst_stab, stab)
-        _, lim_fu_v = pi_product(pointwise_mul(f, u), v, profiles, m_range)
-        _, lim_u_fv = pi_product(u, pointwise_mul(f, v), profiles, m_range)
+        diag_fu_v, lim_fu_v = pi_product(pointwise_mul(f, u), v, profiles, m_range)
+        diag_u_fv, lim_u_fv = pi_product(u, pointwise_mul(f, v), profiles, m_range)
+        all_passed = all_passed and diag.passed and diag_fu_v.passed and diag_u_fv.passed
         f_uv = pointwise_mul(f, limit)
         assoc = max(rel_coeff_diff(f_uv, lim_fu_v), rel_coeff_diff(f_uv, lim_u_fv))
         worst_assoc = max(worst_assoc, assoc)

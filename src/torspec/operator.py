@@ -15,7 +15,11 @@ paradifferential three-way split with corona checks, the generalised
 product, norm-ratio probes and the one-dimensional spatial kernel.
 
 vanishing_limit and pi_product share one modulation-run loop: each builds
-a sequence per cutoff profile over its m range and _diagnose judges them.
+a sequence per cutoff profile over its m range and _diagnose judges them,
+including whether the plateau reached the radius the caller must cover.
+pi_product returns one product object for every step whose plateau
+already covers both factors, and _diagnose treats a repeated object as a
+step with no change, so each distinct modulation step is computed once.
 The split localises fields with cutoffs.ball_diff, the one products-first
 rule for u^j - u^k (lp_project is its block case j - k = 1).
 """
@@ -160,8 +164,14 @@ class ModulationDiagnostic:
     delta[i] is the largest successive H^0 difference norm across profiles at
     m = m_lo + i; m_star is the first index from which every profile's
     output stops changing; cross_profile_max is the largest discrepancy
-    between profiles at the top of the range.  passed needs at least one
-    step (m_hi > m_lo): a one-point range is no evidence of stabilisation.
+    between profiles at the top of the range.  cover_radius is the largest
+    radius the run must see (the caller's input spectrum), plateau_radius the
+    smallest profile plateau r 2^m_star, and covered says that
+    cover_radius / 2^m_star <= r for every profile, in modulate's float
+    expression.  passed needs at least one step (m_hi > m_lo: a one-point
+    range is no evidence of stabilisation), a stable m_star, agreement
+    across profiles and coverage: a run whose plateau never reached the
+    input's top mode stabilised only because that mode was cut off.
     """
 
     profile_ids: tuple[str, ...]
@@ -173,6 +183,9 @@ class ModulationDiagnostic:
     passed: bool
     limit: SparseField | None = None
     per_profile_norms: dict[str, list[float]] = field(default_factory=dict)
+    cover_radius: float = 0.0
+    plateau_radius: float | None = None
+    covered: bool = False
 
     def to_json(self) -> dict:
         return {
@@ -181,18 +194,39 @@ class ModulationDiagnostic:
             "delta": self.delta,
             "m_star": self.m_star,
             "cross_profile_max": self.cross_profile_max,
+            "covered": self.covered,
+            "cover_radius": self.cover_radius,
+            "plateau_radius": self.plateau_radius,
+            "per_profile_norms": self.per_profile_norms,
             "pass": self.passed,
         }
 
 
-def _diagnose(seqs: dict[str, list[SparseField]], m_lo: int, m_hi: int):
+def _diff_norm(f: SparseField, g: SparseField) -> float:
+    # f - g of one object is exactly empty (c + (-1.0 c) is 0 for finite c,
+    # and pruning drops it), so its norm 0.0 needs no subtraction.
+    return 0.0 if f is g else sobolev_norm(f.sub(g), 0.0)
+
+
+def _h0_norms(seq: list[SparseField]) -> list[float]:
+    norms: list[float] = []
+    for i, f in enumerate(seq):
+        norms.append(norms[-1] if i and f is seq[i - 1] else sobolev_norm(f, 0.0))
+    return norms
+
+
+def _diagnose(
+    seqs: dict[str, list[SparseField]], m_lo: int, m_hi: int, cover: float, r: float
+) -> ModulationDiagnostic:
+    """Judge one sequence per profile id over m = m_lo..m_hi.
+
+    cover is the radius the plateau must reach and r the smallest profile
+    plateau.  A step that repeats the previous object counts as no change
+    without a subtraction; that is bitwise what the subtraction gives.
+    """
     ids = tuple(seqs)
     steps = m_hi - m_lo
-    delta = []
-    for i in range(steps):
-        delta.append(
-            max(sobolev_norm(seqs[p][i + 1].sub(seqs[p][i]), 0.0) for p in ids)
-        )
+    delta = [max(_diff_norm(seqs[p][i + 1], seqs[p][i]) for p in ids) for i in range(steps)]
     m_star = None
     for i in range(steps + 1):
         if all(d == 0.0 for d in delta[i:]):
@@ -204,21 +238,29 @@ def _diagnose(seqs: dict[str, list[SparseField]], m_lo: int, m_hi: int):
     finals = [seqs[p][-1] for p in ids]
     for i in range(len(finals)):
         for j in range(i + 1, len(finals)):
-            cross = max(cross, sobolev_norm(finals[i].sub(finals[j]), 0.0))
-    passed = steps > 0 and m_star is not None and cross == 0.0
-    norms = {p: [sobolev_norm(f, 0.0) for f in seqs[p]] for p in ids}
+            cross = max(cross, _diff_norm(finals[i], finals[j]))
+    plateau = None if m_star is None else r * float(2**m_star)
+    covered = m_star is not None and cover / float(2**m_star) <= r
+    passed = steps > 0 and covered and cross == 0.0
+    norms = {p: _h0_norms(seqs[p]) for p in ids}
     return ModulationDiagnostic(
-        ids, m_lo, m_hi, delta, m_star, cross, passed, finals[0], norms
+        ids, m_lo, m_hi, delta, m_star, cross, passed, finals[0], norms, cover, plateau, covered
     )
 
 
-def _modulation_run(step, profiles: list[CutoffProfile], m_range: tuple[int, int]):
-    """Diagnose the sequences step(p, m), m = m_lo..m_hi, one per profile p."""
+def _modulation_run(
+    step, profiles: list[CutoffProfile], m_range: tuple[int, int], cover: float
+) -> ModulationDiagnostic:
+    """Diagnose the sequences step(p, m), m = m_lo..m_hi, one per profile p.
+
+    cover is the largest radius that every profile's plateau must reach at
+    m_star for the run to pass.
+    """
     if len(profiles) < 2:
         raise ValueError("need at least two profiles for independence checking")
     m_lo, m_hi = m_range
     seqs = {p.id: [step(p, m) for m in range(m_lo, m_hi + 1)] for p in profiles}
-    return _diagnose(seqs, m_lo, m_hi)
+    return _diagnose(seqs, m_lo, m_hi, cover, min(p.r for p in profiles))
 
 
 def vanishing_limit(
@@ -230,10 +272,19 @@ def vanishing_limit(
     """Run a^m(x,D)u^m across m and profiles and report stabilisation.
 
     PASS means the outputs became constant in m within a range of at least
-    one step and agree across every supplied profile - the executable
+    one step, agree across every supplied profile and were reached once
+    every plateau covers the radius that matters: the largest |eta| over the
+    modes of u that some term's multiplier hits, and the largest |xi| over
+    those terms' x-parts (one _support_hits pass).  It is the executable
     rendering of membership of u in the operator domain.
     """
-    return _modulation_run(lambda p, m: apply_modulated(a, u, p, m), profiles, m_range)
+    etas = list(u.coeffs)
+    cover = 0.0
+    for t, hits in _support_hits(a, u):
+        if hits:
+            radii = [freq_abs(etas[i]) for i, _ in hits] + [freq_abs(xi) for xi in t.xpart.coeffs]
+            cover = max(cover, max(radii))
+    return _modulation_run(lambda p, m: apply_modulated(a, u, p, m), profiles, m_range, cover)
 
 
 def pi_product(
@@ -245,11 +296,27 @@ def pi_product(
     """Generalised product pi(u, v) = lim_m u^m v^m with its diagnostic.
 
     For trigonometric polynomials the sequence stabilises at the exact
-    coefficient convolution of u and v.
+    coefficient convolution of u and v.  A step (p, m) is covered when
+    top / 2^m <= p.r, top the largest |xi| over both factors, in modulate's
+    float expression: both modulated factors then hold 1.0 * c at every
+    mode, whatever p and m, so every covered step returns the one product
+    computed (through modulate) at the first of them.  It is not
+    pointwise_mul(u, v): 1.0 * c is not always c bitwise (its real part
+    loses the sign of -0.0).  top is also the radius the diagnostic must
+    cover.
     """
-    diag = _modulation_run(
-        lambda p, m: pointwise_mul(modulate(u, m, p), modulate(v, m, p)), profiles, m_range
-    )
+    top = max((freq_abs(xi) for f in (u, v) for xi in f.coeffs), default=0.0)
+    plateau_product = None
+
+    def step(p: CutoffProfile, m: int) -> SparseField:
+        nonlocal plateau_product
+        if top / float(2**m) > p.r:
+            return pointwise_mul(modulate(u, m, p), modulate(v, m, p))
+        if plateau_product is None:
+            plateau_product = pointwise_mul(modulate(u, m, p), modulate(v, m, p))
+        return plateau_product
+
+    diag = _modulation_run(step, profiles, m_range, top)
     return diag, diag.limit
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torspec.cutoffs import (
+    CutoffProfile,
     LPFamily,
     ball_diff,
     default_families,
@@ -17,7 +18,7 @@ from torspec.cutoffs import (
     telescope_check,
 )
 from torspec.errors import BadRadii
-from torspec.fields import SparseField, delta_field
+from torspec.fields import SparseField, delta_field, freq_abs
 from torspec.norms import sobolev_norm
 
 
@@ -74,6 +75,64 @@ def test_telescope_sampled(rng):
         top = int(prof.R * 2**8) + 1
         samples = [(int(k),) for k in rng.integers(-top, top, size=10_000)]
         assert telescope_check(prof, 8, samples) <= 1e-15
+
+
+def _telescope_per_sample(profile, m, samples):
+    # The identity evaluated sample by sample, in the order given.
+    worst = 0.0
+    for xi in samples:
+        rho = freq_abs(xi)
+        total = profile.block_weight(rho, 0)
+        for k in range(1, m + 1):
+            total += profile.block_weight(rho, k)
+        worst = max(worst, abs(profile.radial(rho / 2**m) - total))
+    return worst
+
+
+# Both defaults round to exactly 0; the wide profiles (R > 4r, so several
+# blocks overlap) leave 2^-53 at some radii and not at others.
+_TELESCOPE_PROFILES = [f.profile for f in default_families()] + [
+    CutoffProfile(0.3, 7.7, "exp"),
+    CutoffProfile(0.9, 3.3, "poly7"),
+]
+# Distinct frequencies of one radius.
+_RADIUS_FIVE = [(3, 4), (5, 0), (-4, 3), (0, -5), (4, -3)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.data(),
+    st.sampled_from([1, 2]),
+    st.integers(1, 7),
+    st.sampled_from(range(len(_TELESCOPE_PROFILES))),
+)
+def test_telescope_matches_per_sample_loop_bitwise(data, n, m, which):
+    prof = _TELESCOPE_PROFILES[which]
+    top = int(prof.R * 2**m) + 2
+    freq = st.tuples(*[st.integers(-top, top)] * n)
+    if n == 2:
+        freq = st.one_of(freq, st.sampled_from(_RADIUS_FIVE))
+    samples = data.draw(st.lists(freq, min_size=1, max_size=30))
+    samples += data.draw(st.lists(st.sampled_from(samples), max_size=10))  # duplicates
+    got = telescope_check(prof, m, samples)
+    assert got.hex() == _telescope_per_sample(prof, m, samples).hex()
+
+
+def test_telescope_wide_profile_has_nonzero_deviation():
+    # Keeps the bitwise test above from comparing only zeros.
+    prof = _TELESCOPE_PROFILES[2]
+    samples = [(k,) for k in range(64)]
+    dev = telescope_check(prof, 3, samples)
+    assert dev == _telescope_per_sample(prof, 3, samples) == 2.0**-53
+    assert sum(telescope_check(prof, 3, [xi]) > 0.0 for xi in samples) < len(samples)
+
+
+def test_telescope_needs_samples():
+    # No sample is no evidence, the same rule as m < 1.
+    with pytest.raises(ValueError):
+        telescope_check(make_cutoff(), 3, [])
+    with pytest.raises(ValueError):
+        telescope_check(make_cutoff(), 0, [(1,)])
 
 
 def test_telescope_outside_support_all_zero():

@@ -1,10 +1,12 @@
 """Experiment reports: verdicts, determinism, artifact schemas."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from torspec import experiments
 from torspec.errors import RangeTooLarge, TorspecError
 from torspec.experiments import (
     REGISTRY,
@@ -133,6 +135,51 @@ def test_product_experiment():
     report = exp_product(trials=10)
     assert report.passed
     assert report.metrics["worst_stabilisation_residual"] <= 1e-12
+
+
+@pytest.mark.parametrize("which", [1, 2])
+def test_product_fails_when_an_associativity_diagnostic_fails(monkeypatch, which):
+    # Call `which` of each trial's three pi_product runs is pi(f u, v) (1) or
+    # pi(u, f v) (2); failing its diagnostic in one trial must fail the report.
+    real = experiments.pi_product
+    calls = []
+
+    def failing(*args):
+        diag, limit = real(*args)
+        if len(calls) == 3 + which:  # the second trial's call `which`
+            diag.passed = False
+        calls.append(diag)
+        return diag, limit
+
+    monkeypatch.setattr(experiments, "pi_product", failing)
+    report = exp_product(trials=3)
+    assert len(calls) == 9
+    failed = [a.id for a in report.assertions if not a.passed]
+    assert failed == ["all-diagnostics-pass"]
+
+
+REPORT_SHA256 = "42f863d2f4f520baf6006b940c20748d7984afcf03d5a476dfd4351ad9c2a3fa"
+
+
+def _hex_floats(obj):
+    if isinstance(obj, float):
+        return obj.hex()
+    if isinstance(obj, dict):
+        return {k: _hex_floats(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_hex_floats(v) for v in obj]
+    return obj
+
+
+def test_partition_and_product_reports_are_pinned():
+    # SHA-256 of both reports at their defaults and at seed 1, every float as
+    # float.hex: any change that moves one bit of a metric or verdict fails.
+    h = hashlib.sha256()
+    for experiment in (exp_partition_check, exp_product):
+        for kwargs in ({}, {"seed": 1}):
+            blob = _hex_floats(experiment(**kwargs).to_json())
+            h.update(json.dumps(blob, sort_keys=True).encode())
+    assert h.hexdigest() == REPORT_SHA256
 
 
 def test_reports_serialize_deterministically(tmp_path):

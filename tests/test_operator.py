@@ -1,6 +1,7 @@
 """Operator application, modulation limits, splits, kernels, adjoints."""
 
 import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -33,6 +34,7 @@ from torspec.fields import (
 )
 from torspec.norms import sobolev_norm
 from torspec.operator import (
+    _diagnose,
     adjoint_apply_ching,
     apply,
     apply_modulated,
@@ -173,6 +175,55 @@ def test_one_point_range_is_not_a_pass(profiles):
         assert not d.passed
     assert vanishing_limit(identity_symbol(1), u, profiles, (3, 4)).passed
     assert pi_product(u, u, profiles, (3, 4))[0].passed
+
+
+def test_uncovered_top_mode_is_not_a_pass(profiles):
+    # No plateau r 2^m reaches 2^20 for m <= 5: the 2^20 mode is cut off at
+    # every step, so the output is constant from m = 0 without evidence.
+    u = SparseField(1, {(1,): 1, (2**20,): 1})
+    diag = vanishing_limit(identity_symbol(1), u, profiles, (0, 5))
+    assert diag.m_star == 0 and diag.cross_profile_max == 0.0
+    assert list(diag.limit.coeffs) == [(1,)]
+    assert diag.cover_radius == 2.0**20 and not diag.covered
+    assert not diag.passed
+    prod, _ = pi_product(u, u, profiles, (0, 5))
+    assert prod.cover_radius == 2.0**20 and not prod.covered and not prod.passed
+    # Once the range reaches the plateau the same input passes.
+    assert vanishing_limit(identity_symbol(1), u, profiles, (17, 21)).passed
+    assert pi_product(u, u, profiles, (17, 21))[0].passed
+
+
+def test_cover_radius_counts_only_hit_modes(profiles):
+    # A multiplier that vanishes on the far mode leaves it out of the cover:
+    # the term's x-part (|xi| = 3) and the hit mode 1 set the radius.
+    a = SeparableSymbol(0.0, 1, (Term(delta_field((3,)), Ball(4.0)),))
+    u = SparseField(1, {(1,): 1.0, (2**20,): 1.0})
+    diag = vanishing_limit(a, u, profiles, (0, 5))
+    assert diag.cover_radius == 3.0
+    assert diag.covered and diag.passed
+
+
+def test_diagnostic_json_reports_coverage(profiles):
+    u = SparseField(1, {(0,): 1.0, (40,): 1.0})
+    diag, _ = pi_product(u, u, profiles, (0, 9))
+    blob = diag.to_json()
+    assert list(blob) == [
+        "profile_ids",
+        "m_range",
+        "delta",
+        "m_star",
+        "cross_profile_max",
+        "covered",
+        "cover_radius",
+        "plateau_radius",
+        "per_profile_norms",
+        "pass",
+    ]
+    assert blob["covered"] and blob["pass"]
+    assert blob["cover_radius"] == 40.0
+    assert blob["plateau_radius"] == 1.05 * 2 ** diag.m_star
+    assert blob["per_profile_norms"] == diag.per_profile_norms
+    json.dumps(blob, allow_nan=False)
 
 
 def test_vanishing_limit_unclosability_signature(profiles):
@@ -556,6 +607,67 @@ def test_pi_product_disagrees_before_stabilisation(profiles):
 
     early = pointwise_mul(modulate(u, 2, prof), modulate(v, 2, prof))
     assert rel_coeff_diff(early, pointwise_mul(u, v)) > 0.1
+
+
+def _bits(f):
+    return tuple((xi, c.real.hex(), c.imag.hex()) for xi, c in f.items())
+
+
+def _diagnosis_bits(diag):
+    return (
+        [d.hex() for d in diag.delta],
+        {p: [x.hex() for x in row] for p, row in diag.per_profile_norms.items()},
+        diag.m_star,
+        diag.passed,
+        diag.cross_profile_max.hex(),
+        _bits(diag.limit),
+    )
+
+
+@pytest.mark.parametrize("top", [0, 3, 40, 1000])
+def test_diagnose_of_repeated_objects_matches_fresh_copies(profiles, top):
+    # Sequences that reuse one object for bitwise-equal steps (as pi_product
+    # does once the plateau covers both inputs) are judged exactly like
+    # sequences of distinct but equal fields.
+    from torspec.cutoffs import modulate
+
+    u = SparseField(1, {(0,): 1.0, (top,): complex(-0.0, -1.0), (-3,): 0.25 - 2j})
+    m_lo, m_hi = 0, 11
+    canon = {}
+
+    def shared_step(p, m):
+        f = modulate(u, m, p)
+        return canon.setdefault(_bits(f), f)
+
+    shared = {p.id: [shared_step(p, m) for m in range(m_lo, m_hi + 1)] for p in profiles}
+    assert any(a is b for row in shared.values() for a, b in zip(row, row[1:]))
+    fresh = {
+        pid: [SparseField(f.n, dict(f.coeffs), f.tau) for f in row] for pid, row in shared.items()
+    }
+    r = min(p.r for p in profiles)
+    got = _diagnose(shared, m_lo, m_hi, float(top), r)
+    want = _diagnose(fresh, m_lo, m_hi, float(top), r)
+    assert _diagnosis_bits(got) == _diagnosis_bits(want)
+
+
+def test_pi_product_convolves_once_per_uncovered_step(profiles, monkeypatch):
+    # Steps whose plateau covers both factors share one product.
+    import torspec.operator as op
+
+    calls = []
+
+    def counted(u, v, *rest):
+        calls.append((len(u), len(v)))
+        return pointwise_mul(u, v, *rest)
+
+    monkeypatch.setattr(op, "pointwise_mul", counted)
+    u = SparseField(1, {(0,): 1.0, (40,): 1.0, (-7,): 0.5j})
+    v = SparseField(1, {(0,): 1.0, (33,): 1.0})
+    diag, limit = pi_product(u, v, profiles, (0, 9))
+    uncovered = sum(40.0 / float(2**m) > p.r for p in profiles for m in range(10))
+    assert 0 < uncovered < 20
+    assert len(calls) == uncovered + 1
+    assert diag.passed and rel_coeff_diff(limit, pointwise_mul(u, v)) == 0.0
 
 
 MODULATION_SHA256 = "70dd0ab135c3351c0f0e2f96a0774eb07d308fc40ceb4b1ef1baec711c09e324"

@@ -257,6 +257,20 @@ def test_resource_error_exits_three(tmp_path):
 def test_bad_parameter_exits_two(tmp_path):
     code = main(["run", "weierstrass", "--trials", "5", "--out", str(tmp_path)])
     assert code == 2
+    # Zero trials or samples are no evidence: rejected before any work,
+    # with nothing written.
+    for i, argv in enumerate(
+        [
+            ["run", "product", "--trials", "0"],
+            ["run", "partition-check", "--n-samples", "0"],
+            ["partition-check", "--n-samples", "0"],
+            ["run", "support", "--trials", "0"],
+            ["run", "continuity", "--trials", "0"],
+        ]
+    ):
+        out = tmp_path / f"zero{i}"
+        assert main([*argv, "--out", str(out)]) == 2, argv
+        assert not out.exists(), argv
 
 
 def test_partition_check_subcommand(tmp_path):

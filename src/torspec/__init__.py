@@ -58,6 +58,7 @@ from .operator import (
     adjoint_apply_ching,
     apply,
     apply_modulated,
+    apply_with_support,
     corona_check,
     kernel_pairing_1d,
     norm_ratio_probe,

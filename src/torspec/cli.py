@@ -29,7 +29,7 @@ from .errors import (
 )
 from .experiments import REGISTRY, ExperimentReport
 from .operator import apply as op_apply
-from .operator import support_rule_xi
+from .operator import apply_with_support, support_rule_xi
 from .serialize import (
     atomic_write_text,
     load_sparse,
@@ -245,9 +245,9 @@ def run_apply(args, cfg: RunConfig) -> int:
     if args.modulate is not None:
         profile = cfg.profile(args.profile)
         out = op_apply(symbol_full_modulate(symbol, args.modulate, profile), field_in)
+        xi_set = support_rule_xi(symbol, field_in)
     else:
-        out = op_apply(symbol, field_in)
-    xi_set = support_rule_xi(symbol, field_in, out if args.modulate is None else None)
+        out, xi_set = apply_with_support(symbol, field_in)
     contained = out.spectrum() <= xi_set
     save_sparse(out, args.out_field)
     print(f"output modes: {len(out)}; support bound size: {len(xi_set)};"

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .errors import BandwidthViolation, RangeTooLarge
+from .errors import BandwidthViolation, DimensionMismatch, RangeTooLarge
 from .fields import Frequency, SparseField, freq_abs, freq_add, freq_scale
 from .symbols import pow2
 
@@ -120,13 +120,24 @@ def random_band_limited(
 
     Frequencies are drawn uniformly from the cube [-window, window]^n, one
     scalar draw per component (the same stream as one draw of size n, without
-    numpy's per-call cost for sized draws); with hermitian=True the spectrum
-    is symmetrised so the field is real-valued.
+    numpy's per-call cost for sized draws); each coefficient part is
+    0.0 + standard_normal(), which is exactly numpy's normal() at loc 0 and
+    scale 1 (loc + scale * z, so -0.0 becomes +0.0).  With hermitian=True
+    the spectrum is symmetrised so the field is real-valued.  n must be 1
+    or 2 (DimensionMismatch otherwise).
     """
+    if n not in (1, 2):
+        raise DimensionMismatch(f"dimension {n} not in {{1, 2}}")
+    draw = rng.integers
+    normal = rng.standard_normal
+    lo, hi = -window, window + 1
     coeffs: dict[Frequency, complex] = {}
     for _ in range(n_modes):
-        xi = tuple(int(rng.integers(-window, window + 1)) for _ in range(n))
-        coeffs[xi] = complex(rng.normal(), rng.normal())
+        if n == 1:
+            xi = (int(draw(lo, hi)),)
+        else:
+            xi = (int(draw(lo, hi)), int(draw(lo, hi)))
+        coeffs[xi] = complex(0.0 + normal(), 0.0 + normal())
     if hermitian:
         sym: dict[Frequency, complex] = {}
         for xi in sorted(coeffs):

@@ -49,6 +49,24 @@ def freq_add(a: Frequency, b: Frequency) -> Frequency:
     return tuple(map(operator.add, a, b))
 
 
+def shifted(xi: Frequency, etas: list[Frequency]) -> list[Frequency]:
+    """The lattice sums xi + eta for each eta of etas, in order.
+
+    The same tuples as freq_add(xi, eta), built by one comprehension per
+    dimension instead of one call per pair; the pair loops of apply, the
+    support bound Xi and pointwise_mul go through it.  Every eta must have
+    the length of xi, which must be 1 or 2; any other length of xi raises
+    DimensionMismatch.
+    """
+    if len(xi) == 1:
+        x = xi[0]
+        return [(x + e[0],) for e in etas]
+    if len(xi) == 2:
+        x, y = xi
+        return [(x + e[0], y + e[1]) for e in etas]
+    raise DimensionMismatch(f"frequency {xi} is not 1- or 2-dimensional")
+
+
 def freq_neg(a: Frequency) -> Frequency:
     return tuple(-x for x in a)
 
@@ -211,9 +229,10 @@ def pointwise_mul(
     if len(u) * len(v) > budget:
         raise BudgetExceeded(f"{len(u)} * {len(v)} coefficient pairs exceed {budget}")
     out: dict[Frequency, complex] = {}
-    for xi, cu in u.items():
-        for eta, cv in v.items():
-            zeta = freq_add(xi, eta)
+    etas = list(v.coeffs)
+    cvs = list(v.coeffs.values())
+    for xi, cu in u.coeffs.items():
+        for zeta, cv in zip(shifted(xi, etas), cvs):
             out[zeta] = out.get(zeta, 0.0) + cu * cv
     return SparseField(u.n, out, max(u.tau, v.tau))
 

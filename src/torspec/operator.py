@@ -7,7 +7,12 @@ The action of a separable symbol on a sparse field is the exact finite sum
 iterated in sorted (term, xi, eta) order so results are reproducible.  A
 term's multiplier is evaluated only on the modes of u whose radius |eta|
 lies in its support [lo, hi] (the spectral support rule): the radii are
-computed once per call and each term's window is found by bisection.
+computed once per call and each term's window is found by bisection.  One
+scan of the windows gives, per term, the hit modes and their weights;
+apply sums from it as it goes, while apply_with_support keeps it and also
+builds the support bound Xi from the same hits, so a support trial scans
+each window once.  The lattice sums xi + eta of a term come from one
+fields.shifted call per xi.
 Everything else here is built on top of that kernel: frequency-modulated
 approximants and their stabilisation diagnostics, the adjoint of the
 lacunary family, spectral kernels, the frequency-support rule, the
@@ -49,6 +54,7 @@ from .fields import (
     freq_add,
     freq_scale,
     pointwise_mul,
+    shifted,
     sparse_to_dense,
 )
 from .norms import hsp_norm, sobolev_norm
@@ -71,36 +77,69 @@ def apply(a: SeparableSymbol, u: SparseField, budget: int = DEFAULT_PAIR_BUDGET)
     (term, xi) contributions in the order of the full per-pair loop, so the
     result is bitwise the same.  The budget counts the nominal pairs
     sum_t |xpart_t| * |u|, inside the windows or not; more raise
-    BudgetExceeded.
+    BudgetExceeded.  The windows are scanned as the sum goes and no support
+    bound is built; apply_with_support returns one as well.
     """
+    _check_work(a, u, budget)
+    return SparseField(u.n, _accumulate(_support_hits(a, u)), u.tau)
+
+
+def apply_with_support(
+    a: SeparableSymbol, u: SparseField, budget: int = DEFAULT_PAIR_BUDGET
+) -> tuple[SparseField, set[Frequency]]:
+    """a(x, D) u and its frequency-support bound Xi from one window scan.
+
+    Xi = {xi + eta : c_t(xi) != 0, m_t(eta) u^(eta) != 0} is built from the
+    same per-term hits that the sum uses, not from the output's keys, and
+    the containment spectrum(Au) within Xi is asserted before returning.
+    The output is bitwise apply(a, u), under the same budget.
+    """
+    _check_work(a, u, budget)
+    term_hits = list(_support_hits(a, u))
+    au = SparseField(u.n, _accumulate(term_hits), u.tau)
+    xi_set: set[Frequency] = set()
+    for t, etas, _ in term_hits:
+        if etas:
+            for xi in t.xpart.coeffs:
+                xi_set.update(shifted(xi, etas))
+    if not au.coeffs.keys() <= xi_set:
+        raise AssertionError("spectral support rule violated")
+    return au, xi_set
+
+
+def _check_work(a: SeparableSymbol, u: SparseField, budget: int) -> None:
     if a.n != u.n:
         raise DimensionMismatch(f"symbol dimension {a.n} != field dimension {u.n}")
     work = sum(len(t.xpart) for t in a.terms) * len(u)
     if work > budget:
         raise BudgetExceeded(f"{work} coefficient products exceed budget {budget}")
+
+
+def _accumulate(term_hits) -> dict[Frequency, complex]:
+    """Sum c_t(xi) * w into xi + eta over each (t, etas, weights) of term_hits,
+    in (term, xi, eta) order: the coefficients of a(x, D) u."""
     out: dict[Frequency, complex] = {}
-    u_items = u.items()
-    for t, hits in _support_hits(a, u):
-        if not hits:
+    for t, etas, weights in term_hits:
+        if not etas:
             continue
-        weighted = [(u_items[i][0], mv * u_items[i][1]) for i, mv in hits]
-        for xi, cx in t.xpart.items():
-            for eta, wu in weighted:
-                zeta = freq_add(xi, eta)
+        for xi, cx in t.xpart.coeffs.items():
+            for zeta, wu in zip(shifted(xi, etas), weights):
                 out[zeta] = out.get(zeta, 0.0) + cx * wu
-    return SparseField(u.n, out, u.tau)
+    return out
 
 
 def _support_hits(a: SeparableSymbol, u: SparseField):
-    """Yield (t, hits) per term of a: hits lists (i, m_t(eta_i)) for the modes
-    eta_i of u (in u.items() order) where m_t(eta_i) != 0.
+    """Yield (t, etas, weights) per term of a: etas lists the modes eta of u
+    (in u's order) where m_t(eta) != 0, weights the products m_t(eta) u^(eta).
 
-    m_t is evaluated only where lo <= |eta_i| <= hi, found by bisecting the
+    m_t is evaluated only where lo <= |eta| <= hi, found by bisecting the
     radii in ascending order; outside it Term.mult_at is exactly zero.  The
-    window is visited in ascending i, u's own order, which keeps apply's
-    output dict nearly sorted and so cheap for SparseField to sort.
+    window is visited in u's own order, which keeps apply's output dict
+    nearly sorted and so cheap for SparseField to sort.
     """
-    radii = [freq_abs(eta) for eta in u.coeffs]
+    keys = list(u.coeffs)
+    values = list(u.coeffs.values())
+    radii = [freq_abs(eta) for eta in keys]
     whole = range(len(radii))
     order = sorted(whole, key=radii.__getitem__)
     ranked = [radii[i] for i in order]
@@ -109,12 +148,14 @@ def _support_hits(a: SeparableSymbol, u: SparseField):
         hi = bisect_right(ranked, t.mult.hi)
         window = whole if hi - lo == len(ranked) else sorted(order[lo:hi])
         radial = t.mult.radial
-        hits = []
+        etas = []
+        weights = []
         for i in window:
             mv = complex(radial(radii[i]))
             if mv != 0.0:
-                hits.append((i, mv))
-        yield t, hits
+                etas.append(keys[i])
+                weights.append(mv * values[i])
+        yield t, etas, weights
 
 
 def max_coeff_diff(u: SparseField, v: SparseField) -> float:
@@ -254,10 +295,12 @@ def _modulation_run(
     """Diagnose the sequences step(p, m), m = m_lo..m_hi, one per profile p.
 
     cover is the largest radius that every profile's plateau must reach at
-    m_star for the run to pass.
+    m_star for the run to pass.  The sequences are keyed by profile id, so
+    fewer than two distinct ids raise ValueError before any step: one
+    profile given twice has nothing to be compared with.
     """
-    if len(profiles) < 2:
-        raise ValueError("need at least two profiles for independence checking")
+    if len({p.id for p in profiles}) < 2:
+        raise ValueError("need at least two distinct profile ids for independence checking")
     m_lo, m_hi = m_range
     seqs = {p.id: [step(p, m) for m in range(m_lo, m_hi + 1)] for p in profiles}
     return _diagnose(seqs, m_lo, m_hi, cover, min(p.r for p in profiles))
@@ -278,11 +321,10 @@ def vanishing_limit(
     those terms' x-parts (one _support_hits pass).  It is the executable
     rendering of membership of u in the operator domain.
     """
-    etas = list(u.coeffs)
     cover = 0.0
-    for t, hits in _support_hits(a, u):
-        if hits:
-            radii = [freq_abs(etas[i]) for i, _ in hits] + [freq_abs(xi) for xi in t.xpart.coeffs]
+    for t, etas, _ in _support_hits(a, u):
+        if etas:
+            radii = [freq_abs(eta) for eta in etas] + [freq_abs(xi) for xi in t.xpart.coeffs]
             cover = max(cover, max(radii))
     return _modulation_run(lambda p, m: apply_modulated(a, u, p, m), profiles, m_range, cover)
 
@@ -378,25 +420,14 @@ def spectral_kernel(
     return K
 
 
-def support_rule_xi(
-    a: SeparableSymbol, u: SparseField, au: SparseField | None = None
-) -> set[Frequency]:
+def support_rule_xi(a: SeparableSymbol, u: SparseField) -> set[Frequency]:
     """The frequency-support bound Xi = {xi + eta : c_t(xi) != 0, m_t(eta) u^(eta) != 0}.
 
-    The containment spectrum(Au) within Xi is asserted before returning.
+    This is apply_with_support(a, u)[1]: Xi comes from the window scan that
+    also computes a(x, D) u, and the containment spectrum(Au) within Xi is
+    asserted before returning.
     """
-    xi_set: set[Frequency] = set()
-    etas = list(u.coeffs)
-    for t, hits in _support_hits(a, u):
-        active = [etas[i] for i, _ in hits]
-        for xi in t.xpart.spectrum():
-            for eta in active:
-                xi_set.add(freq_add(xi, eta))
-    if au is None:
-        au = apply(a, u)
-    if not au.spectrum() <= xi_set:
-        raise AssertionError("spectral support rule violated")
-    return xi_set
+    return apply_with_support(a, u)[1]
 
 
 # -- paradifferential splitting ---------------------------------------------------

@@ -160,3 +160,13 @@ def test_random_draw_stream_is_pinned():
     # the scalar draws must reproduce it, and a numpy release that changes the
     # stream must fail here rather than shift every seeded experiment.
     assert _draw_stream_digest() == DRAW_STREAM_SHA256
+
+
+def test_zero_plus_standard_normal_is_numpy_normal():
+    # random_band_limited draws 0.0 + standard_normal() for normal(): numpy
+    # computes loc + scale * z, which at loc 0 and scale 1 is that sum.
+    for seed in range(10):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        draw, normal = ours.standard_normal, theirs.normal
+        got = [(0.0 + draw()).hex() for _ in range(10**5)]
+        assert got == [normal().hex() for _ in range(10**5)], seed

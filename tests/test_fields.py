@@ -16,9 +16,11 @@ from torspec.fields import (
     delta_field,
     dense_to_sparse,
     freq_abs,
+    freq_add,
     grid_points,
     inner_product,
     pointwise_mul,
+    shifted,
     sparse_to_dense,
     zero_field,
 )
@@ -176,6 +178,69 @@ def test_apply_output_frequency_cap():
         a = SeparableSymbol(0.0, 1, (Term(SparseField(1, {(k,): 1.0}), One()),))
         with pytest.raises(FrequencyOutOfRange):
             apply(a, SparseField(1, {(k,): 1.0}))
+
+
+_BIG = 2**62 - 1
+
+
+@st.composite
+def _shift_case(draw):
+    n = draw(st.sampled_from([1, 2]))
+    freq = st.tuples(*[st.integers(-_BIG, _BIG)] * n)
+    return draw(freq), draw(st.lists(freq, max_size=8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_shift_case())
+def test_shifted_matches_freq_add(case):
+    xi, etas = case
+    got = shifted(xi, etas)
+    assert got == [freq_add(xi, eta) for eta in etas]
+    assert all(type(c) is int for zeta in got for c in zeta)
+
+
+def test_shifted_needs_one_or_two_components():
+    for xi in ((), (1, 2, 3)):
+        with pytest.raises(DimensionMismatch):
+            shifted(xi, [xi])
+
+
+def _mul_by_pairs(u, v):
+    """Reference for pointwise_mul: one freq_add per coefficient pair."""
+    out = {}
+    for xi, cu in u.items():
+        for eta, cv in v.items():
+            zeta = freq_add(xi, eta)
+            out[zeta] = out.get(zeta, 0.0) + cu * cv
+    return SparseField(u.n, out, max(u.tau, v.tau))
+
+
+@st.composite
+def _field_pair(draw):
+    n = draw(st.sampled_from([1, 2]))
+    freq = st.tuples(*[st.integers(-12, 12)] * n)
+    coeffs = st.dictionaries(freq, coeff_st, max_size=10)
+    return SparseField(n, draw(coeffs)), SparseField(n, draw(coeffs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_field_pair())
+def test_pointwise_mul_matches_per_pair_loop_bitwise(pair):
+    u, v = pair
+
+    def hexed(f):
+        return {xi: (c.real.hex(), c.imag.hex()) for xi, c in f.items()}
+
+    assert hexed(pointwise_mul(u, v)) == hexed(_mul_by_pairs(u, v))
+
+
+def test_product_output_frequency_cap():
+    # The sum xi + eta reaches the cap only in the product; construction
+    # must still reject it.
+    for xi in ((2**61,), (-(2**61),), (0, 2**61), (-(2**61), 1)):
+        u = SparseField(len(xi), {xi: 1.0})
+        with pytest.raises(FrequencyOutOfRange):
+            pointwise_mul(u, u)
 
 
 @settings(max_examples=40, deadline=None)

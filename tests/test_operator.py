@@ -19,6 +19,7 @@ from torspec.constructions import (
 from torspec.cutoffs import CutoffProfile, default_families, lp_project
 from torspec.errors import (
     BudgetExceeded,
+    DimensionMismatch,
     DimensionUnsupported,
     FrequencyOutOfRange,
     WindowTooLarge,
@@ -35,9 +36,11 @@ from torspec.fields import (
 from torspec.norms import sobolev_norm
 from torspec.operator import (
     _diagnose,
+    _modulation_run,
     adjoint_apply_ching,
     apply,
     apply_modulated,
+    apply_with_support,
     corona_check,
     fields_close,
     kernel_pairing_1d,
@@ -95,6 +98,18 @@ def test_apply_budget():
     a = multiplication_symbol(SparseField(1, {(k,): 1.0 for k in range(200)}))
     with pytest.raises(BudgetExceeded):
         apply(a, u, budget=1000)
+
+
+def test_apply_with_support_budget_is_applys():
+    # Both check the same nominal pair count before any scan: 20 * 100.
+    u = SparseField(1, {(k,): 1.0 for k in range(100)})
+    a = multiplication_symbol(SparseField(1, {(k,): 1.0 for k in range(20)}))
+    for fn in (apply, apply_with_support):
+        with pytest.raises(BudgetExceeded):
+            fn(a, u, budget=1999)
+        fn(a, u, budget=2000)
+    with pytest.raises(DimensionMismatch):
+        apply_with_support(identity_symbol(2), u)
 
 
 def test_apply_is_bitwise_deterministic(rng):
@@ -175,6 +190,23 @@ def test_one_point_range_is_not_a_pass(profiles):
         assert not d.passed
     assert vanishing_limit(identity_symbol(1), u, profiles, (3, 4)).passed
     assert pi_product(u, u, profiles, (3, 4))[0].passed
+
+
+def test_repeated_profile_id_is_rejected(profiles):
+    # One id twice is one sequence: nothing to check psi-independence
+    # against, so the run must refuse before any step rather than PASS.
+    p = profiles[0]
+    u = SparseField(1, {(1,): 1.0, (3,): -0.5j})
+    for twins in ([p, p], [p, CutoffProfile(p.r, p.R, p.kind)]):
+        steps = []
+        with pytest.raises(ValueError):
+            _modulation_run(lambda q, m: steps.append(m), twins, (0, 6), 0.0)
+        assert steps == []
+        with pytest.raises(ValueError):
+            pi_product(u, u, twins, (0, 6))
+        with pytest.raises(ValueError):
+            vanishing_limit(identity_symbol(1), u, twins, (0, 6))
+    assert pi_product(u, u, profiles, (0, 6))[0].passed
 
 
 def test_uncovered_top_mode_is_not_a_pass(profiles):
@@ -381,7 +413,7 @@ def test_support_rule_strict_inclusion_by_cancellation():
     a = SeparableSymbol(0.0, 1, (t1, t2))
     u = SparseField(1, {(10,): 1.0, (8,): 1.0})
     au = apply(a, u)
-    xi_set = support_rule_xi(a, u, au)
+    xi_set = support_rule_xi(a, u)
     assert (13,) in xi_set and (13,) not in au.spectrum()
     assert au.spectrum() < xi_set
 
@@ -476,6 +508,9 @@ def test_windowed_apply_matches_per_pair_loop_bitwise(case):
 
     assert hexed(got) == hexed(want)
     assert support_rule_xi(a, u) == _support_by_pairs(a, u)
+    au, xi_set = apply_with_support(a, u)
+    assert hexed(au) == hexed(got)
+    assert xi_set == _support_by_pairs(a, u)
 
 
 # -- paradifferential splitting ---------------------------------------------------------------

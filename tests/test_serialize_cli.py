@@ -34,6 +34,7 @@ from torspec.symbols import (
     Term,
     ching_symbol,
     identity_symbol,
+    multiplication_symbol,
     symbol_full_modulate,
 )
 
@@ -337,6 +338,18 @@ def test_apply_modulate_zero_empties_high_frequencies(tmp_path):
     )
     assert code == 0
     assert len(load_sparse(tmp_path / "out.json")) == 0
+
+
+def test_apply_over_budget_exits_three(tmp_path):
+    # 4000 x-part modes times 2501 input modes pass the 10^7 pair budget.
+    f = SparseField(1, {(k,): 1.0 for k in range(4000)})
+    save_symbol(multiplication_symbol(f), tmp_path / "a.json")
+    save_sparse(SparseField(1, {(k,): 1.0 for k in range(2501)}), tmp_path / "u.json")
+    argv = ["apply", "--symbol", str(tmp_path / "a.json"), "--field", str(tmp_path / "u.json")]
+    for flags in ([], ["--modulate", "3"]):
+        out = tmp_path / f"out{len(flags)}.json"
+        assert main([*argv, "--out-field", str(out), *flags]) == 3
+        assert not out.exists()
 
 
 def _symbol_text(mult: dict, **top) -> str:

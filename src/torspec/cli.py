@@ -1,10 +1,13 @@
 """Command-line front end: run experiments, apply symbols, drive the suite.
 
-Exit codes: 0 all assertions pass, 1 assertion failure, 2 bad flags or
-unparsable inputs, 3 resource errors (budgets, ranges, frequency caps).
-Output files are written atomically; the output root comes from --out, the
-config file, or the TORSPEC_OUT environment variable, in that order of
-precedence.
+Exit codes: 0 all assertions pass, 1 assertion failure, 2 bad flags,
+unparsable inputs or an unwritable output root, 3 resource errors (budgets,
+ranges, frequency caps, a dyadic index too large for a float).  main maps
+errors to codes through one table, the same for every command.  Each input
+is type-checked once: a config value by load_config, a run flag against the
+experiment's signature, every other flag by its argparse type.  Output files
+are written atomically; the output root comes from --out, the config file,
+or the TORSPEC_OUT environment variable, in that order of precedence.
 """
 
 from __future__ import annotations
@@ -19,17 +22,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .cutoffs import CutoffProfile, default_families
-from .errors import (
-    BadRadii,
-    BudgetExceeded,
-    FrequencyOutOfRange,
-    RangeTooLarge,
-    TorspecError,
-    WindowTooLarge,
-)
+from .errors import BadRadii, TorspecError
 from .experiments import REGISTRY, ExperimentReport
-from .operator import apply as op_apply
-from .operator import apply_with_support, support_rule_xi
+from .operator import apply_with_support, check_work
 from .serialize import (
     atomic_write_text,
     load_sparse,
@@ -39,8 +34,6 @@ from .serialize import (
     write_json,
 )
 from .symbols import symbol_full_modulate
-
-RESOURCE_ERRORS = (BudgetExceeded, RangeTooLarge, WindowTooLarge, FrequencyOutOfRange)
 
 
 def _builtin_profiles() -> dict[str, CutoffProfile]:
@@ -90,10 +83,14 @@ def _check_typed(value, default, what: str) -> None:
 
     A bool comes only from a JSON true/false, an int never from a float or a
     bool, a float from an int or a float, a str from a str; a tuple default
-    takes one such element or a list of them, checked one by one.
+    takes one such element or a nonempty list of them, checked one by one
+    (an empty list would run the experiment on no case at all).
     """
     if isinstance(default, tuple):
-        for item in value if isinstance(value, list) else [value]:
+        items = value if isinstance(value, list) else [value]
+        if not items:
+            raise ValueError(f"{what} must not be an empty list")
+        for item in items:
             _check_typed(item, default[0], what)
         return
     if isinstance(default, bool) or isinstance(value, bool):
@@ -141,7 +138,8 @@ def load_config(path: str | None) -> RunConfig:
                 cfg.profiles[key.split(".", 1)[1]] = profile_from_json({"kind": "exp", **value})
             else:
                 exp, _, param = key.partition(".")
-                default = _DEFAULTS.get(exp, {}).get(param.replace("-", "_"))
+                param = param.replace("-", "_")
+                default = _DEFAULTS.get(exp, {}).get(param)
                 if default is None:
                     raise ValueError(f"{path}:{line_no}: unknown key {key!r}")
                 _check_typed(value, default, f"{path}:{line_no}: {key}")
@@ -188,17 +186,15 @@ def _emit_plot_script(name: str, outdir: Path, artifacts: list[str]) -> str:
 
 
 def _experiment_kwargs(name: str, cfg: RunConfig, flag_params: dict) -> dict:
-    """Config overrides, then flags; each value must have its default's type."""
+    """Config overrides (load_config typed them), then flags, typed here."""
+    if name not in REGISTRY:
+        raise ValueError(f"unknown experiment {name!r}")
     params = inspect.signature(REGISTRY[name]).parameters
-    kwargs = {}
-    for source in (cfg.overrides.get(name, {}), flag_params):
-        for key, value in source.items():
-            pkey = key.replace("-", "_")
-            if pkey not in params:
-                raise ValueError(f"experiment {name!r} has no parameter {key!r}")
-            _check_typed(value, params[pkey].default, f"{name} parameter {key!r}")
-            kwargs[pkey] = value
-    return kwargs
+    for key, value in flag_params.items():
+        if key not in params:
+            raise ValueError(f"experiment {name!r} has no parameter {key!r}")
+        _check_typed(value, params[key].default, f"{name} parameter {key!r}")
+    return {**cfg.overrides.get(name, {}), **flag_params}
 
 
 def _run_one(name: str, cfg: RunConfig, flag_params: dict) -> ExperimentReport:
@@ -237,21 +233,21 @@ def run_suite(cfg: RunConfig) -> int:
 
 
 def run_apply(args, cfg: RunConfig) -> int:
-    if args.modulate is not None and args.modulate < 0:
-        print(f"bad flags: --modulate must be >= 0, got {args.modulate}", file=sys.stderr)
-        return 2
+    """Apply the symbol, or with --modulate its full modulation, to the field.
+
+    Xi is the support bound of the symbol actually applied; the pair budget
+    counts the input symbol either way.
+    """
     symbol = load_symbol(args.symbol)
     field_in = load_sparse(args.field)
     if args.modulate is not None:
         profile = cfg.profile(args.profile)
-        out = op_apply(symbol_full_modulate(symbol, args.modulate, profile), field_in)
-        xi_set = support_rule_xi(symbol, field_in)
-    else:
-        out, xi_set = apply_with_support(symbol, field_in)
-    contained = out.spectrum() <= xi_set
+        check_work(symbol, field_in)
+        symbol = symbol_full_modulate(symbol, args.modulate, profile)
+    out, xi_set = apply_with_support(symbol, field_in)
     save_sparse(out, args.out_field)
     print(f"output modes: {len(out)}; support bound size: {len(xi_set)};"
-          f" containment: {contained}")
+          f" containment: {out.spectrum() <= xi_set}")
     return 0
 
 
@@ -266,6 +262,13 @@ def _strict_bool(raw: str) -> bool:
     if lowered not in ("true", "false"):
         raise argparse.ArgumentTypeError(f"expected true or false, got {raw!r}")
     return lowered == "true"
+
+
+def _nonnegative_int(raw: str) -> int:
+    value = int(raw)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {raw!r}")
+    return value
 
 
 _RUN_FLAGS = [
@@ -316,63 +319,44 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_part = sub.add_parser("partition-check", help="shortcut for `run partition-check`")
     _add_common(p_part)
-    p_part.add_argument("--m", type=int, default=None)
-    p_part.add_argument("--n-samples", type=int, default=None)
-    p_part.add_argument("--seed", type=int, default=None)
+    p_part.set_defaults(name="partition-check")
+    for flag in ("--m", "--n-samples", "--seed"):
+        p_part.add_argument(flag, type=int, default=None)
 
     p_apply = sub.add_parser("apply", help="apply a serialized symbol to a field")
     _add_common(p_apply)
     p_apply.add_argument("--symbol", required=True)
     p_apply.add_argument("--field", required=True)
     p_apply.add_argument("--out-field", required=True)
-    p_apply.add_argument("--modulate", type=int, default=None)
+    p_apply.add_argument("--modulate", type=_nonnegative_int, default=None)
     p_apply.add_argument("--profile", default="main")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command; every error maps to its exit code through one table."""
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = build_parser().parse_args(argv)
         cfg = load_config(args.config)
         if args.out:
             cfg.out = Path(args.out)
-        if getattr(args, "emit_plots", False):
-            cfg.emit_plots = True
-    except (OSError, ValueError, KeyError, json.JSONDecodeError, BadRadii) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
-        if args.command == "run":
-            if args.name not in REGISTRY:
-                print(f"unknown experiment {args.name!r}", file=sys.stderr)
-                return 2
-            return run_experiment(args.name, cfg, _collect_flag_params(args))
-        if args.command == "partition-check":
-            return run_experiment("partition-check", cfg, _collect_flag_params(args))
+        cfg.emit_plots = cfg.emit_plots or args.emit_plots
         if args.command == "suite":
             return run_suite(cfg)
         if args.command == "apply":
-            try:
-                return run_apply(args, cfg)
-            except (OSError, ValueError, KeyError, json.JSONDecodeError, BadRadii) as exc:
-                print(f"parse error: {exc}", file=sys.stderr)
-                return 2
-        print(f"unknown command {args.command!r}", file=sys.stderr)
-        return 2
-    except RESOURCE_ERRORS as exc:
-        print(f"resource error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"bad flags: {exc}", file=sys.stderr)
-        return 2
-    except TorspecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+            return run_apply(args, cfg)
+        return run_experiment(args.name, cfg, _collect_flag_params(args))
+    except SystemExit as exc:  # argparse: --help, or a bad flag (2)
+        return int(exc.code or 0)
+    except (OSError, ValueError, KeyError, BadRadii) as exc:
+        return _error(2, exc)
+    except (TorspecError, OverflowError) as exc:  # budgets, caps, ranges
+        return _error(3, exc)
+
+
+def _error(code: int, exc: BaseException) -> int:
+    print(f"torspec: {type(exc).__name__}: {exc}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -175,7 +175,7 @@ def modulate(u: SparseField, m: int, profile: CutoffProfile) -> SparseField:
     if m < 0:
         raise ValueError("modulation index must be >= 0")
     radial = profile.radial
-    scale = float(2**m)
+    scale = 2.0**m  # overflows at m >= 1024 without building the integer 2^m
     return SparseField(
         u.n, {xi: radial(freq_abs(xi) / scale) * c for xi, c in u.coeffs.items()}, u.tau
     )

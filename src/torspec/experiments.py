@@ -85,7 +85,8 @@ class ExperimentReport:
 
     @property
     def passed(self) -> bool:
-        return all(a.passed for a in self.assertions)
+        """Every assertion passed, and there was at least one: none is no evidence."""
+        return bool(self.assertions) and all(a.passed for a in self.assertions)
 
     def check(self, aid: str, measured: float, tolerance: float) -> None:
         """Record an error-style assertion: pass iff measured <= tolerance."""
@@ -145,7 +146,7 @@ def exp_partition_check(
     rows = []
     for fam in fams:
         prof = fam.profile
-        top = int(math.ceil(prof.R * 2**m)) + 2
+        top = int(math.ceil(prof.R * 2.0**m)) + 2
         samples = [(int(k),) for k in rng.integers(-top, top + 1, size=n_samples)]
         dev = telescope_check(prof, m, samples)
         report.metrics[f"max_deviation[{prof.id}]"] = dev

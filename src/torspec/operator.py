@@ -80,7 +80,7 @@ def apply(a: SeparableSymbol, u: SparseField, budget: int = DEFAULT_PAIR_BUDGET)
     BudgetExceeded.  The windows are scanned as the sum goes and no support
     bound is built; apply_with_support returns one as well.
     """
-    _check_work(a, u, budget)
+    check_work(a, u, budget)
     return SparseField(u.n, _accumulate(_support_hits(a, u)), u.tau)
 
 
@@ -94,7 +94,7 @@ def apply_with_support(
     the containment spectrum(Au) within Xi is asserted before returning.
     The output is bitwise apply(a, u), under the same budget.
     """
-    _check_work(a, u, budget)
+    check_work(a, u, budget)
     term_hits = list(_support_hits(a, u))
     au = SparseField(u.n, _accumulate(term_hits), u.tau)
     xi_set: set[Frequency] = set()
@@ -107,7 +107,9 @@ def apply_with_support(
     return au, xi_set
 
 
-def _check_work(a: SeparableSymbol, u: SparseField, budget: int) -> None:
+def check_work(a: SeparableSymbol, u: SparseField, budget: int = DEFAULT_PAIR_BUDGET) -> None:
+    """Raise unless a(x, D) u fits: the dimensions agree and the nominal
+    pair count sum_t |xpart_t| * |u| is within budget (BudgetExceeded)."""
     if a.n != u.n:
         raise DimensionMismatch(f"symbol dimension {a.n} != field dimension {u.n}")
     work = sum(len(t.xpart) for t in a.terms) * len(u)

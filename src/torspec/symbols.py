@@ -119,15 +119,25 @@ class One(Multiplier):
         return {"kind": "one"}
 
 
+def _need_dyadic_index(j: int) -> None:
+    """Raise ValueError unless j >= 0, the index of a dyadic scale 2^j >= 1
+    (below j = -1074, 2^j is 0.0 and radial would divide by it)."""
+    if j < 0:
+        raise ValueError(f"dyadic index j must be >= 0, got {j}")
+
+
 @dataclass(frozen=True)
 class Corona(Multiplier):
-    """Lacunary corona chi(2^-j eta), supported in 2^j [chi.lo, chi.hi]."""
+    """Lacunary corona chi(2^-j eta), j >= 0, supported in 2^j [chi.lo, chi.hi]."""
 
     chi: RadialBump
     j: int
 
     def __post_init__(self):
-        scale = float(2**self.j)
+        _need_dyadic_index(self.j)
+        # 2.0**j, here and in Block and Modulated, overflows at j >= 1024
+        # without building the integer 2^j from an index read from a file.
+        scale = 2.0**self.j
         self._bound(self.chi.lo * scale, self.chi.hi * scale)
 
     def radial(self, rho: float) -> float:
@@ -149,10 +159,11 @@ class Block(Multiplier):
     j: int
 
     def __post_init__(self):
+        _need_dyadic_index(self.j)
         if self.j == 0:
             self._bound(0.0, self.profile.R)
         else:
-            self._bound(self.profile.r * 2 ** (self.j - 1), self.profile.R * 2**self.j)
+            self._bound(self.profile.r * 2.0 ** (self.j - 1), self.profile.R * 2.0**self.j)
 
     def radial(self, rho: float) -> float:
         return self.profile.block_weight(rho, self.j)
@@ -190,7 +201,7 @@ class Modulated(Multiplier):
     def __post_init__(self):
         if self.m < 0:
             raise ValueError("modulation index must be >= 0")
-        self._bound(self.inner.lo, min(self.inner.hi, self.profile.R * 2**self.m))
+        self._bound(self.inner.lo, min(self.inner.hi, self.profile.R * 2.0**self.m))
 
     def radial(self, rho: float) -> float:
         return self.inner.radial(rho) * self.profile.radial(rho / 2**self.m)

@@ -1,0 +1,199 @@
+"""One bounded fuzz of the command-line boundaries.
+
+Malformed input arrives through the --field and --symbol files, the config
+file and the run/apply flags.  main runs in-process, so an exception that
+escapes it fails the test; every exit code must be 0, 2 or 3 (the stubbed
+experiments below never fail an assertion), and a run that does not exit
+with 0 must write nothing.
+
+The eight experiments are replaced by stubs with the same signatures: the
+boundary still types every value against the real parameters, but a value
+that passes costs one small report, not a whole experiment run.
+"""
+
+import functools
+import json
+import tempfile
+from contextlib import contextmanager
+from pathlib import Path
+from unittest import mock
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from torspec import cli
+from torspec.cutoffs import default_families
+from torspec.experiments import ExperimentReport
+from torspec.fields import SparseField
+from torspec.serialize import save_sparse, save_symbol, symbol_to_json
+from torspec.symbols import (
+    Ball,
+    Block,
+    Corona,
+    Modulated,
+    One,
+    RadialBump,
+    SeparableSymbol,
+    Term,
+    identity_symbol,
+)
+
+FUZZ = settings(max_examples=100, deadline=None)
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=10,
+)
+# Any text: JSON of any shape, or not JSON at all.
+texts = json_values.map(json.dumps) | st.text(max_size=24)
+
+
+def _stub(fn):
+    @functools.wraps(fn)
+    def stub(outdir=None, **params):
+        report = ExperimentReport(fn.__name__, params)
+        report.check_flag("stub", True)
+        return report
+
+    return stub
+
+
+@contextmanager
+def _boundary():
+    """A scratch directory, with every experiment stubbed."""
+    stubs = {name: _stub(fn) for name, fn in cli.REGISTRY.items()}
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(cli.REGISTRY, stubs):
+        yield Path(tmp)
+
+
+def _check(argv, written: Path) -> None:
+    code = cli.main(argv)
+    assert code in (0, 2, 3), (argv, code)
+    if code != 0:
+        assert not written.exists(), argv
+
+
+def _write(path: Path, text: str) -> Path:
+    # Lone surrogates stay in as bytes that are not UTF-8.
+    path.write_bytes(text.encode("utf-8", "surrogatepass"))
+    return path
+
+
+def _apply(tmp: Path, symbol: Path, field: Path, *flags) -> None:
+    out = tmp / "out.json"
+    _check(["apply", "--symbol", str(symbol), "--field", str(field),
+            "--out-field", str(out), *flags], out)
+
+
+def _field(tmp: Path) -> Path:
+    return save_sparse(SparseField(1, {(0,): 1.0, (1,): 0.5, (3,): -2.0}), tmp / "u.json")
+
+
+# A symbol with one term per multiplier kind, so every descriptor key is fuzzed.
+_PROFILE = default_families()[0].profile
+_XPART = SparseField(1, {(0,): 1.0, (2,): 0.5})
+_SYMBOL = symbol_to_json(
+    SeparableSymbol(0.5, 1, tuple(
+        Term(_XPART, mult)
+        for mult in (One(), Corona(RadialBump(), 2), Block(_PROFILE, 1), Ball(3.0),
+                     Modulated(One(), 1, _PROFILE))
+    ))
+)
+
+
+def _paths(node, prefix=()):
+    """The path of every value inside a JSON document, the root excluded."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield (*prefix, key)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, (*prefix, key))
+
+
+_SYMBOL_PATHS = list(_paths(_SYMBOL))
+# The symbol sorts its terms: the index of each kind's term.
+_TERM = {t["mult"]["kind"]: i for i, t in enumerate(_SYMBOL["terms"])}
+
+
+def _replaced(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+@FUZZ
+@given(texts)
+def test_fuzz_field_file(text):
+    with _boundary() as tmp:
+        symbol = save_symbol(identity_symbol(1), tmp / "a.json")
+        _apply(tmp, symbol, _write(tmp / "u.json", text))
+
+
+@FUZZ
+@given(texts)
+def test_fuzz_symbol_file(text):
+    with _boundary() as tmp:
+        _apply(tmp, _write(tmp / "a.json", text), _field(tmp))
+
+
+@FUZZ
+@given(st.sampled_from(_SYMBOL_PATHS), json_values)
+# An index too large for a float must overflow at once, without building the
+# integer 2^j; one below -1074 must not reach a division by 2^j = 0.0.
+@example(("terms", _TERM["corona"], "mult", "j"), 5000)
+@example(("terms", _TERM["block"], "mult", "j"), 2**40)
+@example(("terms", _TERM["modulated"], "mult", "m"), 2**40)
+@example(("terms", _TERM["corona"], "mult", "j"), -2000)
+@example(("terms", _TERM["block"], "mult", "j"), -2000)
+def test_fuzz_symbol_keys(path, value):
+    with _boundary() as tmp:
+        text = json.dumps(_replaced(_SYMBOL, path, value))
+        _apply(tmp, _write(tmp / "a.json", text), _field(tmp))
+
+
+_CONFIG_KEYS = ["out", "emit_plots", "profile.main", "profile.new"] + [
+    f"{name}.{param}"
+    for name, defaults in cli._DEFAULTS.items()
+    for param in defaults
+    if param != "outdir"
+]
+config_lines = st.builds(
+    lambda key, value: f"{key} = {value}",
+    st.sampled_from(_CONFIG_KEYS) | st.text(max_size=12),
+    texts,
+) | st.text(max_size=24)
+
+
+@FUZZ
+@given(st.lists(config_lines, max_size=4))
+def test_fuzz_config_file(lines):
+    with _boundary() as tmp:
+        config = _write(tmp / "run.cfg", "\n".join(lines) + "\n")
+        out = tmp / "runs"
+        _check(["suite", "--config", str(config), "--out", str(out)], out)
+
+
+@FUZZ
+@given(
+    st.sampled_from(list(cli.REGISTRY)),
+    st.sampled_from([flag for flag, _ in cli._RUN_FLAGS]),
+    texts,
+)
+def test_fuzz_run_flags(name, flag, text):
+    with _boundary() as tmp:
+        out = tmp / "runs"
+        _check(["run", name, f"{flag}={text}", "--out", str(out)], out)
+
+
+@FUZZ
+@given(texts)
+@example("2000")
+def test_fuzz_modulate_flag(text):
+    with _boundary() as tmp:
+        symbol = save_symbol(identity_symbol(1), tmp / "a.json")
+        _apply(tmp, symbol, _field(tmp), f"--modulate={text}")

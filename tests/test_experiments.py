@@ -10,6 +10,7 @@ from torspec import experiments
 from torspec.errors import RangeTooLarge, TorspecError
 from torspec.experiments import (
     REGISTRY,
+    ExperimentReport,
     exp_composite,
     exp_continuity,
     exp_partition_check,
@@ -32,6 +33,13 @@ def test_registry_holds_the_eight_experiments():
         "continuity",
         "product",
     }
+
+
+def test_report_without_assertions_does_not_pass():
+    report = ExperimentReport("empty", {})
+    assert not report.passed
+    report.check_flag("holds", True)
+    assert report.passed
 
 
 def test_partition_check_passes():

@@ -190,6 +190,8 @@ def test_bad_profile_rejected_before_running(tmp_path):
         "weierstrass.p_list = [2.0, yes]",
         "weierstrass.outdir = elsewhere",
         "flip.nosuch = 1",
+        # An empty list is no evidence.
+        "flip.d = []",
         # A profile is an object with numeric r/R, an optional string kind
         # and no other key.
         "profile.main = 5",
@@ -253,6 +255,8 @@ def test_run_unclosable_with_list_flag(tmp_path):
 def test_resource_error_exits_three(tmp_path):
     code = main(["run", "unclosable", "--n-list", "8", "--out", str(tmp_path)])
     assert code == 3
+    # A dyadic index too large for a float.
+    assert main(["run", "partition-check", "--m", "2000", "--out", str(tmp_path)]) == 3
 
 
 def test_bad_parameter_exits_two(tmp_path):
@@ -267,11 +271,22 @@ def test_bad_parameter_exits_two(tmp_path):
             ["partition-check", "--n-samples", "0"],
             ["run", "support", "--trials", "0"],
             ["run", "continuity", "--trials", "0"],
+            # Neither is an empty list.
+            ["run", "flip", "--d", "[]"],
+            ["run", "weierstrass", "--d", "[]"],
+            ["run", "composite", "--f", "[]"],
+            ["run", "continuity", "--j-list", "[]"],
         ]
     ):
         out = tmp_path / f"zero{i}"
         assert main([*argv, "--out", str(out)]) == 2, argv
         assert not out.exists(), argv
+    # An output root that is a regular file is bad input, for every command.
+    root = tmp_path / "root-file"
+    root.write_text("keep\n")
+    for argv in (["run", "partition-check"], ["suite"]):
+        assert main([*argv, "--out", str(root)]) == 2, argv
+        assert root.read_text() == "keep\n", argv
 
 
 def test_partition_check_subcommand(tmp_path):
@@ -338,6 +353,17 @@ def test_apply_modulate_zero_empties_high_frequencies(tmp_path):
     )
     assert code == 0
     assert len(load_sparse(tmp_path / "out.json")) == 0
+
+
+def test_apply_modulate_bounds_by_the_applied_symbol(tmp_path, capsys):
+    # Xi is that of the modulated symbol, not of the 1,500-mode input symbol.
+    f = SparseField(1, {(k,): 1.0 for k in range(1500)})
+    save_symbol(multiplication_symbol(f), tmp_path / "a.json")
+    save_sparse(f, tmp_path / "u.json")
+    argv = ["apply", "--symbol", str(tmp_path / "a.json"), "--field", str(tmp_path / "u.json")]
+    assert main([*argv, "--out-field", str(tmp_path / "o.json"), "--modulate", "0"]) == 0
+    printed = capsys.readouterr().out
+    assert "output modes: 3; support bound size: 3; containment: True" in printed
 
 
 def test_apply_over_budget_exits_three(tmp_path):

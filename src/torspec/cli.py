@@ -1,11 +1,12 @@
 """Command-line front end: run experiments, apply symbols, drive the suite.
 
 Exit codes: 0 all assertions pass, 1 assertion failure, 2 bad flags,
-unparsable inputs or an unwritable output root, 3 resource errors (budgets,
-ranges, frequency caps, a dyadic index too large for a float).  main maps
-errors to codes through one table, the same for every command.  Each input
-is type-checked once: a config value by load_config, a run flag against the
-experiment's signature, every other flag by its argparse type.  Output files
+unparsable inputs (JSON nested too deeply too) or an unwritable output root,
+3 resource errors (budgets, ranges, frequency caps, a dyadic index too large
+for a float).  main maps errors to codes through one table, the same for
+every command.  An experiment parameter, from the config file or a run flag,
+has the type of its default by experiments.typed_param, checked before
+anything runs; every other flag is typed by argparse.  Output files
 are written atomically; the output root comes from --out, the config file,
 or the TORSPEC_OUT environment variable, in that order of precedence.
 """
@@ -22,8 +23,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .cutoffs import CutoffProfile, default_families
-from .errors import BadRadii, TorspecError
-from .experiments import REGISTRY, ExperimentReport
+from .errors import TorspecError
+from .experiments import REGISTRY, ExperimentReport, typed_param
 from .operator import apply_with_support, check_work
 from .serialize import (
     atomic_write_text,
@@ -78,31 +79,6 @@ def _parse_value(raw: str):
     return raw
 
 
-def _check_typed(value, default, what: str) -> None:
-    """Raise ValueError unless value has the type of the parameter's default.
-
-    A bool comes only from a JSON true/false, an int never from a float or a
-    bool, a float from an int or a float, a str from a str; a tuple default
-    takes one such element or a nonempty list of them, checked one by one
-    (an empty list would run the experiment on no case at all).
-    """
-    if isinstance(default, tuple):
-        items = value if isinstance(value, list) else [value]
-        if not items:
-            raise ValueError(f"{what} must not be an empty list")
-        for item in items:
-            _check_typed(item, default[0], what)
-        return
-    if isinstance(default, bool) or isinstance(value, bool):
-        ok = isinstance(value, bool) and isinstance(default, bool)
-    elif isinstance(default, float):
-        ok = isinstance(value, (int, float))
-    else:
-        ok = isinstance(value, type(default))
-    if not ok:
-        raise ValueError(f"{what} must be {type(default).__name__}, got {value!r}")
-
-
 def load_config(path: str | None) -> RunConfig:
     """Parse the flat dotted key-value configuration file.
 
@@ -130,7 +106,7 @@ def load_config(path: str | None) -> RunConfig:
             if key == "out":
                 cfg.out = Path(str(value))
             elif key == "emit_plots":
-                _check_typed(value, False, f"{path}:{line_no}: {key}")
+                typed_param(value, False, f"{path}:{line_no}: {key}")
                 cfg.emit_plots = value
             elif key.startswith("profile."):
                 if not isinstance(value, dict):
@@ -142,7 +118,7 @@ def load_config(path: str | None) -> RunConfig:
                 default = _DEFAULTS.get(exp, {}).get(param)
                 if default is None:
                     raise ValueError(f"{path}:{line_no}: unknown key {key!r}")
-                _check_typed(value, default, f"{path}:{line_no}: {key}")
+                typed_param(value, default, f"{path}:{line_no}: {key}")
                 cfg.overrides.setdefault(exp, {})[param] = value
     return cfg
 
@@ -186,15 +162,16 @@ def _emit_plot_script(name: str, outdir: Path, artifacts: list[str]) -> str:
 
 
 def _experiment_kwargs(name: str, cfg: RunConfig, flag_params: dict) -> dict:
-    """Config overrides (load_config typed them), then flags, typed here."""
+    """Config overrides, then flags, each typed by typed_param."""
     if name not in REGISTRY:
         raise ValueError(f"unknown experiment {name!r}")
     params = inspect.signature(REGISTRY[name]).parameters
-    for key, value in flag_params.items():
+    kwargs = {**cfg.overrides.get(name, {}), **flag_params}
+    for key, value in kwargs.items():
         if key not in params:
             raise ValueError(f"experiment {name!r} has no parameter {key!r}")
-        _check_typed(value, params[key].default, f"{name} parameter {key!r}")
-    return {**cfg.overrides.get(name, {}), **flag_params}
+        kwargs[key] = typed_param(value, params[key].default, f"{name} parameter {key!r}")
+    return kwargs
 
 
 def _run_one(name: str, cfg: RunConfig, flag_params: dict) -> ExperimentReport:
@@ -348,7 +325,7 @@ def main(argv=None) -> int:
         return run_experiment(args.name, cfg, _collect_flag_params(args))
     except SystemExit as exc:  # argparse: --help, or a bad flag (2)
         return int(exc.code or 0)
-    except (OSError, ValueError, KeyError, BadRadii) as exc:
+    except (OSError, ValueError, KeyError, RecursionError) as exc:
         return _error(2, exc)
     except (TorspecError, OverflowError) as exc:  # budgets, caps, ranges
         return _error(3, exc)

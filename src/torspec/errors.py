@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit; one only bad input can cause is a ValueError too."""
 
 
 class TorspecError(Exception):
@@ -9,7 +9,7 @@ class FrequencyOutOfRange(TorspecError):
     """A frequency does not fit the representable grid range [-M/2, M/2)."""
 
 
-class DimensionMismatch(TorspecError):
+class DimensionMismatch(TorspecError, ValueError):
     """Operands live on tori of different dimension."""
 
 
@@ -21,7 +21,7 @@ class EmptySpectrum(TorspecError):
     """An operation requires a nonzero spectrum away from the origin."""
 
 
-class BadRadii(TorspecError):
+class BadRadii(TorspecError, ValueError):
     """Cutoff radii violate 0 < r < R."""
 
 
@@ -29,7 +29,7 @@ class BadRange(TorspecError):
     """A dyadic index range is empty or exceeds the 64-bit safety cap."""
 
 
-class ZeroDirection(TorspecError):
+class ZeroDirection(TorspecError, ValueError):
     """A lattice direction parameter is the zero vector."""
 
 

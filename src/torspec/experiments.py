@@ -8,6 +8,8 @@ metrics and optional CSV artifacts.
 from __future__ import annotations
 
 import csv
+import functools
+import inspect
 import io
 import math
 from dataclasses import dataclass, field as dc_field
@@ -124,23 +126,62 @@ def _need_positive(name: str, count: int) -> None:
         raise ValueError(f"{name} must be >= 1, got {count}")
 
 
-def _as_tuple(value, cast):
-    if isinstance(value, (int, float, str)):
-        return (cast(value),)
-    return tuple(cast(v) for v in value)
+def typed_param(value, default, what: str):
+    """value checked against the type of a parameter's default, in its shape.
+
+    A bool comes only from a bool, an int never from a float or a bool, a
+    float from an int or a float other than NaN (returned as a float), a str
+    from a str; a tuple default takes one such element or a nonempty list or
+    tuple of them, each checked and cast, and returns a tuple (an empty one
+    would run the experiment on no case at all).  Anything else raises
+    ValueError.
+    """
+    if isinstance(default, tuple):
+        items = value if isinstance(value, (list, tuple)) else [value]
+        if not items:
+            raise ValueError(f"{what} must not be an empty list")
+        return tuple(typed_param(item, default[0], what) for item in items)
+    if isinstance(default, bool) or isinstance(value, bool):
+        ok = isinstance(value, bool) and isinstance(default, bool)
+    elif isinstance(default, float):
+        ok = isinstance(value, (int, float)) and value == value
+    else:
+        ok = isinstance(value, type(default))
+    if not ok:
+        raise ValueError(f"{what} must be {type(default).__name__}, got {value!r}")
+    return float(value) if isinstance(default, float) else value
+
+
+def _typed_params(fn):
+    """fn with every argument but outdir passed through typed_param first."""
+    sig = inspect.signature(fn)
+
+    @functools.wraps(fn)
+    def run(*args, **kwargs):
+        given = sig.bind(*args, **kwargs).arguments
+        for key, value in given.items():
+            if key != "outdir":
+                given[key] = typed_param(value, sig.parameters[key].default, f"{fn.__name__} {key}")
+        return fn(**given)
+
+    return run
+
+
+def _params(args: dict) -> dict:
+    """An experiment's record of its first locals(): parameters but outdir, tuples as lists."""
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in args.items() if k != "outdir"}
 
 
 # -- 1. dyadic partition identity ------------------------------------------------
 
 
+@_typed_params
 def exp_partition_check(
     m: int = 8, n_samples: int = 10_000, seed: int = 0, outdir=None
 ) -> ExperimentReport:
     """Telescoping partition identity on both default profiles."""
+    report = ExperimentReport("partition-check", _params(locals()))
     _need_positive("n_samples", n_samples)
-    report = ExperimentReport(
-        "partition-check", {"m": m, "n_samples": n_samples, "seed": seed}
-    )
     rng = np.random.default_rng(seed)
     fams = default_families()
     rows = []
@@ -178,6 +219,7 @@ def exp_partition_check(
 # -- 2. unclosable graph ------------------------------------------------------------
 
 
+@_typed_params
 def exp_unclosable(
     d: float = 0.0,
     n_list: tuple[int, ...] = (5, 6, 7),
@@ -185,11 +227,7 @@ def exp_unclosable(
     outdir=None,
 ) -> ExperimentReport:
     """The vanishing family: exact harmonic-ratio output and shrinking norms."""
-    n_list = _as_tuple(n_list, int)
-    theta = tuple(int(c) for c in theta)
-    report = ExperimentReport(
-        "unclosable", {"d": d, "n_list": list(n_list), "theta": list(theta)}
-    )
+    report = ExperimentReport("unclosable", _params(locals()))
     norms = []
     rows = []
     for N in n_list:
@@ -244,6 +282,7 @@ def _slope_at(groups, direction):
     raise TorspecError(f"no spectral group near direction {direction}")
 
 
+@_typed_params
 def exp_wavefront_flip(
     d=(0.0, 0.5, 1.0),
     j0: int = 5,
@@ -253,12 +292,7 @@ def exp_wavefront_flip(
     outdir=None,
 ) -> ExperimentReport:
     """Flip of the lacunary direction and the cross-direction generalisation."""
-    d_values = _as_tuple(d, float)
-    theta = tuple(int(c) for c in theta)
-    report = ExperimentReport(
-        "flip",
-        {"d": list(d_values), "j0": j0, "J": J, "theta": list(theta), "with_2d": with_2d},
-    )
+    report = ExperimentReport("flip", _params(locals()))
     rows = []
 
     def run_case(tag, n, theta_n, shift_dir, d_val):
@@ -281,7 +315,7 @@ def exp_wavefront_flip(
         report.check_flag(f"twisted-diagonal-C2[{tag}]", ok)
         rows.append((tag, d_val, slope_in, slope_out, resid))
 
-    for d_val in d_values:
+    for d_val in d:
         run_case(f"1d,d={d_val}", len(theta), theta, theta, d_val)
         if with_2d:
             theta2 = (1, 0)
@@ -300,20 +334,17 @@ def exp_wavefront_flip(
 # -- 4. block norms of the lacunary exponential sum --------------------------------------
 
 
+@_typed_params
 def exp_weierstrass(
     d=(0.5, 1.0), J: int = 12, M: int = 2**15, p_list=(1.0, 2.0, 4.0), outdir=None
 ) -> ExperimentReport:
     """Second microlocalisation and unit block norms of the lacunary sum."""
+    report = ExperimentReport("weierstrass", _params(locals()))
     if not 2 ** (J + 1) < M // 2:
         raise TorspecError(f"need 2^(J+1) < M/2, got J={J}, M={M}")
-    d_values = _as_tuple(d, float)
-    p_list = _as_tuple(p_list, float)
-    report = ExperimentReport(
-        "weierstrass", {"d": list(d_values), "J": J, "M": M, "p_list": list(p_list)}
-    )
     fam = default_families()[0]
     rows = []
-    for d_val in d_values:
+    for d_val in d:
         f = weierstrass_field(d_val, J)
         worst = 0.0
         for k in range(1, J + 1):
@@ -367,14 +398,13 @@ def random_symbol(n: int, rng: np.random.Generator, max_terms: int = 3) -> Separ
     return SeparableSymbol(0.0, n, tuple(terms))
 
 
+@_typed_params
 def exp_spectral_support(
     seed: int = 7, trials: int = 500, n_modes: int = 25, outdir=None
 ) -> ExperimentReport:
     """Random containment trials plus one engineered strict inclusion."""
+    report = ExperimentReport("support", _params(locals()))
     _need_positive("trials", trials)
-    report = ExperimentReport(
-        "support", {"seed": seed, "trials": trials, "n_modes": n_modes}
-    )
     rng = np.random.default_rng(seed)
     failures = 0
     strict = 0
@@ -421,6 +451,7 @@ _COMPOSITE_F = {
 }
 
 
+@_typed_params
 def exp_composite(
     f=("sin", "square"),
     seed: int = 11,
@@ -433,26 +464,10 @@ def exp_composite(
     outdir=None,
 ) -> ExperimentReport:
     """Paraproduct factorisation of F(u) and the continuity probe."""
-    fnames = _as_tuple(f, str)
-    s_list = _as_tuple(s_list, float)
-    p_list = _as_tuple(p_list, float)
-    delta_list = _as_tuple(delta_list, float)
-    for fname in fnames:
+    report = ExperimentReport("composite", _params(locals()))
+    for fname in f:
         if fname not in _COMPOSITE_F:
             raise TorspecError(f"unknown composite function {fname!r}")
-    report = ExperimentReport(
-        "composite",
-        {
-            "f": list(fnames),
-            "seed": seed,
-            "M": M,
-            "K": K,
-            "Q": Q,
-            "s_list": list(s_list),
-            "p_list": list(p_list),
-            "delta_list": list(delta_list),
-        },
-    )
     rng = np.random.default_rng(seed)
     fam = default_families()[0]
     window = 2 ** (K - 1)
@@ -469,7 +484,7 @@ def exp_composite(
     u_pot = {s: bessel_potential(u_dense, s) for s in s_list}
     norm_rows = []
     lip_rows = []
-    for fname in fnames:
+    for fname in f:
         F, Fp, tol = _COMPOSITE_F[fname]
         check_vanishes_at_zero(F)
         mks = meyer_symbol(u_dense, Fp, fam, K, Q)
@@ -512,6 +527,7 @@ def exp_composite(
 # -- 7. continuity dichotomy --------------------------------------------------------------
 
 
+@_typed_params
 def exp_continuity(
     seed: int = 23,
     d: float = 0.0,
@@ -522,21 +538,8 @@ def exp_continuity(
     outdir=None,
 ) -> ExperimentReport:
     """Unboundedness along the vanishing family vs twisted-diagonal boundedness."""
+    report = ExperimentReport("continuity", _params(locals()))
     _need_positive("trials", trials)
-    n_list = _as_tuple(n_list, int)
-    j_list = _as_tuple(j_list, int)
-    theta = tuple(int(c) for c in theta)
-    report = ExperimentReport(
-        "continuity",
-        {
-            "seed": seed,
-            "d": d,
-            "theta": list(theta),
-            "n_list": list(n_list),
-            "j_list": list(j_list),
-            "trials": trials,
-        },
-    )
     rows = []
 
     # (i) plain lacunary direction: ratios along the vanishing family.
@@ -594,6 +597,7 @@ def exp_continuity(
 # -- 8. generalised product -----------------------------------------------------------------
 
 
+@_typed_params
 def exp_product(
     seed: int = 3, m_range: tuple[int, int] = (0, 8), trials: int = 40, outdir=None
 ) -> ExperimentReport:
@@ -602,11 +606,8 @@ def exp_product(
     all-diagnostics-pass needs the diagnostics of all three pi_product runs
     of every trial: pi(u, v), pi(f u, v) and pi(u, f v).
     """
+    report = ExperimentReport("product", _params(locals()))
     _need_positive("trials", trials)
-    m_range = _as_tuple(m_range, int)
-    report = ExperimentReport(
-        "product", {"seed": seed, "m_range": list(m_range), "trials": trials}
-    )
     rng = np.random.default_rng(seed)
     profiles = [f.profile for f in default_families()]
     worst_stab = 0.0

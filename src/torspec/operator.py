@@ -299,11 +299,14 @@ def _modulation_run(
     cover is the largest radius that every profile's plateau must reach at
     m_star for the run to pass.  The sequences are keyed by profile id, so
     fewer than two distinct ids raise ValueError before any step: one
-    profile given twice has nothing to be compared with.
+    profile given twice has nothing to be compared with.  So does a range
+    with m_hi < m_lo, which holds no step at all.
     """
     if len({p.id for p in profiles}) < 2:
         raise ValueError("need at least two distinct profile ids for independence checking")
     m_lo, m_hi = m_range
+    if m_hi < m_lo:
+        raise ValueError(f"modulation range {m_lo}..{m_hi} is reversed")
     seqs = {p.id: [step(p, m) for m in range(m_lo, m_hi + 1)] for p in profiles}
     return _diagnose(seqs, m_lo, m_hi, cover, min(p.r for p in profiles))
 

@@ -149,7 +149,7 @@ def load_dense(base: Path | str) -> DenseField:
 
     The sidecar must be an object with an integer "n" in {1, 2} and an
     integer "M" that is a power of two >= 2, and the .c64 file must hold
-    exactly M^n samples.
+    exactly M^n samples: 8 M^n bytes, none left over.
     """
     base = Path(base)
     with open(base.with_suffix(".json")) as handle:
@@ -159,9 +159,10 @@ def load_dense(base: Path | str) -> DenseField:
         raise ValueError(f"dimension {n} not in {{1, 2}}")
     if M < 2 or M & (M - 1):
         raise ValueError(f"grid size {M} is not a power of two >= 2")
+    size = base.with_suffix(".c64").stat().st_size
+    if size != 8 * M**n:
+        raise ValueError(f"{size} bytes in the .c64 file, expected 8 M^n = {8 * M**n}")
     raw = np.fromfile(base.with_suffix(".c64"), dtype="<c8")
-    if raw.size != M**n:
-        raise ValueError(f"{raw.size} samples in the .c64 file, expected M^n = {M**n}")
     return DenseField(n, M, raw.reshape((M,) * n).astype(np.complex128))
 
 

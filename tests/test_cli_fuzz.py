@@ -4,14 +4,18 @@ Malformed input arrives through the --field and --symbol files, the config
 file and the run/apply flags.  main runs in-process, so an exception that
 escapes it fails the test; every exit code must be 0, 2 or 3 (the stubbed
 experiments below never fail an assertion), and a run that does not exit
-with 0 must write nothing.
+with 0 must write nothing.  The dense .c64 file and its sidecar, read by
+load_dense, are fuzzed outside the CLI.
 
-The eight experiments are replaced by stubs with the same signatures: the
-boundary still types every value against the real parameters, but a value
-that passes costs one small report, not a whole experiment run.
+The eight experiments are replaced by stubs with the same signatures and
+the same parameter path (experiments.typed_param through the experiments'
+decorator): every value is typed against the real parameters and must
+arrive in the shape of its default, but a value that passes costs one small
+report, not a whole experiment run.
 """
 
 import functools
+import inspect
 import json
 import tempfile
 from contextlib import contextmanager
@@ -21,11 +25,11 @@ from unittest import mock
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from torspec import cli
+from torspec import cli, experiments
 from torspec.cutoffs import default_families
 from torspec.experiments import ExperimentReport
 from torspec.fields import SparseField
-from torspec.serialize import save_sparse, save_symbol, symbol_to_json
+from torspec.serialize import load_dense, save_sparse, save_symbol, symbol_to_json
 from torspec.symbols import (
     Ball,
     Block,
@@ -50,14 +54,25 @@ json_values = st.recursive(
 texts = json_values.map(json.dumps) | st.text(max_size=24)
 
 
+def _in_default_shape(value, default) -> bool:
+    """A tuple of the default's element type for a tuple default, else its type."""
+    if isinstance(default, tuple):
+        return isinstance(value, tuple) and all(type(v) is type(default[0]) for v in value)
+    return type(value) is type(default)
+
+
 def _stub(fn):
+    defaults = {key: p.default for key, p in inspect.signature(fn).parameters.items()}
+
     @functools.wraps(fn)
     def stub(outdir=None, **params):
+        for key, value in params.items():
+            assert _in_default_shape(value, defaults[key]), (fn.__name__, key, value)
         report = ExperimentReport(fn.__name__, params)
         report.check_flag("stub", True)
         return report
 
-    return stub
+    return experiments._typed_params(stub)
 
 
 @contextmanager
@@ -126,8 +141,19 @@ def _replaced(doc, path, value):
     return doc
 
 
+# Valid JSON, 1,500 modulated multipliers deep: rebuilding them passes the
+# recursion limit, also the one hypothesis raises to about 2,000 frames.
+_HEAD, _TAIL = json.dumps(
+    {**_SYMBOL["terms"][_TERM["modulated"]]["mult"], "inner": "@"}
+).split('"@"')
+_DEEP_SYMBOL = json.dumps(_replaced(_SYMBOL, ("terms", _TERM["modulated"], "mult"), "@")).replace(
+    '"@"', _HEAD * 1500 + '{"kind": "one"}' + _TAIL * 1500
+)
+
+
 @FUZZ
 @given(texts)
+@example("[" * 100_000)  # nested past the recursion limit
 def test_fuzz_field_file(text):
     with _boundary() as tmp:
         symbol = save_symbol(identity_symbol(1), tmp / "a.json")
@@ -136,6 +162,7 @@ def test_fuzz_field_file(text):
 
 @FUZZ
 @given(texts)
+@example(_DEEP_SYMBOL)
 def test_fuzz_symbol_file(text):
     with _boundary() as tmp:
         _apply(tmp, _write(tmp / "a.json", text), _field(tmp))
@@ -171,6 +198,7 @@ config_lines = st.builds(
 
 @FUZZ
 @given(st.lists(config_lines, max_size=4))
+@example(["flip.d = " + "[" * 100_000])
 def test_fuzz_config_file(lines):
     with _boundary() as tmp:
         config = _write(tmp / "run.cfg", "\n".join(lines) + "\n")
@@ -197,3 +225,27 @@ def test_fuzz_modulate_flag(text):
     with _boundary() as tmp:
         symbol = save_symbol(identity_symbol(1), tmp / "a.json")
         _apply(tmp, symbol, _field(tmp), f"--modulate={text}")
+
+
+# A sidecar of any text, or an object with "M" and "n" near the valid ones.
+sidecars = texts | st.fixed_dictionaries({
+    "M": st.integers(0, 4).map(lambda k: 2**k) | json_values,
+    "n": st.sampled_from([1, 2]) | json_values,
+}).map(json.dumps)
+
+
+@FUZZ
+@given(sidecars, st.binary(max_size=8 * 17))
+# 5 bytes past two samples must not be dropped.
+@example('{"M": 2, "n": 1}', bytes(8 * 2 + 5))
+def test_fuzz_dense_files(sidecar, samples):
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp) / "g"
+        _write(base.with_suffix(".json"), sidecar)
+        base.with_suffix(".c64").write_bytes(samples)
+        try:
+            g = load_dense(base)
+        except (ValueError, KeyError):
+            return
+        # Every byte became a sample, and there are M^n of them.
+        assert g.samples.size == g.M**g.n and 8 * g.samples.size == len(samples)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -55,6 +56,21 @@ def test_unclosable_report_contents():
     assert report.passed
     assert report.metrics["harmonic_ratio[5]"] == pytest.approx(1.0765403443241661, rel=1e-12)
     assert report.metrics["input_norm[5]"] > report.metrics["input_norm[6]"]
+
+
+def test_python_callers_get_the_parameter_rule():
+    # A value is checked against the type of its default and returned in
+    # its shape: 5.5 must not run as N = 5, and an int for a float is a float.
+    with pytest.raises(ValueError):
+        exp_unclosable(n_list=(5.5,))
+    with pytest.raises(ValueError):
+        exp_unclosable(theta=(1.0,))
+    with pytest.raises(ValueError):
+        exp_composite(f=("square",), s_list=(math.nan,), M=1024, K=6)
+    report = exp_unclosable(d=0, n_list=5, theta=[1])
+    assert report.passed
+    assert report.params == {"d": 0.0, "n_list": [5], "theta": [1]}
+    assert type(report.params["d"]) is float
 
 
 def test_unclosable_range_guard():

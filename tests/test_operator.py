@@ -192,6 +192,19 @@ def test_one_point_range_is_not_a_pass(profiles):
     assert pi_product(u, u, profiles, (3, 4))[0].passed
 
 
+def test_reversed_range_is_rejected(profiles):
+    # m_hi < m_lo holds no step: refused before any, like a repeated id.
+    u = SparseField(1, {(1,): 1.0, (3,): -0.5j})
+    steps = []
+    with pytest.raises(ValueError):
+        _modulation_run(lambda q, m: steps.append(m), profiles, (8, 0), 0.0)
+    assert steps == []
+    with pytest.raises(ValueError):
+        pi_product(u, u, profiles, (8, 0))
+    with pytest.raises(ValueError):
+        vanishing_limit(identity_symbol(1), u, profiles, (1, 0))
+
+
 def test_repeated_profile_id_is_rejected(profiles):
     # One id twice is one sequence: nothing to check psi-independence
     # against, so the run must refuse before any step rather than PASS.

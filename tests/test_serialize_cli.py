@@ -252,6 +252,46 @@ def test_run_unclosable_with_list_flag(tmp_path):
         assert not (out / "unclosable" / "report.json").exists()
 
 
+def test_tuple_flag_takes_one_element(tmp_path):
+    # One element for a tuple parameter runs as a tuple of it, not a crash.
+    runs = {
+        "unclosable": ["--n-list", "5"],
+        "flip": ["--J", "8", "--with-2d", "false"],
+        "continuity": ["--n-list", "5,6", "--j-list", "10,14", "--trials", "3"],
+    }
+    for name, flags in runs.items():
+        assert main(["run", name, "--theta", "1", *flags, "--out", str(tmp_path)]) == 0, name
+        report = json.loads((tmp_path / name / "report.json").read_text())
+        assert report["params"]["theta"] == [1], name
+    report = json.loads((tmp_path / "unclosable" / "report.json").read_text())
+    assert report["params"] == {"d": 0.0, "n_list": [5], "theta": [1]}
+
+
+def test_bad_input_errors_exit_two(tmp_path):
+    # Errors only bad input can cause are bad input (2), not resource limits (3).
+    save_symbol(identity_symbol(1), tmp_path / "a.json")
+    save_sparse(delta_field((1, 0)), tmp_path / "u2.json")
+    out = tmp_path / "o.json"
+    argv = ["apply", "--symbol", str(tmp_path / "a.json"), "--field", str(tmp_path / "u2.json")]
+    assert main([*argv, "--out-field", str(out)]) == 2
+    assert not out.exists()
+    runs = tmp_path / "runs"
+    assert main(["run", "flip", "--theta", "0", "--with-2d", "false", "--out", str(runs)]) == 2
+    assert not runs.exists()
+
+
+def test_bad_config_value_exits_two_writing_nothing(tmp_path):
+    # A reversed modulation range has no step; a NaN parameter is no number
+    # (composite used to run on it and write its CSV tables before failing).
+    lines = {"product": "product.m_range = [8, 0]", "composite": "composite.s_list = NaN"}
+    for name, line in lines.items():
+        cfg_file = tmp_path / f"{name}.cfg"
+        cfg_file.write_text(line + "\n")
+        out = tmp_path / name
+        assert main(["run", name, "--config", str(cfg_file), "--out", str(out)]) == 2, line
+        assert not out.exists(), line
+
+
 def test_resource_error_exits_three(tmp_path):
     code = main(["run", "unclosable", "--n-list", "8", "--out", str(tmp_path)])
     assert code == 3
@@ -488,12 +528,43 @@ def test_emit_plots_writes_scripts(tmp_path):
     assert (tmp_path / "weierstrass" / "plot_weierstrass.py").exists()
 
 
+# Every report's record of its parameters at the defaults, in signature order.
+SUITE_PARAMS = {
+    "partition-check": {"m": 8, "n_samples": 10000, "seed": 0},
+    "unclosable": {"d": 0.0, "n_list": [5, 6, 7], "theta": [1]},
+    "flip": {"d": [0.0, 0.5, 1.0], "j0": 5, "J": 20, "theta": [1], "with_2d": True},
+    "weierstrass": {"d": [0.5, 1.0], "J": 12, "M": 32768, "p_list": [1.0, 2.0, 4.0]},
+    "support": {"seed": 7, "trials": 500, "n_modes": 25},
+    "composite": {
+        "f": ["sin", "square"],
+        "seed": 11,
+        "M": 4096,
+        "K": 7,
+        "Q": 32,
+        "s_list": [0.5, 1.0],
+        "p_list": [2.0, 4.0],
+        "delta_list": [0.1, 0.01, 0.001, 0.0001],
+    },
+    "continuity": {
+        "seed": 23,
+        "d": 0.0,
+        "theta": [1],
+        "n_list": [5, 6, 7, 8],
+        "j_list": [10, 20, 30, 40],
+        "trials": 6,
+    },
+    "product": {"seed": 3, "m_range": [0, 8], "trials": 40},
+}
+
+
 def test_suite_reports_match_summary(tmp_path):
     assert main(["suite", "--out", str(tmp_path), "--emit-plots"]) == 0
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert [e["name"] for e in summary["experiments"]] == list(REGISTRY)
     for entry in summary["experiments"]:
         name = entry["name"]
+        # Order and types too: 0 is not 0.0 here.
+        assert json.dumps(entry["params"]) == json.dumps(SUITE_PARAMS[name]), name
         report = json.loads((tmp_path / name / "report.json").read_text())
         assert report == entry
         plot = Path(report["artifacts"][-1])

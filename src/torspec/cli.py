@@ -4,17 +4,20 @@ Exit codes: 0 all assertions pass, 1 assertion failure, 2 bad flags,
 unparsable inputs (JSON nested too deeply too) or an unwritable output root,
 3 resource errors (budgets, ranges, frequency caps, a dyadic index too large
 for a float).  main maps errors to codes through one table, the same for
-every command.  An experiment parameter, from the config file or a run flag,
-has the type of its default by experiments.typed_param, checked before
-anything runs; every other flag is typed by argparse.  Output files
-are written atomically; the output root comes from --out, the config file,
+every command.  Each experiment parameter is a config key and a run flag,
+read from the signatures in REGISTRY and typed by experiments.typed_param
+before any work.  run and suite write every file atomically, and only once
+the last experiment has returned and every text is ready, so a run that
+fails writes nothing.  The output root comes from --out, the config file,
 or the TORSPEC_OUT environment variable, in that order of precedence.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import inspect
+import io
 import json
 import os
 import sys
@@ -28,11 +31,11 @@ from .experiments import REGISTRY, ExperimentReport, typed_param
 from .operator import apply_with_support, check_work
 from .serialize import (
     atomic_write_text,
+    json_text,
     load_sparse,
     load_symbol,
     profile_from_json,
     save_sparse,
-    write_json,
 )
 from .symbols import symbol_full_modulate
 
@@ -61,11 +64,13 @@ class RunConfig:
         return self.profiles[name]
 
 
-# Each experiment's parameter defaults: the types config overrides must have.
-_DEFAULTS = {
-    name: {p.name: p.default for p in inspect.signature(fn).parameters.values()}
-    for name, fn in REGISTRY.items()
-}
+def _param_defaults(names) -> dict[str, list]:
+    """Each parameter of the named experiments, read from REGISTRY now, with its defaults."""
+    params: dict[str, list] = {}
+    for name in names:
+        for p in inspect.signature(REGISTRY[name]).parameters.values():
+            params.setdefault(p.name, []).append(p.default)
+    return params
 
 
 def _parse_value(raw: str):
@@ -115,10 +120,10 @@ def load_config(path: str | None) -> RunConfig:
             else:
                 exp, _, param = key.partition(".")
                 param = param.replace("-", "_")
-                default = _DEFAULTS.get(exp, {}).get(param)
-                if default is None:
+                defaults = _param_defaults([exp] if exp in REGISTRY else [])
+                if param not in defaults:
                     raise ValueError(f"{path}:{line_no}: unknown key {key!r}")
-                typed_param(value, default, f"{path}:{line_no}: {key}")
+                typed_param(value, defaults[param][0], f"{path}:{line_no}: {key}")
                 cfg.overrides.setdefault(exp, {})[param] = value
     return cfg
 
@@ -154,39 +159,38 @@ print("wrote plots next to the CSV tables")
 """
 
 
-def _emit_plot_script(name: str, outdir: Path, artifacts: list[str]) -> str:
-    tables = [Path(a).name for a in artifacts if a.endswith(".csv")]
-    path = outdir / f"plot_{name}.py"
-    atomic_write_text(path, _PLOT_TEMPLATE.format(name=name, tables=tables))
-    return str(path)
+def _report_files(name: str, report: ExperimentReport, cfg: RunConfig) -> list:
+    """(path, text) of each file of one experiment: its CSV tables, its plot
+    script under emit_plots, then report.json, whose artifacts list the others."""
+    outdir = cfg.out / name
+    files = []
+    for table, (header, rows) in report.tables.items():
+        buf = io.StringIO()
+        csv.writer(buf).writerows([header, *rows])
+        files.append((outdir / table, buf.getvalue()))
+    if cfg.emit_plots:
+        script = _PLOT_TEMPLATE.format(name=name, tables=list(report.tables))
+        files.append((outdir / f"plot_{name}.py", script))
+    report.artifacts = [str(path) for path, _ in files]
+    return files + [(outdir / "report.json", json_text(report.to_json()))]
 
 
 def _experiment_kwargs(name: str, cfg: RunConfig, flag_params: dict) -> dict:
-    """Config overrides, then flags, each typed by typed_param."""
+    """Config overrides, then flags, by name; the experiment types each value."""
     if name not in REGISTRY:
         raise ValueError(f"unknown experiment {name!r}")
-    params = inspect.signature(REGISTRY[name]).parameters
     kwargs = {**cfg.overrides.get(name, {}), **flag_params}
-    for key, value in kwargs.items():
+    params = _param_defaults([name])
+    for key in kwargs:
         if key not in params:
             raise ValueError(f"experiment {name!r} has no parameter {key!r}")
-        kwargs[key] = typed_param(value, params[key].default, f"{name} parameter {key!r}")
     return kwargs
 
 
-def _run_one(name: str, cfg: RunConfig, flag_params: dict) -> ExperimentReport:
-    kwargs = _experiment_kwargs(name, cfg, flag_params)
-    # Every writer creates its directory, so a run that fails writes nothing.
-    outdir = cfg.out / name
-    report = REGISTRY[name](outdir=outdir, **kwargs)
-    if cfg.emit_plots:
-        report.artifacts.append(_emit_plot_script(name, outdir, report.artifacts))
-    write_json(outdir / "report.json", report.to_json())
-    return report
-
-
 def run_experiment(name: str, cfg: RunConfig, flag_params: dict) -> int:
-    report = _run_one(name, cfg, flag_params)
+    report = REGISTRY[name](**_experiment_kwargs(name, cfg, flag_params))
+    for path, text in _report_files(name, report, cfg):
+        atomic_write_text(path, text)
     for assertion in report.assertions:
         state = "PASS" if assertion.passed else "FAIL"
         print(f"[{state}] {name}: {assertion.id} (measured {assertion.measured:.3g},"
@@ -196,14 +200,18 @@ def run_experiment(name: str, cfg: RunConfig, flag_params: dict) -> int:
 
 def run_suite(cfg: RunConfig) -> int:
     started = time.time()
-    summary = {"experiments": [], "pass": True}
+    reports = {}
     for name in REGISTRY:
-        report = _run_one(name, cfg, {})
-        summary["experiments"].append(report.to_json())
-        summary["pass"] = summary["pass"] and report.passed
-        print(f"[{'PASS' if report.passed else 'FAIL'}] {name}")
-    summary["wall_seconds"] = time.time() - started
-    write_json(cfg.out / "summary.json", summary)
+        reports[name] = REGISTRY[name](**_experiment_kwargs(name, cfg, {}))
+        print(f"[{'PASS' if reports[name].passed else 'FAIL'}] {name}")
+    files = [f for name, report in reports.items() for f in _report_files(name, report, cfg)]
+    summary = {
+        "experiments": [report.to_json() for report in reports.values()],
+        "pass": all(report.passed for report in reports.values()),
+        "wall_seconds": time.time() - started,
+    }
+    for path, text in files + [(cfg.out / "summary.json", json_text(summary))]:
+        atomic_write_text(path, text)
     print(f"suite finished in {summary['wall_seconds']:.1f}s:"
           f" {'PASS' if summary['pass'] else 'FAIL'}")
     return 0 if summary["pass"] else 1
@@ -248,37 +256,19 @@ def _nonnegative_int(raw: str) -> int:
     return value
 
 
-_RUN_FLAGS = [
-    ("--d", str),
-    ("--j0", int),
-    ("--J", int),
-    ("--m", int),
-    ("--n-samples", int),
-    ("--n-list", str),
-    ("--j-list", str),
-    ("--theta", str),
-    ("--seed", int),
-    ("--trials", int),
-    ("--n-modes", int),
-    ("--f", str),
-    ("--M", int),
-    ("--K", int),
-    ("--Q", int),
-    ("--with-2d", _strict_bool),
-]
-
-
-def _collect_flag_params(args) -> dict:
-    params = {}
-    for flag, _ in _RUN_FLAGS:
-        key = flag.lstrip("-").replace("-", "_")
-        value = getattr(args, key, None)
-        if value is None:
-            continue
-        if isinstance(value, str):
-            value = _parse_value(value)
-        params[key] = value
-    return params
+def _add_param_flags(parser: argparse.ArgumentParser, params: dict[str, list]) -> None:
+    """One flag per parameter: int if every default is an int, _strict_bool
+    for a bool, _parse_value otherwise.  An absent flag sets no attribute, so
+    a given JSON null is not taken for an absent flag."""
+    for key, defaults in params.items():
+        if all(isinstance(d, bool) for d in defaults):
+            typ = _strict_bool
+        elif all(type(d) is int for d in defaults):
+            typ = int
+        else:
+            typ = _parse_value
+        flag = "--" + key.replace("_", "-")
+        parser.add_argument(flag, dest=key, type=typ, default=argparse.SUPPRESS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -288,8 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run one named experiment")
     p_run.add_argument("name", help=f"one of: {', '.join(REGISTRY)}")
     _add_common(p_run)
-    for flag, typ in _RUN_FLAGS:
-        p_run.add_argument(flag, type=typ, default=None)
+    _add_param_flags(p_run, _param_defaults(REGISTRY))
 
     p_suite = sub.add_parser("suite", help="run every experiment at default parameters")
     _add_common(p_suite)
@@ -297,8 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_part = sub.add_parser("partition-check", help="shortcut for `run partition-check`")
     _add_common(p_part)
     p_part.set_defaults(name="partition-check")
-    for flag in ("--m", "--n-samples", "--seed"):
-        p_part.add_argument(flag, type=int, default=None)
+    _add_param_flags(p_part, _param_defaults(["partition-check"]))
 
     p_apply = sub.add_parser("apply", help="apply a serialized symbol to a field")
     _add_common(p_apply)
@@ -322,7 +310,8 @@ def main(argv=None) -> int:
             return run_suite(cfg)
         if args.command == "apply":
             return run_apply(args, cfg)
-        return run_experiment(args.name, cfg, _collect_flag_params(args))
+        params = _param_defaults(REGISTRY)
+        return run_experiment(args.name, cfg, {k: v for k, v in vars(args).items() if k in params})
     except SystemExit as exc:  # argparse: --help, or a bad flag (2)
         return int(exc.code or 0)
     except (OSError, ValueError, KeyError, RecursionError) as exc:

@@ -1,19 +1,18 @@
 """Scripted reproductions of the named constructions, with verdicts.
 
-Every experiment is deterministic given (seed, parameters); it returns an
-ExperimentReport whose assertions are exactly its acceptance contract, plus
-metrics and optional CSV artifacts.
+Every experiment is a pure function of its parameters: deterministic given
+(seed, parameters), it writes no file and returns an ExperimentReport whose
+assertions are exactly its acceptance contract, plus metrics and its CSV
+tables (report.tables, for the command line to write).
 """
 
 from __future__ import annotations
 
-import csv
 import functools
 import inspect
-import io
 import math
+import sys
 from dataclasses import dataclass, field as dc_field
-from pathlib import Path
 
 import numpy as np
 
@@ -45,7 +44,6 @@ from .operator import (
     rel_coeff_diff,
     vanishing_limit,
 )
-from .serialize import atomic_write_text
 from .symbols import (
     Ball,
     Corona,
@@ -79,11 +77,14 @@ class Assertion:
 
 @dataclass
 class ExperimentReport:
+    """One run's verdicts; tables maps a CSV file name to (header, rows), not in to_json()."""
+
     name: str
     params: dict
     metrics: dict = dc_field(default_factory=dict)
     assertions: list = dc_field(default_factory=list)
     artifacts: list = dc_field(default_factory=list)
+    tables: dict = dc_field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -108,18 +109,6 @@ class ExperimentReport:
         }
 
 
-def _emit_csv(report: ExperimentReport, outdir, filename: str, header, rows) -> None:
-    if outdir is None:
-        return
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    path = Path(outdir) / filename
-    atomic_write_text(path, buf.getvalue())
-    report.artifacts.append(str(path))
-
-
 def _need_positive(name: str, count: int) -> None:
     """Raise ValueError unless count >= 1: zero trials or samples are no evidence."""
     if count < 1:
@@ -130,11 +119,12 @@ def typed_param(value, default, what: str):
     """value checked against the type of a parameter's default, in its shape.
 
     A bool comes only from a bool, an int never from a float or a bool, a
-    float from an int or a float other than NaN (returned as a float), a str
-    from a str; a tuple default takes one such element or a nonempty list or
-    tuple of them, each checked and cast, and returns a tuple (an empty one
-    would run the experiment on no case at all).  Anything else raises
-    ValueError.
+    float from an int or float of magnitude at most sys.float_info.max (so
+    never NaN, an infinity or an int too large for a float; returned as a
+    float), a str from a str; a tuple default takes one such element or a
+    nonempty list or tuple of them, each checked and cast, and returns a
+    tuple (an empty one would run the experiment on no case at all).
+    Anything else raises ValueError.
     """
     if isinstance(default, tuple):
         items = value if isinstance(value, (list, tuple)) else [value]
@@ -144,7 +134,7 @@ def typed_param(value, default, what: str):
     if isinstance(default, bool) or isinstance(value, bool):
         ok = isinstance(value, bool) and isinstance(default, bool)
     elif isinstance(default, float):
-        ok = isinstance(value, (int, float)) and value == value
+        ok = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
     else:
         ok = isinstance(value, type(default))
     if not ok:
@@ -153,32 +143,29 @@ def typed_param(value, default, what: str):
 
 
 def _typed_params(fn):
-    """fn with every argument but outdir passed through typed_param first."""
+    """fn with every argument passed through typed_param first."""
     sig = inspect.signature(fn)
 
     @functools.wraps(fn)
     def run(*args, **kwargs):
         given = sig.bind(*args, **kwargs).arguments
         for key, value in given.items():
-            if key != "outdir":
-                given[key] = typed_param(value, sig.parameters[key].default, f"{fn.__name__} {key}")
+            given[key] = typed_param(value, sig.parameters[key].default, f"{fn.__name__} {key}")
         return fn(**given)
 
     return run
 
 
 def _params(args: dict) -> dict:
-    """An experiment's record of its first locals(): parameters but outdir, tuples as lists."""
-    return {k: list(v) if isinstance(v, tuple) else v for k, v in args.items() if k != "outdir"}
+    """An experiment's record of its first locals(): its parameters, tuples as lists."""
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in args.items()}
 
 
 # -- 1. dyadic partition identity ------------------------------------------------
 
 
 @_typed_params
-def exp_partition_check(
-    m: int = 8, n_samples: int = 10_000, seed: int = 0, outdir=None
-) -> ExperimentReport:
+def exp_partition_check(m: int = 8, n_samples: int = 10_000, seed: int = 0) -> ExperimentReport:
     """Telescoping partition identity on both default profiles."""
     report = ExperimentReport("partition-check", _params(locals()))
     _need_positive("n_samples", n_samples)
@@ -212,7 +199,7 @@ def exp_partition_check(
                     abs(fam.block_multiplier(j, xi) * fam.block_multiplier(j + 2, xi)),
                 )
         report.check_flag(f"blocks-disjoint[{prof.id}]", interval_ok and worst == 0.0)
-    _emit_csv(report, outdir, "partition.csv", ["profile", "max_deviation"], rows)
+    report.tables["partition.csv"] = (["profile", "max_deviation"], rows)
     return report
 
 
@@ -224,7 +211,6 @@ def exp_unclosable(
     d: float = 0.0,
     n_list: tuple[int, ...] = (5, 6, 7),
     theta: tuple[int, ...] = (1,),
-    outdir=None,
 ) -> ExperimentReport:
     """The vanishing family: exact harmonic-ratio output and shrinking norms."""
     report = ExperimentReport("unclosable", _params(locals()))
@@ -259,10 +245,7 @@ def exp_unclosable(
     report.metrics["diagnostic_cross_profile"] = diag.cross_profile_max
     report.metrics["limit_residual"] = rel_coeff_diff(diag.limit, v.scale(harmonic_ratio(N0)))
     report.check_flag("vanishing-limit-pass", diag.passed)
-    _emit_csv(
-        report,
-        outdir,
-        "unclosable.csv",
+    report.tables["unclosable.csv"] = (
         ["N", "harmonic_ratio", "bracket_lo", "bracket_hi", "input_norm", "residual"],
         rows,
     )
@@ -289,7 +272,6 @@ def exp_wavefront_flip(
     J: int = 20,
     theta: tuple[int, ...] = (1,),
     with_2d: bool = True,
-    outdir=None,
 ) -> ExperimentReport:
     """Flip of the lacunary direction and the cross-direction generalisation."""
     report = ExperimentReport("flip", _params(locals()))
@@ -321,13 +303,7 @@ def exp_wavefront_flip(
             theta2 = (1, 0)
             run_case(f"2d-flip,d={d_val}", 2, theta2, theta2, d_val)
             run_case(f"2d-cross,d={d_val}", 2, theta2, (0, 1), d_val)
-    _emit_csv(
-        report,
-        outdir,
-        "flip.csv",
-        ["case", "d", "slope_in", "slope_out", "residual"],
-        rows,
-    )
+    report.tables["flip.csv"] = (["case", "d", "slope_in", "slope_out", "residual"], rows)
     return report
 
 
@@ -336,7 +312,7 @@ def exp_wavefront_flip(
 
 @_typed_params
 def exp_weierstrass(
-    d=(0.5, 1.0), J: int = 12, M: int = 2**15, p_list=(1.0, 2.0, 4.0), outdir=None
+    d=(0.5, 1.0), J: int = 12, M: int = 2**15, p_list=(1.0, 2.0, 4.0)
 ) -> ExperimentReport:
     """Second microlocalisation and unit block norms of the lacunary sum."""
     report = ExperimentReport("weierstrass", _params(locals()))
@@ -375,7 +351,7 @@ def exp_weierstrass(
                 report.check(f"triebel-unit-norm[d={d_val},p={p}]", abs(fnorm - 1.0), 1e-10)
             rows.append((d_val, "triebel", p, fnorm))
         del envelope  # free it before the next d's pass
-    _emit_csv(report, outdir, "weierstrass.csv", ["d", "kind", "p", "norm"], rows)
+    report.tables["weierstrass.csv"] = (["d", "kind", "p", "norm"], rows)
     return report
 
 
@@ -399,9 +375,7 @@ def random_symbol(n: int, rng: np.random.Generator, max_terms: int = 3) -> Separ
 
 
 @_typed_params
-def exp_spectral_support(
-    seed: int = 7, trials: int = 500, n_modes: int = 25, outdir=None
-) -> ExperimentReport:
+def exp_spectral_support(seed: int = 7, trials: int = 500, n_modes: int = 25) -> ExperimentReport:
     """Random containment trials plus one engineered strict inclusion."""
     report = ExperimentReport("support", _params(locals()))
     _need_positive("trials", trials)
@@ -431,10 +405,7 @@ def exp_spectral_support(
     au, xi_set = apply_with_support(a, u)
     cancelled = (13,) not in au.spectrum() and (13,) in xi_set
     report.check_flag("engineered-strict-inclusion", cancelled and len(au))
-    _emit_csv(
-        report,
-        outdir,
-        "support.csv",
+    report.tables["support.csv"] = (
         ["trials", "failures", "strict_fraction"],
         [(trials, failures, strict / trials)],
     )
@@ -461,13 +432,12 @@ def exp_composite(
     s_list=(0.5, 1.0),
     p_list=(2.0, 4.0),
     delta_list=(1e-1, 1e-2, 1e-3, 1e-4),
-    outdir=None,
 ) -> ExperimentReport:
     """Paraproduct factorisation of F(u) and the continuity probe."""
     report = ExperimentReport("composite", _params(locals()))
     for fname in f:
         if fname not in _COMPOSITE_F:
-            raise TorspecError(f"unknown composite function {fname!r}")
+            raise ValueError(f"unknown composite function {fname!r}")
     rng = np.random.default_rng(seed)
     fam = default_families()[0]
     window = 2 ** (K - 1)
@@ -515,12 +485,8 @@ def exp_composite(
                 spread = max(ratios) / min(ratios)
                 report.metrics[f"lipschitz_spread[{fname},s={s},p={p}]"] = spread
                 report.check(f"lipschitz-bounded[{fname},s={s},p={p}]", spread, 2.0)
-    _emit_csv(
-        report, outdir, "composite_norms.csv", ["f", "s", "p", "norm_Fu", "norm_u"], norm_rows
-    )
-    _emit_csv(
-        report, outdir, "composite_lipschitz.csv", ["f", "s", "p", "delta", "ratio"], lip_rows
-    )
+    report.tables["composite_norms.csv"] = (["f", "s", "p", "norm_Fu", "norm_u"], norm_rows)
+    report.tables["composite_lipschitz.csv"] = (["f", "s", "p", "delta", "ratio"], lip_rows)
     return report
 
 
@@ -535,7 +501,6 @@ def exp_continuity(
     n_list: tuple[int, ...] = (5, 6, 7, 8),
     j_list: tuple[int, ...] = (10, 20, 30, 40),
     trials: int = 6,
-    outdir=None,
 ) -> ExperimentReport:
     """Unboundedness along the vanishing family vs twisted-diagonal boundedness."""
     report = ExperimentReport("continuity", _params(locals()))
@@ -590,7 +555,7 @@ def exp_continuity(
         apply(a_zero, vN), 0.0
     ) / sobolev_norm(vN, d)
 
-    _emit_csv(report, outdir, "continuity.csv", ["family", "param", "s", "ratio"], rows)
+    report.tables["continuity.csv"] = (["family", "param", "s", "ratio"], rows)
     return report
 
 
@@ -599,7 +564,7 @@ def exp_continuity(
 
 @_typed_params
 def exp_product(
-    seed: int = 3, m_range: tuple[int, int] = (0, 8), trials: int = 40, outdir=None
+    seed: int = 3, m_range: tuple[int, int] = (0, 8), trials: int = 40
 ) -> ExperimentReport:
     """Stabilisation of the modulated product and partial associativity.
 
@@ -633,7 +598,7 @@ def exp_product(
     report.check_flag("all-diagnostics-pass", all_passed)
     report.check("stabilises-to-pointwise-product", worst_stab, 1e-12)
     report.check("partial-associativity", worst_assoc, 1e-12)
-    _emit_csv(report, outdir, "product.csv", ["trial", "m_star", "stab", "assoc"], rows)
+    report.tables["product.csv"] = (["trial", "m_star", "stab", "assoc"], rows)
     return report
 
 

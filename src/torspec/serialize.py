@@ -54,11 +54,14 @@ def atomic_write_bytes(path: Path | str, blob: bytes) -> Path:
     return path
 
 
+def json_text(obj) -> str:
+    """obj as standard JSON text; a NaN or infinite float raises ValueError."""
+    return json.dumps(obj, indent=2, sort_keys=False, allow_nan=False) + "\n"
+
+
 def write_json(path: Path | str, obj) -> Path:
-    """Write obj as standard JSON; a NaN or infinite float raises ValueError."""
-    return atomic_write_text(
-        path, json.dumps(obj, indent=2, sort_keys=False, allow_nan=False) + "\n"
-    )
+    """atomic_write_text of json_text(obj)."""
+    return atomic_write_text(path, json_text(obj))
 
 
 # -- sparse fields ---------------------------------------------------------------

@@ -1,11 +1,11 @@
 """One bounded fuzz of the command-line boundaries.
 
 Malformed input arrives through the --field and --symbol files, the config
-file and the run/apply flags.  main runs in-process, so an exception that
-escapes it fails the test; every exit code must be 0, 2 or 3 (the stubbed
-experiments below never fail an assertion), and a run that does not exit
-with 0 must write nothing.  The dense .c64 file and its sidecar, read by
-load_dense, are fuzzed outside the CLI.
+file and the run/partition-check/apply flags.  main runs in-process, so an
+exception that escapes it fails the test; every exit code must be 0, 2 or 3
+(the stubbed experiments below never fail an assertion), and a run that
+does not exit with 0 must write nothing.  The dense .c64 file and its
+sidecar, read by load_dense, are fuzzed outside the CLI.
 
 The eight experiments are replaced by stubs with the same signatures and
 the same parameter path (experiments.typed_param through the experiments'
@@ -14,6 +14,7 @@ arrive in the shape of its default, but a value that passes costs one small
 report, not a whole experiment run.
 """
 
+import argparse
 import functools
 import inspect
 import json
@@ -65,7 +66,7 @@ def _stub(fn):
     defaults = {key: p.default for key, p in inspect.signature(fn).parameters.items()}
 
     @functools.wraps(fn)
-    def stub(outdir=None, **params):
+    def stub(**params):
         for key, value in params.items():
             assert _in_default_shape(value, defaults[key]), (fn.__name__, key, value)
         report = ExperimentReport(fn.__name__, params)
@@ -183,11 +184,9 @@ def test_fuzz_symbol_keys(path, value):
         _apply(tmp, _write(tmp / "a.json", text), _field(tmp))
 
 
+_PARAMS = {name: list(inspect.signature(fn).parameters) for name, fn in cli.REGISTRY.items()}
 _CONFIG_KEYS = ["out", "emit_plots", "profile.main", "profile.new"] + [
-    f"{name}.{param}"
-    for name, defaults in cli._DEFAULTS.items()
-    for param in defaults
-    if param != "outdir"
+    f"{name}.{param}" for name, params in _PARAMS.items() for param in params
 ]
 config_lines = st.builds(
     lambda key, value: f"{key} = {value}",
@@ -206,16 +205,28 @@ def test_fuzz_config_file(lines):
         _check(["suite", "--config", str(config), "--out", str(out)], out)
 
 
+def _param_flags(command: str) -> list[str]:
+    """The flags the built parser gives command for experiment parameters."""
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    names = {param for params in _PARAMS.values() for param in params}
+    actions = sub.choices[command]._actions
+    return [flag for a in actions if a.dest in names for flag in a.option_strings]
+
+
+# Every run flag with every experiment, and the partition-check shortcut's flags.
+_FLAG_ARGVS = [["run", name, flag] for name in cli.REGISTRY for flag in _param_flags("run")] + [
+    ["partition-check", flag] for flag in _param_flags("partition-check")
+]
+
+
 @FUZZ
-@given(
-    st.sampled_from(list(cli.REGISTRY)),
-    st.sampled_from([flag for flag, _ in cli._RUN_FLAGS]),
-    texts,
-)
-def test_fuzz_run_flags(name, flag, text):
+@given(st.sampled_from(_FLAG_ARGVS), texts)
+def test_fuzz_run_flags(argv, text):
     with _boundary() as tmp:
         out = tmp / "runs"
-        _check(["run", name, f"{flag}={text}", "--out", str(out)], out)
+        *command, flag = argv
+        _check([*command, f"{flag}={text}", "--out", str(out)], out)
 
 
 @FUZZ

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from torspec import experiments
+from torspec.cli import main
 from torspec.errors import RangeTooLarge, TorspecError
 from torspec.experiments import (
     REGISTRY,
@@ -143,7 +144,8 @@ def test_dense_transforms_are_computed_once(monkeypatch):
 
 
 def test_composite_unknown_function():
-    with pytest.raises(TorspecError):
+    # An unknown function name is bad input (exit 2), not a resource limit.
+    with pytest.raises(ValueError):
         exp_composite(f=("exp",))
 
 
@@ -207,18 +209,20 @@ def test_partition_and_product_reports_are_pinned():
 
 
 def test_reports_serialize_deterministically(tmp_path):
-    a = exp_spectral_support(seed=5, trials=40, outdir=tmp_path / "a")
-    b = exp_spectral_support(seed=5, trials=40, outdir=tmp_path / "b")
+    a = exp_spectral_support(seed=5, trials=40)
+    b = exp_spectral_support(seed=5, trials=40)
     ja = json.dumps({**a.to_json(), "artifacts": []}, sort_keys=True)
     jb = json.dumps({**b.to_json(), "artifacts": []}, sort_keys=True)
     assert ja == jb
 
 
 def test_report_schema(tmp_path):
-    report = exp_partition_check(m=4, n_samples=100, outdir=tmp_path)
+    report = exp_partition_check(m=4, n_samples=100)
     obj = report.to_json()
     assert set(obj) == {"name", "params", "metrics", "assertions", "artifacts"}
     for a in obj["assertions"]:
         assert set(a) == {"id", "measured", "tolerance", "pass"}
     assert all(isinstance(v, (int, float)) for v in obj["metrics"].values())
-    assert (tmp_path / "partition.csv").exists()
+    argv = ["partition-check", "--m", "4", "--n-samples", "100", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert (tmp_path / "partition-check" / "partition.csv").exists()

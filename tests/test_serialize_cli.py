@@ -1,5 +1,7 @@
 """File formats and the command-line interface."""
 
+import hashlib
+import inspect
 import json
 import math
 import os
@@ -10,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from torspec.cli import load_config, main
+from torspec.cli import build_parser, load_config, main
 from torspec.constructions import lacunary_field, random_band_limited
 from torspec.cutoffs import default_families
 from torspec.experiments import REGISTRY, random_symbol
@@ -148,7 +150,7 @@ unclosable.n_list = [5, 6]
 emit_plots = true
 flip.with_2d = false
 unclosable.d = 1
-weierstrass.p_list = 1, 2.5, Infinity
+weierstrass.p_list = 1, 2.5, 8
 composite.f = sin
 continuity.theta = 1
 """
@@ -160,7 +162,7 @@ continuity.theta = 1
     assert cfg.overrides["flip"] == {"d": 0.5, "J": 14, "with_2d": False}
     assert cfg.overrides["unclosable"] == {"n_list": [5, 6], "d": 1}
     assert cfg.emit_plots is True
-    assert cfg.overrides["weierstrass"] == {"p_list": [1, 2.5, math.inf]}
+    assert cfg.overrides["weierstrass"] == {"p_list": [1, 2.5, 8]}
     assert cfg.overrides["composite"] == {"f": "sin"}
     assert cfg.overrides["continuity"] == {"theta": 1}
 
@@ -206,7 +208,7 @@ def test_bad_profile_rejected_before_running(tmp_path):
         out = tmp_path / f"o{i}"
         code = main(["suite", "--config", str(cfg_file), "--out", str(out)])
         assert code == 2, line
-        assert not (out / "summary.json").exists(), line
+        assert not out.exists(), line
 
 
 # -- CLI behaviour ------------------------------------------------------------------
@@ -327,6 +329,72 @@ def test_bad_parameter_exits_two(tmp_path):
     for argv in (["run", "partition-check"], ["suite"]):
         assert main([*argv, "--out", str(root)]) == 2, argv
         assert root.read_text() == "keep\n", argv
+
+
+def test_float_parameter_must_be_finite(tmp_path):
+    # An integer too large for a float and an infinity are bad input (2),
+    # rejected before any work, so nothing is written.
+    out = tmp_path / "huge"
+    assert main(["run", "unclosable", "--d", "1" + "0" * 400, "--out", str(out)]) == 2
+    assert not out.exists()
+    cfg_file = tmp_path / "inf.cfg"
+    cfg_file.write_text("weierstrass.p_list = [2.0, Infinity]\n")
+    out = tmp_path / "inf"
+    assert main(["run", "weierstrass", "--config", str(cfg_file), "--out", str(out)]) == 2
+    assert not out.exists()
+    with pytest.raises(ValueError):
+        REGISTRY["weierstrass"](p_list=(2.0, math.inf))
+
+
+def test_unknown_composite_function_exits_two(tmp_path):
+    out = tmp_path / "runs"
+    assert main(["run", "composite", "--f", "nope", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+# s = 1e300 overflows the Bessel potential on purpose.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_failed_run_writes_nothing(tmp_path):
+    # Files are written only once the last experiment has returned, so a
+    # value check inside an experiment, an unknown function, a resource
+    # limit, or a metric that strict JSON cannot record leaves no output root.
+    cases = {
+        "support.trials = 0": ("suite", 2),
+        "support.n_modes = 2": ("suite", 2),
+        'composite.f = "nope"': ("suite", 2),
+        "continuity.n_list = 4": ("suite", 3),
+        "weierstrass.M = 64": ("suite", 3),
+        "composite.s_list = 1e300": ("run composite", 2),
+    }
+    for i, (line, (command, code)) in enumerate(cases.items()):
+        cfg_file = tmp_path / f"c{i}.cfg"
+        cfg_file.write_text(line + "\n")
+        out = tmp_path / f"o{i}"
+        assert main([*command.split(), "--config", str(cfg_file), "--out", str(out)]) == code, line
+        assert not out.exists(), line
+
+
+def test_every_parameter_is_a_run_flag(tmp_path):
+    # The flags come from the signatures, so m_range, p_list, s_list and
+    # delta_list are flags as well as config keys.
+    parser = build_parser()
+    for name, fn in REGISTRY.items():
+        for key, param in inspect.signature(fn).parameters.items():
+            default = param.default
+            raw = json.dumps(list(default) if isinstance(default, tuple) else default)
+            args = parser.parse_args(["run", name, "--" + key.replace("_", "-"), raw])
+            assert getattr(args, key) == json.loads(raw), (name, key)
+    runs = {
+        "product": ["--m-range", "0,6", "--trials", "2"],
+        "composite": ["--f", "square", "--M", "1024", "--K", "6", "--s-list", "1",
+                      "--p-list", "2", "--delta-list", "0.1,0.01"],
+    }
+    for name, flags in runs.items():
+        assert main(["run", name, *flags, "--out", str(tmp_path)]) == 0, name
+    params = json.loads((tmp_path / "composite" / "report.json").read_text())["params"]
+    assert (params["s_list"], params["p_list"], params["delta_list"]) == ([1.0], [2.0], [0.1, 0.01])
+    report = json.loads((tmp_path / "product" / "report.json").read_text())
+    assert report["params"]["m_range"] == [0, 6]
 
 
 def test_partition_check_subcommand(tmp_path):
@@ -557,10 +625,16 @@ SUITE_PARAMS = {
 }
 
 
+# SHA-256 of every CSV table of the suite, its file name then its bytes, in
+# artifact order.
+SUITE_CSV_SHA256 = "2b4f801ad6595674775cb4db667c533d85e91537de5fd0f6ae01a4abe05daeb9"
+
+
 def test_suite_reports_match_summary(tmp_path):
     assert main(["suite", "--out", str(tmp_path), "--emit-plots"]) == 0
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert [e["name"] for e in summary["experiments"]] == list(REGISTRY)
+    h = hashlib.sha256()
     for entry in summary["experiments"]:
         name = entry["name"]
         # Order and types too: 0 is not 0.0 here.
@@ -570,6 +644,11 @@ def test_suite_reports_match_summary(tmp_path):
         plot = Path(report["artifacts"][-1])
         assert plot.name == f"plot_{name}.py"
         assert plot.exists()
+        for artifact in map(Path, report["artifacts"]):
+            if artifact.suffix == ".csv":
+                h.update(artifact.name.encode())
+                h.update(artifact.read_bytes())
+    assert h.hexdigest() == SUITE_CSV_SHA256
 
 
 def test_stabilization_demo_script_runs():
@@ -599,7 +678,7 @@ def test_assertion_failure_exits_one(tmp_path, monkeypatch):
     import torspec.cli as cli
     from torspec.experiments import ExperimentReport
 
-    def failing(outdir=None):
+    def failing():
         report = ExperimentReport("stub", {})
         report.check("always-fails", 1.0, 0.0)
         return report

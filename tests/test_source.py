@@ -1,6 +1,8 @@
-"""Source hygiene checks that need no linter: every import is used."""
+"""Source hygiene checks that need no linter: every import is used, and only
+the command line and the file formats name a file writer."""
 
 import ast
+import re
 from pathlib import Path
 
 import torspec
@@ -35,3 +37,10 @@ def test_every_import_is_used():
 def test_unused_import_check_sees_an_unused_name():
     tree = ast.parse("import math\nfrom os import path, sep\n\nprint(path)\n")
     assert _unused_imports(tree) == ["math (line 1)", "sep (line 2)"]
+
+
+def test_only_cli_and_serialize_name_a_writer():
+    # The experiments compute; the command line writes what they return.
+    writer = re.compile(r"\b(atomic_write_text|atomic_write_bytes|write_json)\b")
+    naming = sorted(p.name for p in PACKAGE.glob("*.py") if writer.search(p.read_text()))
+    assert naming == ["cli.py", "serialize.py"]

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 
 from .errors import BandwidthViolation, DimensionMismatch, RangeTooLarge
-from .fields import Frequency, SparseField, freq_abs, freq_add, freq_scale
+from .fields import Frequency, SparseField, delta_field, freq_abs, freq_scale, shifted
 from .symbols import pow2
 
 MAX_DYADIC = 60
@@ -30,36 +31,42 @@ def ball_carrier(n: int, B: int) -> SparseField:
     return SparseField(n, {xi: c for xi in pts})
 
 
-def lacunary_field(
-    theta: Frequency, d: float, j_lo: int, j_hi: int, v: SparseField
+def _dyadic_sum(
+    theta: Frequency, j_lo: int, j_hi: int, weight: Callable[[int], float], v: SparseField
 ) -> SparseField:
-    """w(theta, d): sum_j 2^(-jd) v shifted to the dyadic ray 2^j theta.
-
-    Coefficients: w^(eta) = sum_j 2^(-jd) v^(eta - 2^j theta).  The carrier
-    bandwidth must stay below 2^{j_lo}/20 so the chunks are separated with
-    the same margin at every scale.
-    """
+    """sum_{j=j_lo..j_hi} weight(j) v shifted to 2^j theta.  Raises RangeTooLarge past
+    the dyadic cap, DimensionMismatch for a theta not of v's dimension and
+    BandwidthViolation for a carrier wider than 2^{j_lo}/20, the bound that
+    keeps the chunks apart with the same margin at every scale."""
     if j_hi > MAX_DYADIC:
         raise RangeTooLarge(f"top dyadic index {j_hi} > {MAX_DYADIC}")
+    if len(theta) != v.n:
+        raise DimensionMismatch(f"direction {theta} is not {v.n}-dimensional like the carrier")
     B = bandwidth(v)
     if B > 2.0**j_lo / 20.0:
         raise BandwidthViolation(
             f"carrier bandwidth {B} exceeds 2^{j_lo}/20 = {2.0 ** j_lo / 20.0}"
         )
+    etas = list(v.coeffs)
     out: dict[Frequency, complex] = {}
     for j in range(j_lo, j_hi + 1):
-        shift = freq_scale(2**j, theta)
-        w = pow2(-j * d)
-        for eta, c in v.items():
-            out[freq_add(eta, shift)] = w * c
+        w = weight(j)
+        for zeta, c in zip(shifted(freq_scale(2**j, theta), etas), v.coeffs.values()):
+            # A mode of one chunk is w * c itself (0.0 + w * c would lose a -0.0 part).
+            out[zeta] = out[zeta] + w * c if zeta in out else w * c
     return SparseField(v.n, out, v.tau)
+
+
+def lacunary_field(
+    theta: Frequency, d: float, j_lo: int, j_hi: int, v: SparseField
+) -> SparseField:
+    """w(theta, d): w^(eta) = sum_j 2^(-jd) v^(eta - 2^j theta), under _dyadic_sum's guards."""
+    return _dyadic_sum(theta, j_lo, j_hi, lambda j: pow2(-j * d), v)
 
 
 def weierstrass_field(d: float, J: int) -> SparseField:
     """Truncated lacunary exponential sum f_J(t) = sum_{j=1..J} 2^(-jd) e^{i 2^j t}."""
-    if J > MAX_DYADIC:
-        raise RangeTooLarge(f"top dyadic index {J} > {MAX_DYADIC}")
-    return SparseField(1, {(2**j,): pow2(-j * d) for j in range(1, J + 1)})
+    return lacunary_field((1,), d, 1, J, delta_field((0,)))
 
 
 def harmonic_ratio(N: int) -> float:
@@ -82,7 +89,8 @@ def vanishing_family(
     """Member N of the vanishing family, with its carrier and top index.
 
     Coefficients: out^(xi) = (1/log N) sum_{j=N..N^2} (2^(-jd)/j) v^(xi - 2^j theta), with
-    carrier bandwidth B = max(1, floor(2^N / 20)).  Needs N >= 5 so the
+    default carrier the ball of radius B = max(1, floor(2^N / 20)), under the
+    guards of _dyadic_sum.  Needs N >= 5 (ValueError otherwise) so the
     scaled bandwidth admits at least the frequencies {-1, 0, 1}.  When N^2
     exceeds the dyadic cap the construction raises RangeTooLarge, unless
     allow_truncation is set, in which case the sum stops at the cap (used
@@ -90,23 +98,15 @@ def vanishing_family(
     asserted).
     """
     if N < 5:
-        raise RangeTooLarge("need N >= 5 for a usable scaled bandwidth")
+        raise ValueError(f"vanishing family needs N >= 5 for a usable scaled bandwidth, got N={N}")
     j_hi = N * N
     if j_hi > MAX_DYADIC:
         if not allow_truncation:
             raise RangeTooLarge(f"N^2 = {N * N} > {MAX_DYADIC}")
         j_hi = MAX_DYADIC
-    n = len(theta)
     if v is None:
-        v = ball_carrier(n, max(1, (2**N) // 20))
-    out: dict[Frequency, complex] = {}
-    logN = math.log(N)
-    for j in range(N, j_hi + 1):
-        shift = freq_scale(2**j, theta)
-        w = pow2(-j * d) / (j * logN)
-        for eta, c in v.items():
-            out[freq_add(eta, shift)] = w * c
-    return SparseField(n, out, v.tau), v, j_hi
+        v = ball_carrier(len(theta), max(1, (2**N) // 20))
+    return _dyadic_sum(theta, N, j_hi, lambda j: pow2(-j * d) / (j * math.log(N)), v), v, j_hi
 
 
 def random_band_limited(

@@ -38,7 +38,6 @@ from .norms import bessel_potential, block_norms, cone_report, lp_norm, sobolev_
 from .operator import (
     apply,
     apply_with_support,
-    max_coeff_diff,
     norm_ratio_probe,
     pi_product,
     rel_coeff_diff,
@@ -326,7 +325,7 @@ def exp_weierstrass(
         for k in range(1, J + 1):
             block = lp_project(f, k, fam)
             target = delta_field((2**k,), 2.0 ** (-k * d_val))
-            worst = max(worst, max_coeff_diff(block, target))
+            worst = max(worst, rel_coeff_diff(block, target))
         report.metrics[f"block_isolation_error[d={d_val}]"] = worst
         report.check(f"block-isolates-one-mode[d={d_val}]", worst, 0.0)
 
@@ -379,6 +378,8 @@ def exp_spectral_support(seed: int = 7, trials: int = 500, n_modes: int = 25) ->
     """Random containment trials plus one engineered strict inclusion."""
     report = ExperimentReport("support", _params(locals()))
     _need_positive("trials", trials)
+    if n_modes < 3:
+        raise ValueError(f"n_modes must be >= 3, the fewest modes a trial draws, got {n_modes}")
     rng = np.random.default_rng(seed)
     failures = 0
     strict = 0

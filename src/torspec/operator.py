@@ -160,25 +160,13 @@ def _support_hits(a: SeparableSymbol, u: SparseField):
         yield t, etas, weights
 
 
-def max_coeff_diff(u: SparseField, v: SparseField) -> float:
-    """Max absolute coefficient difference over the union of spectra."""
+def rel_coeff_diff(u: SparseField, v: SparseField) -> float:
+    """Max coefficient difference over both spectra, relative to their largest magnitude."""
+    scale = max([abs(c) for f in (u, v) for c in f.coeffs.values()] + [1e-300])
     worst = 0.0
     for xi in u.coeffs.keys() | v.coeffs.keys():
         worst = max(worst, abs(u.coeff(xi) - v.coeff(xi)))
-    return worst
-
-
-def rel_coeff_diff(u: SparseField, v: SparseField) -> float:
-    """max_coeff_diff relative to the largest coefficient magnitude of u and v."""
-    scale = max(
-        [abs(c) for _, c in u.items()] + [abs(c) for _, c in v.items()] + [1e-300]
-    )
-    return max_coeff_diff(u, v) / scale
-
-
-def fields_close(u: SparseField, v: SparseField) -> bool:
-    """Coefficientwise agreement within rounding: rel_coeff_diff <= 1e-12."""
-    return rel_coeff_diff(u, v) <= 1e-12
+    return worst / scale
 
 
 def apply_modulated(
@@ -193,7 +181,7 @@ def apply_modulated(
     """
     first = apply(symbol_modulate(a, m, profile), modulate(u, m, profile))
     second = apply(symbol_full_modulate(a, m, profile), u)
-    if not fields_close(first, second):
+    if not rel_coeff_diff(first, second) <= 1e-12:  # a NaN difference fails too
         raise AssertionError(
             "modulation-order equivalence violated beyond rounding"
         )
@@ -270,13 +258,9 @@ def _diagnose(
     ids = tuple(seqs)
     steps = m_hi - m_lo
     delta = [max(_diff_norm(seqs[p][i + 1], seqs[p][i]) for p in ids) for i in range(steps)]
-    m_star = None
-    for i in range(steps + 1):
-        if all(d == 0.0 for d in delta[i:]):
-            m_star = m_lo + i
-            break
-    if m_star is not None and m_star == m_hi and steps > 0 and delta[-1] != 0.0:
-        m_star = None
+    # A change at the last step leaves no step to show the output settled.
+    last = max((i for i, d in enumerate(delta, 1) if d != 0.0), default=0)
+    m_star = None if last == steps > 0 else m_lo + last
     cross = 0.0
     finals = [seqs[p][-1] for p in ids]
     for i in range(len(finals)):
@@ -449,14 +433,15 @@ def paradiff_split(
     T1 collects symbol blocks lagging the field (j <= k - h), T2 the
     diagonal band |j - k| < h, T3 the transposed tail (k <= j - h); their sum
     reconstructs a^m(x,D)u^m exactly.  Each is summed over the levels
-    k = 0..m of _level_pieces in ascending k.
+    k = 0..m of _level_pieces in ascending k and pruned at u.tau once.
     """
-    empty = SparseField(u.n, {}, u.tau)
-    sums = {"lag_field": empty, "diagonal": empty, "lag_symbol": empty}
+    sums: dict[str, dict[Frequency, complex]] = {"lag_field": {}, "diagonal": {}, "lag_symbol": {}}
     for k in range(0, m + 1):
         for name, piece in _level_pieces(a, u, fam, k).items():
-            sums[name] = sums[name].add(piece)
-    return sums["lag_field"], sums["diagonal"], sums["lag_symbol"]
+            acc = sums[name]
+            for xi, c in piece.coeffs.items():
+                acc[xi] = acc.get(xi, 0.0) + c
+    return tuple(SparseField(u.n, acc, u.tau) for acc in sums.values())
 
 
 def _level_pieces(
@@ -652,35 +637,28 @@ def spatial_kernel_1d(
 ) -> DenseField:
     """Smooth approximating kernel K_m(x, y) of a^m(x,D)(.)^m on an M x M grid.
 
-    Each term contributes (modulated x-part synthesised at x) times the
-    inverse transform of its modulated eta-multiplier evaluated at x - y.
+    Each term of symbol_full_modulate(a, m) contributes its x-part synthesised
+    at x times the inverse transform of its multiplier evaluated at x - y.
     """
     if a.n != 1:
         raise DimensionUnsupported("spatial kernels are provided for n = 1 only")
     half = M // 2
     K = np.zeros((M, M), dtype=np.complex128)
     idx = (np.arange(M)[:, None] - np.arange(M)[None, :]) % M
-    band = profile.R * 2**m
-    for t in a.terms:
-        xp = modulate(t.xpart, m, profile)
-        if not len(xp):
-            continue
-        if xp.max_abs_freq() >= half:
+    for t in symbol_full_modulate(a, m, profile).terms:
+        if t.xpart.max_abs_freq() >= half:
             raise FrequencyOutOfRange("modulated x-part exceeds the grid band")
-        hi = min(band, t.mult.hi)
-        if hi >= half:
+        if t.mult.hi >= half:
             raise FrequencyOutOfRange(
-                f"modulated eta band {hi} does not fit below M/2 = {half}"
+                f"modulated eta band {t.mult.hi} does not fit below M/2 = {half}"
             )
-        xs = sparse_to_dense(xp, M).samples
+        xs = sparse_to_dense(t.xpart, M).samples
         spec = np.zeros(M, dtype=np.complex128)
-        top = int(math.floor(hi))
+        top = int(math.floor(t.mult.hi))
         for eta in range(-top, top + 1):
             w = t.mult_at((eta,))
             if w != 0.0:
-                psi = profile.radial(abs(float(eta)) / 2**m)
-                if psi != 0.0:
-                    spec[eta % M] = M * w * psi
+                spec[eta % M] = M * w
         kz = np.fft.ifft(spec)
         K += xs[:, None] * kz[idx]
     return DenseField(2, M, K)

@@ -311,6 +311,16 @@ def ching_symbol(
 # -- modulation and verification ----------------------------------------------
 
 
+def _map_xparts(a: SeparableSymbol, f: Callable[[SparseField], SparseField]) -> SeparableSymbol:
+    """a with f applied to each x-part, dropping the terms it empties."""
+    new_terms = []
+    for t in a.terms:
+        xp = f(t.xpart)
+        if len(xp):
+            new_terms.append(Term(xp, t.mult))
+    return SeparableSymbol(a.d, a.n, tuple(new_terms))
+
+
 def symbol_modulate(a: SeparableSymbol, m: int, profile: CutoffProfile) -> SeparableSymbol:
     """Frequency modulation in x: scale each x-coefficient by psi(2^-m xi).
 
@@ -318,12 +328,7 @@ def symbol_modulate(a: SeparableSymbol, m: int, profile: CutoffProfile) -> Separ
     untouched.  Once the plateau covers every x-frequency the symbol is
     returned unchanged term by term.
     """
-    new_terms = []
-    for t in a.terms:
-        xp = modulate(t.xpart, m, profile)
-        if len(xp):
-            new_terms.append(Term(xp, t.mult))
-    return SeparableSymbol(a.d, a.n, tuple(new_terms))
+    return _map_xparts(a, lambda xp: modulate(xp, m, profile))
 
 
 def symbol_full_modulate(a: SeparableSymbol, m: int, profile: CutoffProfile) -> SeparableSymbol:
@@ -343,12 +348,7 @@ def symbol_ball_diff(a: SeparableSymbol, j: int, k: int, fam: LPFamily) -> Separ
 
     a^j alone is symbol_ball_diff(a, j, -1); j < 0 gives the empty symbol.
     """
-    new_terms = []
-    for t in a.terms:
-        xp = ball_diff(t.xpart, j, k, fam.profile)
-        if len(xp):
-            new_terms.append(Term(xp, t.mult))
-    return SeparableSymbol(a.d, a.n, tuple(new_terms))
+    return _map_xparts(a, lambda xp: ball_diff(xp, j, k, fam.profile))
 
 
 def twisted_diagonal_check(

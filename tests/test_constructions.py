@@ -18,7 +18,7 @@ from torspec.constructions import (
     vanishing_family,
     weierstrass_field,
 )
-from torspec.errors import BandwidthViolation, RangeTooLarge
+from torspec.errors import BandwidthViolation, DimensionMismatch, RangeTooLarge
 from torspec.experiments import random_symbol
 from torspec.fields import SparseField, delta_field, sparse_to_dense
 from torspec.norms import sobolev_norm
@@ -48,6 +48,20 @@ def test_bandwidth_guard():
     with pytest.raises(BandwidthViolation):
         lacunary_field((1,), 0.0, 5, 10, wide)  # 3 > 32/20
     lacunary_field((1,), 0.0, 6, 10, wide)  # 3 <= 64/20
+
+
+def test_vanishing_family_bandwidth_guard():
+    # Chunks of a carrier wider than 2^N/20 would overlap; at N = 5 this
+    # 81-mode carrier has bandwidth 40 > 1.6.
+    with pytest.raises(BandwidthViolation):
+        vanishing_family(5, 0.0, (1,), v=ball_carrier(1, 40))
+
+
+def test_direction_must_match_carrier_dimension():
+    with pytest.raises(DimensionMismatch):
+        lacunary_field((1, 0), 0.0, 5, 10, delta_field((0,)))
+    with pytest.raises(DimensionMismatch):
+        vanishing_family(5, 0.0, (1,), v=delta_field((0, 0)))
 
 
 def test_lacunary_range_cap():
@@ -87,7 +101,7 @@ def test_vanishing_family_structure():
 
 
 def test_vn_rejects_small_n_and_large_range():
-    with pytest.raises(RangeTooLarge):
+    with pytest.raises(ValueError, match="N=4"):
         vanishing_family(4, 0.0, (1,))
     with pytest.raises(RangeTooLarge):
         vanishing_family(8, 0.0, (1,))

@@ -112,6 +112,15 @@ def test_support_experiment_counts():
     assert report.metrics["containment_failures"] == 0.0
 
 
+def test_support_rejects_too_few_modes_before_any_draw(monkeypatch):
+    # A trial draws between 3 and n_modes modes, so n_modes < 3 is bad input.
+    drawn = []
+    monkeypatch.setattr(experiments, "random_symbol", lambda *args: drawn.append(args))
+    with pytest.raises(ValueError, match="n_modes must be >= 3.*got 2"):
+        exp_spectral_support(trials=1, n_modes=2)
+    assert drawn == []
+
+
 def test_composite_identity_and_square():
     report = exp_composite(f=("square",), M=1024, K=6)
     assert report.passed

@@ -42,7 +42,6 @@ from torspec.operator import (
     apply_modulated,
     apply_with_support,
     corona_check,
-    fields_close,
     kernel_pairing_1d,
     norm_ratio_probe,
     paradiff_split,
@@ -696,6 +695,28 @@ def test_diagnose_of_repeated_objects_matches_fresh_copies(profiles, top):
     got = _diagnose(shared, m_lo, m_hi, float(top), r)
     want = _diagnose(fresh, m_lo, m_hi, float(top), r)
     assert _diagnosis_bits(got) == _diagnosis_bits(want)
+
+
+@pytest.mark.parametrize(
+    "pattern, m_lo, m_star, passed",
+    [
+        ("aaaa", 2, 2, True),  # constant from the start
+        ("abbb", 2, 3, True),  # one change mid-range
+        ("ababb", 2, 5, True),  # the last change is one step before the top
+        ("aaab", 2, None, False),  # a change at the last step is not settled
+        ("ab", 0, None, False),  # the same on a one-step range
+        ("a", 4, 4, False),  # a one-point range has m_star but no step
+    ],
+)
+def test_diagnose_stabilisation_index(pattern, m_lo, m_star, passed):
+    # One hand-made sequence per profile id, m = m_lo .. m_lo + len - 1.
+    fields = {"a": delta_field((0,)), "b": delta_field((1,))}
+    row = [fields[ch] for ch in pattern]
+    diag = _diagnose({"p": row, "q": list(row)}, m_lo, m_lo + len(row) - 1, 0.0, 1.0)
+    assert [d != 0.0 for d in diag.delta] == [f is not g for f, g in zip(row, row[1:])]
+    assert diag.m_star == m_star
+    assert diag.passed is passed
+    assert diag.covered is (m_star is not None)
 
 
 def test_pi_product_convolves_once_per_uncovered_step(profiles, monkeypatch):

@@ -1,5 +1,6 @@
-"""Source hygiene checks that need no linter: every import is used, and only
-the command line and the file formats name a file writer."""
+"""Source hygiene checks that need no linter: every import is used, every
+private module-level function or class is referenced, and only the command
+line and the file formats name a file writer."""
 
 import ast
 import re
@@ -37,6 +38,40 @@ def test_every_import_is_used():
 def test_unused_import_check_sees_an_unused_name():
     tree = ast.parse("import math\nfrom os import path, sep\n\nprint(path)\n")
     assert _unused_imports(tree) == ["math (line 1)", "sep (line 2)"]
+
+
+def _unreferenced_privates(trees: dict[str, ast.Module]) -> list[str]:
+    # A private name counts as referenced when any module of the package
+    # loads it, reads it as an attribute or imports it.
+    defined = [
+        (module, node.name)
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
+    ]
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    return [f"{module}: {name}" for module, name in defined if name not in used]
+
+
+def test_every_private_helper_is_referenced():
+    # A merge of two helpers cannot leave the old one behind.
+    paths = sorted(PACKAGE.glob("*.py"))
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in paths}
+    assert _unreferenced_privates(trees) == []
+
+
+def test_private_reference_check_sees_a_dead_helper():
+    a = ast.parse("def _used():\n    pass\n\ndef _dead():\n    pass\n\nclass _Gone:\n    pass\n")
+    b = ast.parse("from a import _used\n\ndef public():\n    return _used()\n")
+    assert _unreferenced_privates({"a.py": a, "b.py": b}) == ["a.py: _dead", "a.py: _Gone"]
 
 
 def test_only_cli_and_serialize_name_a_writer():

@@ -54,7 +54,7 @@ def _dyadic_sum(
         for zeta, c in zip(shifted(freq_scale(2**j, theta), etas), v.coeffs.values()):
             # A mode of one chunk is w * c itself (0.0 + w * c would lose a -0.0 part).
             out[zeta] = out[zeta] + w * c if zeta in out else w * c
-    return SparseField(v.n, out, v.tau)
+    return SparseField(v.n, out)
 
 
 def lacunary_field(

@@ -176,9 +176,7 @@ def modulate(u: SparseField, m: int, profile: CutoffProfile) -> SparseField:
         raise ValueError("modulation index must be >= 0")
     radial = profile.radial
     scale = 2.0**m  # overflows at m >= 1024 without building the integer 2^m
-    return SparseField(
-        u.n, {xi: radial(freq_abs(xi) / scale) * c for xi, c in u.coeffs.items()}, u.tau
-    )
+    return SparseField(u.n, {xi: radial(freq_abs(xi) / scale) * c for xi, c in u.coeffs.items()})
 
 
 def ball_diff(u: SparseField, j: int, k: int, profile: CutoffProfile) -> SparseField:
@@ -190,14 +188,14 @@ def ball_diff(u: SparseField, j: int, k: int, profile: CutoffProfile) -> SparseF
     bitwise across dyadic levels.
     """
     if j < 0:
-        return SparseField(u.n, {}, u.tau)
+        return SparseField(u.n, {})
     if k < 0:
         return modulate(u, j, profile)
     out = {}
     for xi, c in u.items():
         rho = freq_abs(xi)
         out[xi] = profile.radial(rho / 2**j) * c - profile.radial(rho / 2**k) * c
-    return SparseField(u.n, out, u.tau)
+    return SparseField(u.n, out)
 
 
 def lp_project(u: SparseField, j: int, fam: LPFamily) -> SparseField:

@@ -11,6 +11,8 @@ reproducible.  Construction validates every kept frequency: a tuple of n
 plain ints inside the 2^62 cap, which is what every operation here builds,
 is stored as given; any other key (numpy integers, bools, floats, a wrong
 length, a component at or past the cap) goes through check_frequency.
+A prune threshold applies only to the field built with it: every operation
+here builds its result with the default, which drops exact zeros only.
 """
 
 from __future__ import annotations
@@ -108,7 +110,9 @@ class SparseField:
     """Finite frequency -> coefficient mapping; an exact trigonometric polynomial.
 
     Coefficients of magnitude <= tau are dropped at construction; tau = 0 keeps
-    everything but exact zeros; a NaN or infinite one raises ValueError.  A
+    everything but exact zeros; a NaN or infinite one raises ValueError.  No
+    operation reads tau: a field derived from this one keeps its small
+    coefficients unless it is built with a threshold of its own.  A
     kept key that is a plain-int n-tuple inside the cap skips re-validation;
     every other key is checked and normalised by check_frequency, so the
     stored keys are always plain-int tuples and the cap guard on sums such
@@ -175,27 +179,21 @@ class SparseField:
         out = dict(self.coeffs)
         for xi, c in other.coeffs.items():
             out[xi] = out.get(xi, 0.0) + c
-        return SparseField(self.n, out, self.tau)
+        return SparseField(self.n, out)
 
     def sub(self, other: "SparseField") -> "SparseField":
         return self.add(other.scale(-1.0))
 
     def scale(self, a: complex) -> "SparseField":
-        return SparseField(self.n, {xi: a * c for xi, c in self.coeffs.items()}, self.tau)
+        return SparseField(self.n, {xi: a * c for xi, c in self.coeffs.items()})
 
     def conjugate(self) -> "SparseField":
         """The field conj(u); coefficient at xi becomes conj(c(-xi))."""
-        return SparseField(
-            self.n,
-            {freq_neg(xi): c.conjugate() for xi, c in self.coeffs.items()},
-            self.tau,
-        )
+        return SparseField(self.n, {freq_neg(xi): c.conjugate() for xi, c in self.coeffs.items()})
 
     def multiplier(self, m) -> "SparseField":
         """Scale each coefficient by m(xi); m maps a frequency to a scalar."""
-        return SparseField(
-            self.n, {xi: m(xi) * c for xi, c in self.coeffs.items()}, self.tau
-        )
+        return SparseField(self.n, {xi: m(xi) * c for xi, c in self.coeffs.items()})
 
     def evaluate(self, x) -> complex:
         """Direct series evaluation at a point x (tuple of floats)."""
@@ -234,7 +232,7 @@ def pointwise_mul(
     for xi, cu in u.coeffs.items():
         for zeta, cv in zip(shifted(xi, etas), cvs):
             out[zeta] = out.get(zeta, 0.0) + cu * cv
-    return SparseField(u.n, out, max(u.tau, v.tau))
+    return SparseField(u.n, out)
 
 
 def inner_product(u: SparseField, v: SparseField) -> complex:

@@ -61,11 +61,11 @@ from .norms import hsp_norm, sobolev_norm
 from .symbols import (
     ChingData,
     SeparableSymbol,
+    Term,
     pow2,
     symbol_ball_diff,
     symbol_block,
     symbol_full_modulate,
-    symbol_modulate,
 )
 
 
@@ -81,7 +81,7 @@ def apply(a: SeparableSymbol, u: SparseField, budget: int = DEFAULT_PAIR_BUDGET)
     bound is built; apply_with_support returns one as well.
     """
     check_work(a, u, budget)
-    return SparseField(u.n, _accumulate(_support_hits(a, u)), u.tau)
+    return SparseField(u.n, _accumulate(_support_hits(a, u)))
 
 
 def apply_with_support(
@@ -96,7 +96,7 @@ def apply_with_support(
     """
     check_work(a, u, budget)
     term_hits = list(_support_hits(a, u))
-    au = SparseField(u.n, _accumulate(term_hits), u.tau)
+    au = SparseField(u.n, _accumulate(term_hits))
     xi_set: set[Frequency] = set()
     for t, etas, _ in term_hits:
         if etas:
@@ -177,10 +177,13 @@ def apply_modulated(
     The alternative order - applying the fully modulated symbol
     a^m (1 x psi_m) to the unmodulated u - is computed as well and the two
     results are asserted to agree coefficientwise; they are analytically
-    identical.
+    identical.  The full modulation is built once: its terms, with each
+    Modulated multiplier unwrapped to its inner one, are symbol_modulate(a, m).
     """
-    first = apply(symbol_modulate(a, m, profile), modulate(u, m, profile))
-    second = apply(symbol_full_modulate(a, m, profile), u)
+    full = symbol_full_modulate(a, m, profile)
+    x_only = SeparableSymbol(a.d, a.n, tuple(Term(t.xpart, t.mult.inner) for t in full.terms))
+    first = apply(x_only, modulate(u, m, profile))
+    second = apply(full, u)
     if not rel_coeff_diff(first, second) <= 1e-12:  # a NaN difference fails too
         raise AssertionError(
             "modulation-order equivalence violated beyond rounding"
@@ -360,7 +363,10 @@ def adjoint_apply_ching(b: ChingData, v: SparseField) -> SparseField:
         (Bv)^(xi) = sum_j 2^(jd) conj(chi(2^-j xi)) v^(xi - 2^j theta).
 
     Adjointness <A u, v> = <u, B v> holds within rounding for all sparse u, v.
+    A theta not of v's dimension raises DimensionMismatch, as apply does.
     """
+    if len(b.theta) != v.n:
+        raise DimensionMismatch(f"direction {b.theta} is not {v.n}-dimensional like the field")
     out: dict[Frequency, complex] = {}
     for j in range(b.j_lo, b.j_hi + 1):
         shift = freq_scale(2**j, b.theta)
@@ -373,7 +379,7 @@ def adjoint_apply_ching(b: ChingData, v: SparseField) -> SparseField:
                 continue
             w = coeff * chi_val  # chi is real-valued, so conjugation is trivial
             out[xi] = out.get(xi, 0.0) + w * cv
-    return SparseField(v.n, out, v.tau)
+    return SparseField(v.n, out)
 
 
 # -- spectral kernel and support rule --------------------------------------------
@@ -433,7 +439,7 @@ def paradiff_split(
     T1 collects symbol blocks lagging the field (j <= k - h), T2 the
     diagonal band |j - k| < h, T3 the transposed tail (k <= j - h); their sum
     reconstructs a^m(x,D)u^m exactly.  Each is summed over the levels
-    k = 0..m of _level_pieces in ascending k and pruned at u.tau once.
+    k = 0..m of _level_pieces in ascending k; only exact zeros are dropped.
     """
     sums: dict[str, dict[Frequency, complex]] = {"lag_field": {}, "diagonal": {}, "lag_symbol": {}}
     for k in range(0, m + 1):
@@ -441,7 +447,7 @@ def paradiff_split(
             acc = sums[name]
             for xi, c in piece.coeffs.items():
                 acc[xi] = acc.get(xi, 0.0) + c
-    return tuple(SparseField(u.n, acc, u.tau) for acc in sums.values())
+    return tuple(SparseField(u.n, acc) for acc in sums.values())
 
 
 def _level_pieces(

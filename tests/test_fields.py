@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torspec.constructions import lacunary_field
+from torspec.cutoffs import ball_diff, default_families, make_cutoff, modulate
 from torspec.errors import BudgetExceeded, DimensionMismatch, FrequencyOutOfRange
 from torspec.fields import (
     DenseField,
@@ -24,8 +26,8 @@ from torspec.fields import (
     sparse_to_dense,
     zero_field,
 )
-from torspec.operator import apply
-from torspec.symbols import One, SeparableSymbol, Term
+from torspec.operator import adjoint_apply_ching, apply, apply_with_support, paradiff_split
+from torspec.symbols import One, SeparableSymbol, Term, ching_symbol, multiplication_symbol
 
 
 def direct_samples(u, M):
@@ -57,6 +59,39 @@ def sparse_fields(max_freq=40, max_modes=8):
 def test_prune_threshold_drops_small_coefficients():
     u = SparseField(1, {(0,): 1.0, (1,): 1e-300}, tau=1e-200)
     assert u.spectrum() == {(0,)}
+
+
+def test_prune_threshold_applies_only_to_the_field_built_with_it():
+    # Every operation builds its result with the default threshold, so a
+    # derived field equals the same operation on an unpruned twin of u and
+    # keeps coefficients at or below u's tau.
+    u = SparseField(1, {(0,): 1.0, (1,): 0.6}, tau=0.5)
+    twin = SparseField(1, dict(u.coeffs))
+    half = multiplication_symbol(SparseField(1, {(0,): 0.5}))
+    fam = default_families()[0]
+    data, _ = ching_symbol(-2.0, (1,), 3, 4)
+    ops = {
+        "scale": lambda f: f.scale(0.5),
+        "add": lambda f: f.add(SparseField(1, {(1,): -0.3})),
+        "sub": lambda f: f.sub(f.scale(0.9)),
+        "conjugate": lambda f: f.conjugate(),
+        "multiplier": lambda f: f.multiplier(lambda xi: 0.5),
+        "pointwise_mul": lambda f: pointwise_mul(f, SparseField(1, {(0,): 0.5})),
+        "modulate": lambda f: modulate(f, 0, make_cutoff(0.5, 2.0)),
+        "ball_diff": lambda f: ball_diff(f, 1, 0, make_cutoff(0.5, 2.0)),
+        "lacunary_field": lambda f: lacunary_field((1,), 1.0, 5, 6, f),
+        "apply": lambda f: apply(half, f),
+        "apply_with_support": lambda f: apply_with_support(half, f)[0],
+        "adjoint_apply_ching": lambda f: adjoint_apply_ching(data, f),
+        "paradiff_split": lambda f: paradiff_split(half, f, fam, 1)[1],  # the diagonal
+    }
+    for name, op in ops.items():
+        got, want = op(u), op(twin)
+        assert len(got) > 0, name
+        assert got.coeffs == want.coeffs, name
+        assert got.tau == 0.0, name
+    assert min(abs(c) for c in u.scale(0.5).coeffs.values()) <= u.tau
+    assert u.sub(u.scale(0.9)).spectrum() == {(0,), (1,)}
 
 
 def test_frequency_cap_enforced():

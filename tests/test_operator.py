@@ -323,6 +323,17 @@ def test_adjointness_over_seeded_cases(rng):
     assert worst <= 1e-12
 
 
+def test_adjoint_checks_the_direction_dimension():
+    # A 2-d theta on a 1-d field is rejected, as apply of the same symbol
+    # rejects it, instead of shifting by theta's first component alone.
+    data, a = ching_symbol(0.0, (1, 0), 3, 5)
+    v = delta_field((0,))
+    with pytest.raises(DimensionMismatch):
+        apply(a, v)
+    with pytest.raises(DimensionMismatch):
+        adjoint_apply_ching(data, v)
+
+
 def test_adjoint_disjoint_spectrum_is_zero():
     data, _ = ching_symbol(0.0, (1,), 5, 8)
     # 10^6 + 2^j sits far above every corona at scale 2^j <= 2^8.

@@ -1,14 +1,20 @@
 """Source hygiene checks that need no linter: every import is used, every
-private module-level function or class is referenced, and only the command
-line and the file formats name a file writer."""
+private module-level function or class is referenced, only the command
+line and the file formats name a file writer, and every name the benchmark
+binds to still exists."""
 
 import ast
+import importlib.util
+import inspect
 import re
 from pathlib import Path
 
 import torspec
+import torspec.cli  # noqa: F401  (loads every module the benchmark wraps)
+from torspec.fields import SparseField
 
 PACKAGE = Path(torspec.__file__).resolve().parent
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -79,3 +85,31 @@ def test_only_cli_and_serialize_name_a_writer():
     writer = re.compile(r"\b(atomic_write_text|atomic_write_bytes|write_json)\b")
     naming = sorted(p.name for p in PACKAGE.glob("*.py") if writer.search(p.read_text()))
     assert naming == ["cli.py", "serialize.py"]
+
+
+def test_benchmark_bindings_resolve():
+    # benchmarks/ is read here, never edited: its layer wrappers and its
+    # workloads name torspec functions, so renaming one must fail a test.
+    spec = importlib.util.spec_from_file_location("benchmark_layers", BENCHMARKS / "layers.py")
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    targets = layers._targets()
+    assert [name for name, _, sites in targets if not sites] == []
+    # The construction wrapper calls __post_init__ with the field alone.
+    assert str(inspect.signature(SparseField.__post_init__)) == "(self)"
+    tree = ast.parse((BENCHMARKS / "workloads.py").read_text())
+    aliases = {
+        alias.asname or alias.name: getattr(torspec, alias.name)
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module == "torspec"
+        for alias in node.names
+    }
+    named = {
+        (node.value.id, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in aliases
+    }
+    assert len(named) > 10
+    assert sorted(f"{m}.{a}" for m, a in named if not hasattr(aliases[m], a)) == []

@@ -165,18 +165,20 @@ def telescope_check(profile: CutoffProfile, m: int, samples) -> float:
     return worst
 
 
-def modulate(u: SparseField, m: int, profile: CutoffProfile) -> SparseField:
-    """Frequency modulation u^m: scale coefficient at xi by psi(2^{-m} xi).
-
-    Each coefficient becomes profile.radial(freq_abs(xi) / 2^m) * c, built in
-    one pass over u.  Idempotent once the plateau covers the spectrum: the
-    output is then bitwise equal to u.
-    """
+def modulated_coeffs(radii, coeffs, m: int, profile: CutoffProfile) -> list[complex]:
+    """psi(2^{-m} rho) * c for each rho, c of radii and coeffs, exact zeros kept."""
     if m < 0:
         raise ValueError("modulation index must be >= 0")
     radial = profile.radial
     scale = 2.0**m  # overflows at m >= 1024 without building the integer 2^m
-    return SparseField(u.n, {xi: radial(freq_abs(xi) / scale) * c for xi, c in u.coeffs.items()})
+    return [radial(rho / scale) * c for rho, c in zip(radii, coeffs)]
+
+
+def modulate(u: SparseField, m: int, profile: CutoffProfile) -> SparseField:
+    """Frequency modulation u^m: c at xi becomes psi(2^{-m} |xi|) * c (modulated_coeffs).
+    Once the plateau covers the spectrum, the output is bitwise equal to u."""
+    coeffs = modulated_coeffs(map(freq_abs, u.coeffs), u.coeffs.values(), m, profile)
+    return SparseField(u.n, dict(zip(u.coeffs, coeffs)))
 
 
 def ball_diff(u: SparseField, j: int, k: int, profile: CutoffProfile) -> SparseField:

@@ -110,14 +110,14 @@ class SparseField:
     """Finite frequency -> coefficient mapping; an exact trigonometric polynomial.
 
     Coefficients of magnitude <= tau are dropped at construction; tau = 0 keeps
-    everything but exact zeros; a NaN or infinite one raises ValueError.  No
-    operation reads tau: a field derived from this one keeps its small
-    coefficients unless it is built with a threshold of its own.  A
-    kept key that is a plain-int n-tuple inside the cap skips re-validation;
-    every other key is checked and normalised by check_frequency, so the
-    stored keys are always plain-int tuples and the cap guard on sums such
-    as apply's xi + eta still holds.
-    Instances are treated as immutable: operations return new fields.
+    everything but exact zeros; a NaN or infinite coefficient, and a negative
+    or NaN tau, raise ValueError.  No operation reads tau: a field derived
+    from this one keeps its small coefficients unless it is built with a
+    threshold of its own.  A kept key that is a plain-int n-tuple inside the
+    cap skips re-validation; every other key is checked and normalised by
+    check_frequency, so the stored keys are always plain-int tuples and the
+    cap guard on sums such as apply's xi + eta still holds.  Instances are
+    treated as immutable: operations return new fields.
     """
 
     n: int
@@ -127,8 +127,8 @@ class SparseField:
     def __post_init__(self):
         if self.n not in (1, 2):
             raise DimensionMismatch(f"dimension {self.n} not in {{1, 2}}")
-        if self.tau < 0:
-            raise ValueError("prune threshold must be >= 0")
+        if not self.tau >= 0:  # a NaN tau would drop every coefficient
+            raise ValueError(f"prune threshold must be >= 0, got {self.tau!r}")
         n = self.n
         clean: dict[Frequency, complex] = {}
         for xi in sorted(self.coeffs):

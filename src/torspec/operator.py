@@ -6,13 +6,13 @@ The action of a separable symbol on a sparse field is the exact finite sum
 
 iterated in sorted (term, xi, eta) order so results are reproducible.  A
 term's multiplier is evaluated only on the modes of u whose radius |eta|
-lies in its support [lo, hi] (the spectral support rule): the radii are
-computed once per call and each term's window is found by bisection.  One
-scan of the windows gives, per term, the hit modes and their weights;
-apply sums from it as it goes, while apply_with_support keeps it and also
-builds the support bound Xi from the same hits, so a support trial scans
-each window once.  The lattice sums xi + eta of a term come from one
-fields.shifted call per xi.
+lies in its support [lo, hi] (the spectral support rule): _rank sorts the
+radii of u once and each term's window is found by bisection.  One scan of
+the windows gives, per term, the hit modes and their weights; apply sums
+from it, apply_with_support also builds the support bound Xi from the same
+hits, and a vanishing-modulation run scans u^m's coefficients over u's one
+ranking, skipping the exact zeros, for all its steps.  The lattice sums
+xi + eta of a term come from one fields.shifted call per xi.
 Everything else here is built on top of that kernel: frequency-modulated
 approximants and their stabilisation diagnostics, the adjoint of the
 lacunary family, spectral kernels, the frequency-support rule, the
@@ -34,10 +34,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .cutoffs import CutoffProfile, LPFamily, ball_diff, lp_project, modulate
+from .cutoffs import CutoffProfile, LPFamily, ball_diff, lp_project, modulate, modulated_coeffs
 from .errors import (
     BudgetExceeded,
     DimensionMismatch,
@@ -81,7 +82,7 @@ def apply(a: SeparableSymbol, u: SparseField, budget: int = DEFAULT_PAIR_BUDGET)
     bound is built; apply_with_support returns one as well.
     """
     check_work(a, u, budget)
-    return SparseField(u.n, _accumulate(_support_hits(a, u)))
+    return SparseField(u.n, _accumulate(_support_hits(a, _rank(u), list(u.coeffs.values()))))
 
 
 def apply_with_support(
@@ -95,7 +96,7 @@ def apply_with_support(
     The output is bitwise apply(a, u), under the same budget.
     """
     check_work(a, u, budget)
-    term_hits = list(_support_hits(a, u))
+    term_hits = list(_support_hits(a, _rank(u), list(u.coeffs.values())))
     au = SparseField(u.n, _accumulate(term_hits))
     xi_set: set[Frequency] = set()
     for t, etas, _ in term_hits:
@@ -130,21 +131,22 @@ def _accumulate(term_hits) -> dict[Frequency, complex]:
     return out
 
 
-def _support_hits(a: SeparableSymbol, u: SparseField):
-    """Yield (t, etas, weights) per term of a: etas lists the modes eta of u
-    (in u's order) where m_t(eta) != 0, weights the products m_t(eta) u^(eta).
+def _rank(u: SparseField):
+    """u's keys, their radii, the key indices stably sorted by radius, the sorted radii."""
+    radii = [freq_abs(eta) for eta in u.coeffs]
+    order = sorted(range(len(radii)), key=radii.__getitem__)
+    return list(u.coeffs), radii, order, [radii[i] for i in order]
 
-    m_t is evaluated only where lo <= |eta| <= hi, found by bisecting the
-    radii in ascending order; outside it Term.mult_at is exactly zero.  The
-    window is visited in u's own order, which keeps apply's output dict
-    nearly sorted and so cheap for SparseField to sort.
+
+def _support_hits(a: SeparableSymbol, rank, coeffs: list[complex]):
+    """Yield (t, etas, weights) per term of a: etas lists the ranked modes eta
+    (in key order) where coeffs[i] != 0 and m_t(eta) != 0, weights the
+    products m_t(eta) coeffs[i].  m_t is evaluated only where lo <= |eta| <= hi
+    (bisecting the ranked radii) and coeffs[i] != 0, so u's ranking with u^m's
+    coefficients gives u^m's lists.  Key order keeps apply's output nearly sorted.
     """
-    keys = list(u.coeffs)
-    values = list(u.coeffs.values())
-    radii = [freq_abs(eta) for eta in keys]
-    whole = range(len(radii))
-    order = sorted(whole, key=radii.__getitem__)
-    ranked = [radii[i] for i in order]
+    keys, radii, order, ranked = rank
+    whole = range(len(ranked))
     for t in a.terms:
         lo = bisect_left(ranked, t.mult.lo)
         hi = bisect_right(ranked, t.mult.hi)
@@ -153,10 +155,10 @@ def _support_hits(a: SeparableSymbol, u: SparseField):
         etas = []
         weights = []
         for i in window:
-            mv = complex(radial(radii[i]))
+            mv = complex(radial(radii[i])) if coeffs[i] else 0.0
             if mv != 0.0:
                 etas.append(keys[i])
-                weights.append(mv * values[i])
+                weights.append(mv * coeffs[i])
         yield t, etas, weights
 
 
@@ -172,18 +174,24 @@ def rel_coeff_diff(u: SparseField, v: SparseField) -> float:
 def apply_modulated(
     a: SeparableSymbol, u: SparseField, profile: CutoffProfile, m: int
 ) -> SparseField:
-    """a^m(x, D) u^m, computed as apply(symbol_modulate(a, m), modulate(u, m)).
+    """a^m(x, D) u^m, bitwise apply(symbol_modulate(a, m), modulate(u, m)).
 
-    The alternative order - applying the fully modulated symbol
-    a^m (1 x psi_m) to the unmodulated u - is computed as well and the two
-    results are asserted to agree coefficientwise; they are analytically
-    identical.  The full modulation is built once: its terms, with each
-    Modulated multiplier unwrapped to its inner one, are symbol_modulate(a, m).
+    The fully modulated symbol a^m (1 x psi_m) applied to u is computed too,
+    over the same one ranking of u, and the two are asserted to agree (they
+    are analytically identical); one check_work on u bounds both.  Its terms,
+    each Modulated multiplier unwrapped, are symbol_modulate(a, m).
     """
+    return _apply_modulated(a, u, _rank(u), profile, m)
+
+
+def _apply_modulated(a: SeparableSymbol, u: SparseField, rank, profile: CutoffProfile, m: int):
     full = symbol_full_modulate(a, m, profile)
     x_only = SeparableSymbol(a.d, a.n, tuple(Term(t.xpart, t.mult.inner) for t in full.terms))
-    first = apply(x_only, modulate(u, m, profile))
-    second = apply(full, u)
+    # Raises for m < 0 before check_work, with or without terms.
+    modulated = modulated_coeffs(rank[1], u.coeffs.values(), m, profile)
+    check_work(full, u)
+    first = SparseField(u.n, _accumulate(_support_hits(x_only, rank, modulated)))
+    second = SparseField(u.n, _accumulate(_support_hits(full, rank, list(u.coeffs.values()))))
     if not rel_coeff_diff(first, second) <= 1e-12:  # a NaN difference fails too
         raise AssertionError(
             "modulation-order equivalence violated beyond rounding"
@@ -313,12 +321,11 @@ def vanishing_limit(
     those terms' x-parts (one _support_hits pass).  It is the executable
     rendering of membership of u in the operator domain.
     """
-    cover = 0.0
-    for t, etas, _ in _support_hits(a, u):
-        if etas:
-            radii = [freq_abs(eta) for eta in etas] + [freq_abs(xi) for xi in t.xpart.coeffs]
-            cover = max(cover, max(radii))
-    return _modulation_run(lambda p, m: apply_modulated(a, u, p, m), profiles, m_range, cover)
+    rank = _rank(u)  # shared by the cover pass and every step
+    hits = _support_hits(a, rank, list(u.coeffs.values()))
+    radii = (freq_abs(k) for t, etas, _ in hits if etas for k in etas + list(t.xpart.coeffs))
+    cover = max(radii, default=0.0)
+    return _modulation_run(partial(_apply_modulated, a, u, rank), profiles, m_range, cover)
 
 
 def pi_product(

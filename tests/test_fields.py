@@ -61,6 +61,14 @@ def test_prune_threshold_drops_small_coefficients():
     assert u.spectrum() == {(0,)}
 
 
+def test_nan_or_negative_prune_threshold_rejected():
+    # NaN fails every compare: it passed a `tau < 0` guard and then dropped
+    # every coefficient, so the field came out empty without an error.
+    for tau in (math.nan, -math.nan, -1.0, -math.inf):
+        with pytest.raises(ValueError):
+            SparseField(1, {(1,): 1.0}, tau)
+
+
 def test_prune_threshold_applies_only_to_the_field_built_with_it():
     # Every operation builds its result with the default threshold, so a
     # derived field equals the same operation on an unpruned twin of u and

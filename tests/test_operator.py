@@ -16,7 +16,13 @@ from torspec.constructions import (
     random_band_limited,
     vanishing_family,
 )
-from torspec.cutoffs import CutoffProfile, default_families, lp_project
+from torspec.cutoffs import (
+    CutoffProfile,
+    default_families,
+    lp_project,
+    modulate,
+    modulated_coeffs,
+)
 from torspec.errors import (
     BudgetExceeded,
     DimensionMismatch,
@@ -37,6 +43,8 @@ from torspec.norms import sobolev_norm
 from torspec.operator import (
     _diagnose,
     _modulation_run,
+    _rank,
+    _support_hits,
     adjoint_apply_ching,
     apply,
     apply_modulated,
@@ -64,6 +72,7 @@ from torspec.symbols import (
     ching_symbol,
     identity_symbol,
     multiplication_symbol,
+    symbol_modulate,
 )
 
 
@@ -158,6 +167,75 @@ def test_modulation_order_equivalence_over_seeded_cases(rng, profiles):
         u = random_band_limited(1, 6, 150, rng)
         m = int(rng.integers(0, 9))
         apply_modulated(a, u, profiles[trial % 2], m)
+
+
+def _hexed(f):
+    return {xi: (c.real.hex(), c.imag.hex()) for xi, c in f.items()}
+
+
+_DEFAULT_PROFILES = [fam.profile for fam in default_families()]
+
+
+@st.composite
+def _modulated_case(draw):
+    n = draw(st.sampled_from([1, 2]))
+    m = draw(st.integers(0, 12))
+    a = random_symbol(n, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    freq = st.tuples(*[st.integers(-48, 48)] * n)
+    tiny = st.sampled_from([5e-324, -5e-324j, complex(1e-320, -3e-322)])
+    coeffs = draw(st.dictionaries(freq, st.one_of(_COEFFS, tiny), max_size=30))
+    # For m >= 3 both default profiles take a value in (0, 1/2) at this
+    # radius, so the subnormal coefficient of u^m underflows to an exact zero.
+    coeffs[(math.ceil(1.8 * 2**m),) + (0,) * (n - 1)] = 5e-324
+    return a, SparseField(n, coeffs), draw(st.sampled_from(_DEFAULT_PROFILES)), m
+
+
+@settings(max_examples=150, deadline=None)
+@given(_modulated_case())
+def test_apply_modulated_is_apply_of_the_modulations_bitwise(case):
+    # apply_modulated scans u's ranking with u^m's coefficients and skips the
+    # exact zeros: every window must give the hits of the field modulate builds.
+    a, u, p, m = case
+    x_only, um = symbol_modulate(a, m, p), modulate(u, m, p)
+
+    def hexed(hits):
+        return [(etas, [(w.real.hex(), w.imag.hex()) for w in ws]) for _, etas, ws in hits]
+
+    rank = _rank(u)
+    got = _support_hits(x_only, rank, modulated_coeffs(rank[1], u.coeffs.values(), m, p))
+    assert hexed(got) == hexed(_support_hits(x_only, _rank(um), list(um.coeffs.values())))
+    assert _hexed(apply_modulated(a, u, p, m)) == _hexed(apply(x_only, um))
+
+
+def test_vanishing_limit_ranks_u_once(profiles, monkeypatch):
+    # The cover pass and all 2 x 13 steps share one ranking of u.
+    import torspec.operator as op
+
+    ranked = []
+    rank = op._rank
+
+    def counted(u):
+        ranked.append(len(u))
+        return rank(u)
+
+    monkeypatch.setattr(op, "_rank", counted)
+    vN, _, j_hi = vanishing_family(5, 0.0, (1,))
+    _, a = ching_symbol(0.0, (1,), 5, j_hi)
+    vanishing_limit(a, vN, profiles, (0, 12))
+    assert ranked == [len(vN)]
+    apply_modulated(a, vN, profiles[0], 3)
+    assert ranked == [len(vN)] * 2
+
+
+def test_modulation_index_checked_for_a_symbol_with_no_terms(profiles):
+    # No term builds a Modulated multiplier, which would check m itself.
+    empty = SeparableSymbol(0.0, 1, ())
+    u = SparseField(1, {(1,): 1.0})
+    with pytest.raises(ValueError):
+        apply_modulated(empty, u, profiles[0], -1)
+    with pytest.raises(ValueError):
+        vanishing_limit(empty, u, profiles, (-1, 2))
+    assert len(apply_modulated(empty, u, profiles[0], 0)) == 0
 
 
 def test_vanishing_limit_passes_for_band_limited_inputs(rng, profiles):
@@ -525,14 +603,10 @@ def _symbol_and_field(draw):
 def test_windowed_apply_matches_per_pair_loop_bitwise(case):
     a, u = case
     got, want = apply(a, u), _apply_by_pairs(a, u)
-
-    def hexed(f):
-        return {xi: (c.real.hex(), c.imag.hex()) for xi, c in f.items()}
-
-    assert hexed(got) == hexed(want)
+    assert _hexed(got) == _hexed(want)
     assert support_rule_xi(a, u) == _support_by_pairs(a, u)
     au, xi_set = apply_with_support(a, u)
-    assert hexed(au) == hexed(got)
+    assert _hexed(au) == _hexed(got)
     assert xi_set == _support_by_pairs(a, u)
 
 

@@ -10,9 +10,9 @@ lies in its support [lo, hi] (the spectral support rule): _rank sorts the
 radii of u once and each term's window is found by bisection.  One scan of
 the windows gives, per term, the hit modes and their weights; apply sums
 from it, apply_with_support also builds the support bound Xi from the same
-hits, and a vanishing-modulation run scans u^m's coefficients over u's one
-ranking, skipping the exact zeros, for all its steps.  The lattice sums
-xi + eta of a term come from one fields.shifted call per xi.
+hits; a vanishing-modulation run scans u^m's coefficients over u's one
+ranking, skips the exact zeros and sums the saturated prefix of its terms
+once.  A term's lattice sums xi + eta take one fields.shifted call per xi.
 Everything else here is built on top of that kernel: frequency-modulated
 approximants and their stabilisation diagnostics, the adjoint of the
 lacunary family, spectral kernels, the frequency-support rule, the
@@ -34,7 +34,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -61,6 +60,7 @@ from .fields import (
 from .norms import hsp_norm, sobolev_norm
 from .symbols import (
     ChingData,
+    Modulated,
     SeparableSymbol,
     Term,
     pow2,
@@ -118,10 +118,10 @@ def check_work(a: SeparableSymbol, u: SparseField, budget: int = DEFAULT_PAIR_BU
         raise BudgetExceeded(f"{work} coefficient products exceed budget {budget}")
 
 
-def _accumulate(term_hits) -> dict[Frequency, complex]:
+def _accumulate(term_hits, start=()) -> dict[Frequency, complex]:
     """Sum c_t(xi) * w into xi + eta over each (t, etas, weights) of term_hits,
-    in (term, xi, eta) order: the coefficients of a(x, D) u."""
-    out: dict[Frequency, complex] = {}
+    in (term, xi, eta) order, onto a copy of start: the coefficients of a(x, D) u."""
+    out: dict[Frequency, complex] = dict(start)
     for t, etas, weights in term_hits:
         if not etas:
             continue
@@ -138,7 +138,7 @@ def _rank(u: SparseField):
     return list(u.coeffs), radii, order, [radii[i] for i in order]
 
 
-def _support_hits(a: SeparableSymbol, rank, coeffs: list[complex]):
+def _support_hits(a: SeparableSymbol, rank, coeffs: list[complex] | dict[int, complex]):
     """Yield (t, etas, weights) per term of a: etas lists the ranked modes eta
     (in key order) where coeffs[i] != 0 and m_t(eta) != 0, weights the
     products m_t(eta) coeffs[i].  m_t is evaluated only where lo <= |eta| <= hi
@@ -176,27 +176,64 @@ def apply_modulated(
 ) -> SparseField:
     """a^m(x, D) u^m, bitwise apply(symbol_modulate(a, m), modulate(u, m)).
 
-    The fully modulated symbol a^m (1 x psi_m) applied to u is computed too,
-    over the same one ranking of u, and the two are asserted to agree (they
-    are analytically identical); one check_work on u bounds both.  Its terms,
-    each Modulated multiplier unwrapped, are symbol_modulate(a, m).
+    One step of a fresh vanishing_limit run: a^m (1 x psi_m) applied to u is
+    computed too, over the same one ranking of u, and asserted to agree
+    (they are analytically identical); one check_work on u bounds both.
     """
-    return _apply_modulated(a, u, _rank(u), profile, m)
+    return _modulated_steps(a, u, _rank(u))(profile, m)
 
 
-def _apply_modulated(a: SeparableSymbol, u: SparseField, rank, profile: CutoffProfile, m: int):
-    full = symbol_full_modulate(a, m, profile)
-    x_only = SeparableSymbol(a.d, a.n, tuple(Term(t.xpart, t.mult.inner) for t in full.terms))
-    # Raises for m < 0 before check_work, with or without terms.
-    modulated = modulated_coeffs(rank[1], u.coeffs.values(), m, profile)
-    check_work(full, u)
-    first = SparseField(u.n, _accumulate(_support_hits(x_only, rank, modulated)))
-    second = SparseField(u.n, _accumulate(_support_hits(full, rank, list(u.coeffs.values()))))
-    if not rel_coeff_diff(first, second) <= 1e-12:  # a NaN difference fails too
-        raise AssertionError(
-            "modulation-order equivalence violated beyond rounding"
-        )
-    return first
+def _modulated_steps(a: SeparableSymbol, u: SparseField, rank):
+    """step(p, m) = a^m(x, D) u^m over u's ranking, for one run in ascending m.
+
+    Per profile it keeps both orders' sums over the saturated prefix of the
+    step's sorted terms while it leads (pruning can reorder terms sharing a
+    lo) and scans only the terms after it, so per key the sums keep their order.
+    """
+    _, radii, order, ranked = rank
+    coeffs = list(u.coeffs.values())
+    reach = []  # per term: the largest x-part radius or radius of u in its window
+    for t in a.terms:
+        window = ranked[bisect_left(ranked, t.mult.lo) : bisect_right(ranked, t.mult.hi)]
+        reach.append(max([freq_abs(xi) for xi in t.xpart.coeffs] + window[-1:], default=0.0))
+    plateau: dict[int, Term] = {}  # term index -> the term with x-part 1.0 * c
+    runs: dict[CutoffProfile, tuple] = {}  # p -> (saturated prefix, x-only sums, full sums)
+
+    def step(p: CutoffProfile, m: int) -> SparseField:
+        terms = []
+        for k, t in enumerate(a.terms):
+            if reach[k] / 2.0**m <= p.r:
+                if k not in plateau:
+                    plateau[k] = Term(modulate(t.xpart, m, p), t.mult)
+                terms.append(plateau[k])
+            elif len(xp := modulate(t.xpart, m, p)):
+                terms.append(Term(xp, t.mult))
+        x_only = SeparableSymbol(a.d, a.n, tuple(terms))
+        on = {id(t) for t in plateau.values()}  # a plateau term is in terms only where saturated
+        flat = next((i for i, t in enumerate(x_only.terms) if id(t) not in on), len(terms))
+        held, first, second = runs.get(p, ((), {}, {}))
+        if len(held) > flat or any(h is not t for h, t in zip(held, x_only.terms)):
+            held, first, second = (), {}, {}
+        live = x_only.terms[len(held) :]
+        # u^m over the span of the live windows (sorted by lo); raises for m < 0 before check_work.
+        lo, hi = (live[0].mult.lo, max(t.mult.hi for t in live)) if live else (math.inf, 0.0)
+        idx = order[bisect_left(ranked, lo) : bisect_right(ranked, hi)]
+        um = modulated_coeffs([radii[i] for i in idx], [coeffs[i] for i in idx], m, p)
+        check_work(x_only, u)  # x_only has the x-parts of the full modulation
+        full = tuple(Term(t.xpart, Modulated(t.mult, m, p)) for t in live)
+        x_hits = list(_support_hits(SeparableSymbol(a.d, a.n, live), rank, dict(zip(idx, um))))
+        f_hits = list(_support_hits(SeparableSymbol(a.d, a.n, full), rank, coeffs))
+        new = flat - len(held)
+        if new:
+            first, second = _accumulate(x_hits[:new], first), _accumulate(f_hits[:new], second)
+        runs[p] = (x_only.terms[:flat], first, second)
+        first = SparseField(u.n, _accumulate(x_hits[new:], first))
+        second = SparseField(u.n, _accumulate(f_hits[new:], second))
+        if not rel_coeff_diff(first, second) <= 1e-12:  # a NaN difference fails too
+            raise AssertionError("modulation-order equivalence violated beyond rounding")
+        return first
+
+    return step
 
 
 @dataclass
@@ -319,13 +356,16 @@ def vanishing_limit(
     every plateau covers the radius that matters: the largest |eta| over the
     modes of u that some term's multiplier hits, and the largest |xi| over
     those terms' x-parts (one _support_hits pass).  It is the executable
-    rendering of membership of u in the operator domain.
+    rendering of membership of u in the operator domain.  A term whose x-part
+    radii and radii of u in its window have rho / 2^m <= p.r (modulate's float
+    expression) adds the same 1.0 * c products at every later m, so each
+    profile's run sums that saturated prefix of the sorted terms once.
     """
     rank = _rank(u)  # shared by the cover pass and every step
     hits = _support_hits(a, rank, list(u.coeffs.values()))
     radii = (freq_abs(k) for t, etas, _ in hits if etas for k in etas + list(t.xpart.coeffs))
     cover = max(radii, default=0.0)
-    return _modulation_run(partial(_apply_modulated, a, u, rank), profiles, m_range, cover)
+    return _modulation_run(_modulated_steps(a, u, rank), profiles, m_range, cover)
 
 
 def pi_product(

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -236,6 +237,92 @@ def test_modulation_index_checked_for_a_symbol_with_no_terms(profiles):
     with pytest.raises(ValueError):
         vanishing_limit(empty, u, profiles, (-1, 2))
     assert len(apply_modulated(empty, u, profiles[0], 0)) == 0
+
+
+def _reference_run(a, u, profiles, m_range):
+    # vanishing_limit with every step a fresh apply_modulated: nothing is kept
+    # from one step to the next.
+    hits = _support_hits(a, _rank(u), list(u.coeffs.values()))
+    radii = (freq_abs(k) for t, etas, _ in hits if etas for k in etas + list(t.xpart.coeffs))
+
+    def step(p, m):
+        return apply_modulated(a, u, p, m)
+
+    return _modulation_run(step, profiles, m_range, max(radii, default=0.0))
+
+
+def _flip_pair(n):
+    # Two terms sharing lo = 0 and keyed below every random_symbol x-part:
+    # s is saturated from m = 6 and leads while the far mode of t is pruned;
+    # once that mode returns (m = 9 with one default profile, 10 with the
+    # other) t leads, so the sums kept for s must be dropped.
+    def e(k):
+        return (k,) + (0,) * (n - 1)
+
+    s = Term(SparseField(n, {e(-40): 0.75 - 0.5j}), Ball(1.0))
+    t = Term(SparseField(n, {e(-1000): 1.25 + 0.25j, e(5): -0.5 + 1j}), Ball(1.0))
+    return s, t
+
+
+@st.composite
+def _run_case(draw):
+    n = draw(st.sampled_from([1, 2]))
+    m_lo = draw(st.integers(0, 6))
+    m_hi = draw(st.integers(10, 13))
+    a = random_symbol(n, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    a = SeparableSymbol(a.d, n, a.terms + _flip_pair(n))
+    freq = st.tuples(*[st.integers(-48, 48)] * n)
+    tiny = st.sampled_from([5e-324, -5e-324j, complex(1e-320, -3e-322)])
+    coeffs = draw(st.dictionaries(freq, st.one_of(_COEFFS, tiny), max_size=30))
+    for k in (-1, 0, 1):  # modes in the flip pair's window
+        coeffs[(k,) + (0,) * (n - 1)] = draw(_COEFFS)
+    # A subnormal coefficient that u^m turns into an exact zero at some step.
+    m = draw(st.integers(max(m_lo, 3), m_hi))
+    coeffs[(math.ceil(1.8 * 2**m),) + (0,) * (n - 1)] = 5e-324
+    return a, SparseField(n, coeffs), (m_lo, m_hi)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_run_case())
+def test_vanishing_limit_is_a_run_of_fresh_steps_bitwise(case):
+    # Keeping the saturated prefix's sums across steps must give every step,
+    # the report and the limit of a run whose steps start from nothing.
+    import torspec.operator as op
+
+    a, u, m_range = case
+    with mock.patch.object(op, "_diagnose", wraps=op._diagnose) as diagnose:
+        got = vanishing_limit(a, u, _DEFAULT_PROFILES, m_range)
+        want = _reference_run(a, u, _DEFAULT_PROFILES, m_range)
+    got_seqs, want_seqs = (c.args[0] for c in diagnose.call_args_list)
+    assert {p: [_hexed(f) for f in fs] for p, fs in got_seqs.items()} == {
+        p: [_hexed(f) for f in fs] for p, fs in want_seqs.items()
+    }
+    assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+    assert _hexed(got.limit) == _hexed(want.limit)
+
+
+def test_vanishing_limit_scans_each_term_while_it_is_live(profiles, monkeypatch):
+    # A step scans only the terms after its saturated prefix that pruning has
+    # not emptied, so the window scans grow with terms + steps, not with
+    # terms x steps as when every step scans every term in both orders.
+    import torspec.operator as op
+
+    scanned = []
+    scan = op._support_hits
+
+    def counted(a, rank, coeffs):
+        for hit in scan(a, rank, coeffs):
+            scanned.append(hit[0])
+            yield hit
+
+    monkeypatch.setattr(op, "_support_hits", counted)
+    vN, _, j_hi = vanishing_family(5, 0.0, (1,))
+    _, a = ching_symbol(0.0, (1,), 5, j_hi)
+    for m_hi in (12, 27):
+        scanned.clear()
+        vanishing_limit(a, vN, profiles, (0, m_hi))
+        scans, terms, steps, orders = len(scanned), len(a.terms), m_hi + 1, 2
+        assert scans <= terms + orders * len(profiles) * (terms + steps)
 
 
 def test_vanishing_limit_passes_for_band_limited_inputs(rng, profiles):

@@ -226,6 +226,8 @@ def run_apply(args, cfg: RunConfig) -> int:
     symbol = load_symbol(args.symbol)
     field_in = load_sparse(args.field)
     if args.modulate is not None:
+        if type(args.modulate) is not int:  # argparse gives [] for --modulate=--
+            raise ValueError(f"--modulate expects an integer >= 0, got {args.modulate!r}")
         profile = cfg.profile(args.profile)
         check_work(symbol, field_in)
         symbol = symbol_full_modulate(symbol, args.modulate, profile)

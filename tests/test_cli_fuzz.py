@@ -232,6 +232,7 @@ def test_fuzz_run_flags(argv, text):
 @FUZZ
 @given(texts)
 @example("2000")
+@example("--")  # argparse passes [] past the type function
 def test_fuzz_modulate_flag(text):
     with _boundary() as tmp:
         symbol = save_symbol(identity_symbol(1), tmp / "a.json")

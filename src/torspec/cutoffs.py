@@ -176,7 +176,9 @@ def modulated_coeffs(radii, coeffs, m: int, profile: CutoffProfile) -> list[comp
 
 def modulate(u: SparseField, m: int, profile: CutoffProfile) -> SparseField:
     """Frequency modulation u^m: c at xi becomes psi(2^{-m} |xi|) * c (modulated_coeffs).
-    Once the plateau covers the spectrum, the output is bitwise equal to u."""
+    Once the plateau covers the spectrum every coefficient is 1.0 * c: equal
+    to c, and bitwise c except that a zero part can lose its sign, as
+    (-0-1j) comes back as -1j and (1-0j) as (1+0j)."""
     coeffs = modulated_coeffs(map(freq_abs, u.coeffs), u.coeffs.values(), m, profile)
     return SparseField(u.n, dict(zip(u.coeffs, coeffs)))
 

@@ -11,8 +11,9 @@ radii of u once and each term's window is found by bisection.  One scan of
 the windows gives, per term, the hit modes and their weights; apply sums
 from it, apply_with_support also builds the support bound Xi from the same
 hits; a vanishing-modulation run scans u^m's coefficients over u's one
-ranking, skips the exact zeros and sums the saturated prefix of its terms
-once.  A term's lattice sums xi + eta take one fields.shifted call per xi.
+ranking, skips the exact zeros and x-parts that modulate to nothing, and
+sums the saturated prefix of its terms once.  A term's lattice sums
+xi + eta take one fields.shifted call per xi.
 Everything else here is built on top of that kernel: frequency-modulated
 approximants and their stabilisation diagnostics, the adjoint of the
 lacunary family, spectral kernels, the frequency-support rule, the
@@ -22,8 +23,9 @@ product, norm-ratio probes and the one-dimensional spatial kernel.
 vanishing_limit and pi_product share one modulation-run loop: each builds
 a sequence per cutoff profile over its m range and _diagnose judges them,
 including whether the plateau reached the radius the caller must cover.
-pi_product returns one product object for every step whose plateau
-already covers both factors, and _diagnose treats a repeated object as a
+That loop is the one place covered steps are reused: every step whose
+plateau already covers that radius, in any profile, returns the field of
+the run's first covered step, and _diagnose treats a repeated object as a
 step with no change, so each distinct modulation step is computed once.
 The split localises fields with cutoffs.ball_diff, the one products-first
 rule for u^j - u^k (lp_project is its block case j - k = 1).
@@ -186,35 +188,39 @@ def apply_modulated(
 def _modulated_steps(a: SeparableSymbol, u: SparseField, rank):
     """step(p, m) = a^m(x, D) u^m over u's ranking, for one run in ascending m.
 
-    Per profile it keeps both orders' sums over the saturated prefix of the
-    step's sorted terms while it leads (pruning can reorder terms sharing a
-    lo) and scans only the terms after it, so per key the sums keep their order.
+    A term is saturated at (p, m) when its x-part radii and the radii of u
+    in its window have rho / 2^m <= p.r; its modulation keeps its keys and
+    lo, so the term stands for itself in a^m's sort and is modulated only
+    when a step scans it.  An x-part with every rho / 2^m >= p.R modulates
+    to nothing and is skipped.  Per profile a step keeps both orders' sums
+    over the saturated prefix of its sorted terms while it leads (pruning
+    can reorder terms sharing a lo) and scans only the terms after it, so
+    per key the sums keep their order.
     """
     _, radii, order, ranked = rank
     coeffs = list(u.coeffs.values())
-    reach = []  # per term: the largest x-part radius or radius of u in its window
+    span: dict[int, tuple] = {}  # id(t) -> (min x-part radius, max x-part or window radius of u)
     for t in a.terms:
         window = ranked[bisect_left(ranked, t.mult.lo) : bisect_right(ranked, t.mult.hi)]
-        reach.append(max([freq_abs(xi) for xi in t.xpart.coeffs] + window[-1:], default=0.0))
-    plateau: dict[int, Term] = {}  # term index -> the term with x-part 1.0 * c
+        xr = [freq_abs(xi) for xi in t.xpart.coeffs]
+        span[id(t)] = (min(xr, default=math.inf), max(xr + window[-1:], default=0.0))
     runs: dict[CutoffProfile, tuple] = {}  # p -> (saturated prefix, x-only sums, full sums)
 
     def step(p: CutoffProfile, m: int) -> SparseField:
         terms = []
-        for k, t in enumerate(a.terms):
-            if reach[k] / 2.0**m <= p.r:
-                if k not in plateau:
-                    plateau[k] = Term(modulate(t.xpart, m, p), t.mult)
-                terms.append(plateau[k])
-            elif len(xp := modulate(t.xpart, m, p)):
+        for t in a.terms:
+            near, reach = span[id(t)]
+            if reach / 2.0**m <= p.r:
+                terms.append(t)
+            elif near / 2.0**m < p.R and len(xp := modulate(t.xpart, m, p)):
                 terms.append(Term(xp, t.mult))
         x_only = SeparableSymbol(a.d, a.n, tuple(terms))
-        on = {id(t) for t in plateau.values()}  # a plateau term is in terms only where saturated
-        flat = next((i for i, t in enumerate(x_only.terms) if id(t) not in on), len(terms))
+        flat = next((i for i, t in enumerate(x_only.terms) if id(t) not in span), len(terms))
         held, first, second = runs.get(p, ((), {}, {}))
         if len(held) > flat or any(h is not t for h, t in zip(held, x_only.terms)):
             held, first, second = (), {}, {}
         live = x_only.terms[len(held) :]
+        live = [Term(modulate(t.xpart, m, p), t.mult) if id(t) in span else t for t in live]
         # u^m over the span of the live windows (sorted by lo); raises for m < 0 before check_work.
         lo, hi = (live[0].mult.lo, max(t.mult.hi for t in live)) if live else (math.inf, 0.0)
         idx = order[bisect_left(ranked, lo) : bisect_right(ranked, hi)]
@@ -329,7 +335,11 @@ def _modulation_run(
     """Diagnose the sequences step(p, m), m = m_lo..m_hi, one per profile p.
 
     cover is the largest radius that every profile's plateau must reach at
-    m_star for the run to pass.  The sequences are keyed by profile id, so
+    m_star for the run to pass.  A step is covered when cover / 2^m <= p.r
+    (_diagnose's covered): every mode that contributes then holds 1.0 * c,
+    so all covered steps are bitwise one field, and the run returns its
+    first covered step's field for each later one without calling step
+    (or its checks) again.  The sequences are keyed by profile id, so
     fewer than two distinct ids raise ValueError before any step: one
     profile given twice has nothing to be compared with.  So does a range
     with m_hi < m_lo, which holds no step at all.
@@ -339,7 +349,15 @@ def _modulation_run(
     m_lo, m_hi = m_range
     if m_hi < m_lo:
         raise ValueError(f"modulation range {m_lo}..{m_hi} is reversed")
-    seqs = {p.id: [step(p, m) for m in range(m_lo, m_hi + 1)] for p in profiles}
+    seqs: dict[str, list[SparseField]] = {}
+    plateau = None  # the field of the run's first covered step
+    for p in profiles:
+        seqs[p.id] = row = []
+        for m in range(m_lo, m_hi + 1):
+            covered = cover / 2.0**m <= p.r
+            if covered and plateau is None:
+                plateau = step(p, m)
+            row.append(plateau if covered else step(p, m))
     return _diagnose(seqs, m_lo, m_hi, cover, min(p.r for p in profiles))
 
 
@@ -359,7 +377,9 @@ def vanishing_limit(
     rendering of membership of u in the operator domain.  A term whose x-part
     radii and radii of u in its window have rho / 2^m <= p.r (modulate's float
     expression) adds the same 1.0 * c products at every later m, so each
-    profile's run sums that saturated prefix of the sorted terms once.
+    profile's run sums that saturated prefix of the sorted terms once; once
+    the plateau covers the radius that matters, every step is the first
+    covered one (_modulation_run).
     """
     rank = _rank(u)  # shared by the cover pass and every step
     hits = _support_hits(a, rank, list(u.coeffs.values()))
@@ -377,27 +397,16 @@ def pi_product(
     """Generalised product pi(u, v) = lim_m u^m v^m with its diagnostic.
 
     For trigonometric polynomials the sequence stabilises at the exact
-    coefficient convolution of u and v.  A step (p, m) is covered when
-    top / 2^m <= p.r, top the largest |xi| over both factors, in modulate's
-    float expression: both modulated factors then hold 1.0 * c at every
-    mode, whatever p and m, so every covered step returns the one product
-    computed (through modulate) at the first of them.  It is not
-    pointwise_mul(u, v): 1.0 * c is not always c bitwise (its real part
-    loses the sign of -0.0).  top is also the radius the diagnostic must
-    cover.
+    coefficient convolution of u and v.  The run covers top, the largest
+    |xi| over both factors: on a covered step both modulated factors hold
+    1.0 * c at every mode, so _modulation_run computes that product once.
+    It is not pointwise_mul(u, v): 1.0 * c is not always c bitwise (a zero
+    part can lose its sign).
     """
     top = max((freq_abs(xi) for f in (u, v) for xi in f.coeffs), default=0.0)
-    plateau_product = None
-
-    def step(p: CutoffProfile, m: int) -> SparseField:
-        nonlocal plateau_product
-        if top / float(2**m) > p.r:
-            return pointwise_mul(modulate(u, m, p), modulate(v, m, p))
-        if plateau_product is None:
-            plateau_product = pointwise_mul(modulate(u, m, p), modulate(v, m, p))
-        return plateau_product
-
-    diag = _modulation_run(step, profiles, m_range, top)
+    diag = _modulation_run(
+        lambda p, m: pointwise_mul(modulate(u, m, p), modulate(v, m, p)), profiles, m_range, top
+    )
     return diag, diag.limit
 
 
@@ -555,8 +564,12 @@ def corona_check(
     (5R/4) 2^k; the diagonal summand in the ball |xi| <= 2R 2^k.  When the
     symbol satisfies the twisted-diagonal condition at aperture C
     (tdc_constant), the diagonal summand additionally obeys the refined
-    lower bound (r / (2^{h+1} C)) 2^k once k >= h + 1 + log2(C/r).
+    lower bound (r / (2^{h+1} C)) 2^k once k >= h + 1 + log2(C/r).  An
+    aperture that is not >= 1 (NaN included) raises ValueError, as in
+    twisted_diagonal_check.
     """
+    if tdc_constant is not None and not tdc_constant >= 1.0:
+        raise ValueError("aperture constant C must be >= 1")
     h = fam.h
     r, R = fam.profile.r, fam.profile.R
     lo = (r / 4.0) * 2**k
@@ -622,7 +635,8 @@ def norm_ratio_probe(
     the operator.  p = 2 uses the exact weighted-l2 norm; other p go through
     the dense Bessel-potential route, which needs the spectra to fit a grid
     (J <= 16).  Extra adversarial inputs can be appended explicitly; their
-    rows are labelled adversarial-0, adversarial-1, ...
+    rows are labelled adversarial-0, adversarial-1, ...  A probe with no
+    row (zero trials and no adversarial input) raises ValueError.
     """
     if p != 2.0 and J > 16:
         raise FrequencyOutOfRange("dense L_p ratios need a grid: require J <= 16")
@@ -649,8 +663,9 @@ def norm_ratio_probe(
         rows.append((f"random-{trial}", norm_pair(_probe_field(a, J, rng))))
     for i, v in enumerate(adversarial or []):
         rows.append((f"adversarial-{i}", norm_pair(v)))
-    max_ratio = max((v for _, v in rows), default=0.0)
-    return RatioProbe(s, p, rows, max_ratio)
+    if not rows:
+        raise ValueError("need at least one trial or adversarial input: zero rows are no evidence")
+    return RatioProbe(s, p, rows, max(v for _, v in rows))
 
 
 def _probe_field(a: SeparableSymbol, J: int, rng) -> SparseField:

@@ -361,9 +361,10 @@ def twisted_diagonal_check(
     Radial support descriptors allow an analytic certificate; otherwise
     lattice candidates near the worst radius are enumerated (plus 2000
     random samples per x-frequency from one generator seeded with 0), and
-    the first violating pair is returned as a witness.
+    the first violating pair is returned as a witness.  An aperture that is
+    not >= 1 (NaN included) raises ValueError.
     """
-    if C < 1.0:
+    if not C >= 1.0:  # a NaN aperture fails too
         raise ValueError("aperture constant C must be >= 1")
     rng = np.random.default_rng(0)
     for t in a.terms:

@@ -238,8 +238,18 @@ def test_ball_at_zero_equals_block_at_zero(fam):
 
 
 def test_modulate_is_bitwise_identity_on_plateau(fam):
+    # On the plateau each coefficient is 1.0 * c: bitwise c, except that a
+    # zero part can lose its sign.
+    def hexed(f):
+        return {xi: (c.real.hex(), c.imag.hex()) for xi, c in f.items()}
+
     u = SparseField(1, {(3,): 1.234 + 5j, (-9,): -2.0})
-    assert modulate(u, 4, fam.profile).coeffs == u.coeffs
+    assert hexed(modulate(u, 4, fam.profile)) == hexed(u)
+    signed = SparseField(1, {(2,): complex(-0.0, -1.0), (5,): complex(1.0, -0.0)})
+    assert hexed(modulate(signed, 4, fam.profile)) == {
+        (2,): ((0.0).hex(), (-1.0).hex()),
+        (5,): ((1.0).hex(), (0.0).hex()),
+    }
 
 
 def test_modulate_kills_far_frequencies(fam):

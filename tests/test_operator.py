@@ -241,14 +241,13 @@ def test_modulation_index_checked_for_a_symbol_with_no_terms(profiles):
 
 def _reference_run(a, u, profiles, m_range):
     # vanishing_limit with every step a fresh apply_modulated: nothing is kept
-    # from one step to the next.
+    # from one step to the next, and a covered step is computed like any other.
     hits = _support_hits(a, _rank(u), list(u.coeffs.values()))
     radii = (freq_abs(k) for t, etas, _ in hits if etas for k in etas + list(t.xpart.coeffs))
-
-    def step(p, m):
-        return apply_modulated(a, u, p, m)
-
-    return _modulation_run(step, profiles, m_range, max(radii, default=0.0))
+    m_lo, m_hi = m_range
+    seqs = {p.id: [apply_modulated(a, u, p, m) for m in range(m_lo, m_hi + 1)] for p in profiles}
+    r = min(p.r for p in profiles)
+    return _diagnose(seqs, m_lo, m_hi, max(radii, default=0.0), r), seqs
 
 
 def _flip_pair(n):
@@ -285,20 +284,64 @@ def _run_case(draw):
 @settings(max_examples=40, deadline=None)
 @given(_run_case())
 def test_vanishing_limit_is_a_run_of_fresh_steps_bitwise(case):
-    # Keeping the saturated prefix's sums across steps must give every step,
-    # the report and the limit of a run whose steps start from nothing.
+    # Keeping the saturated prefix's sums across steps and reusing the first
+    # covered step must give every step, the report and the limit of a run
+    # whose steps each start from nothing and compare both orders.
     import torspec.operator as op
 
     a, u, m_range = case
     with mock.patch.object(op, "_diagnose", wraps=op._diagnose) as diagnose:
         got = vanishing_limit(a, u, _DEFAULT_PROFILES, m_range)
-        want = _reference_run(a, u, _DEFAULT_PROFILES, m_range)
-    got_seqs, want_seqs = (c.args[0] for c in diagnose.call_args_list)
+    want, want_seqs = _reference_run(a, u, _DEFAULT_PROFILES, m_range)
+    got_seqs = diagnose.call_args.args[0]
     assert {p: [_hexed(f) for f in fs] for p, fs in got_seqs.items()} == {
         p: [_hexed(f) for f in fs] for p, fs in want_seqs.items()
     }
     assert json.dumps(got.to_json()) == json.dumps(want.to_json())
     assert _hexed(got.limit) == _hexed(want.limit)
+
+
+def test_vanishing_limit_covered_steps_are_one_object(profiles):
+    # Every step whose plateau covers the run's radius, in either profile,
+    # returns the field of the first covered step: it is computed once.
+    import torspec.operator as op
+
+    vN, _, j_hi = vanishing_family(5, 0.0, (1,))
+    _, a = ching_symbol(0.0, (1,), 5, j_hi)
+    m_range = (0, j_hi + 4)
+    with mock.patch.object(op, "_diagnose", wraps=op._diagnose) as diagnose:
+        diag = vanishing_limit(a, vN, profiles, m_range)
+    seqs = diagnose.call_args.args[0]
+    covered = {p.id: [] for p in profiles}
+    uncovered = []
+    for p in profiles:
+        for m, f in zip(range(m_range[0], m_range[1] + 1), seqs[p.id]):
+            (covered[p.id] if diag.cover_radius / 2.0**m <= p.r else uncovered).append(f)
+    assert diag.passed and all(covered.values()) and uncovered
+    first = covered[profiles[0].id][0]
+    assert all(f is first for fs in covered.values() for f in fs)
+    assert all(f is not first for f in uncovered)
+
+
+def test_vanishing_limit_modulates_each_x_part_once_per_profile(profiles, monkeypatch):
+    # An x-part wholly beyond R 2^m modulates to nothing and is skipped, and a
+    # saturated term is modulated when it joins the prefix: on this run each
+    # x-part is modulated at most once per profile and never comes back empty.
+    import torspec.operator as op
+
+    calls = []
+
+    def counted(f, m, p):
+        out = modulate(f, m, p)
+        calls.append((id(f), p.id, len(out)))
+        return out
+
+    monkeypatch.setattr(op, "modulate", counted)
+    vN, _, j_hi = vanishing_family(5, 0.0, (1,))
+    _, a = ching_symbol(0.0, (1,), 5, j_hi)
+    assert vanishing_limit(a, vN, profiles, (0, 27)).passed
+    assert calls and all(size for _, _, size in calls)
+    assert len({(x, p) for x, p, _ in calls}) == len(calls) <= len(a.terms) * len(profiles)
 
 
 def test_vanishing_limit_scans_each_term_while_it_is_live(profiles, monkeypatch):
@@ -784,6 +827,17 @@ def test_corona_vacuous_on_empty_block(fam):
     assert rep.ok
 
 
+@pytest.mark.parametrize("C", [math.nan, 0.5])
+def test_corona_rejects_an_aperture_below_one(fam, C):
+    # A NaN aperture skipped the refined bound and reported ok where C = 2
+    # finds the diagonal summand inside it.
+    _, a = ching_symbol(0.0, (1,), 3, 8)
+    u = lacunary_field((1,), 0.0, 2, 9, delta_field((0,)))
+    assert not corona_check(a, u, fam, 8, tdc_constant=2.0).ok
+    with pytest.raises(ValueError):
+        corona_check(a, u, fam, 8, tdc_constant=C)
+
+
 # -- generalised product -----------------------------------------------------------------------
 
 
@@ -845,8 +899,8 @@ def _diagnosis_bits(diag):
 
 @pytest.mark.parametrize("top", [0, 3, 40, 1000])
 def test_diagnose_of_repeated_objects_matches_fresh_copies(profiles, top):
-    # Sequences that reuse one object for bitwise-equal steps (as pi_product
-    # does once the plateau covers both inputs) are judged exactly like
+    # Sequences that reuse one object for bitwise-equal steps (as a
+    # modulation run does for its covered steps) are judged exactly like
     # sequences of distinct but equal fields.
     from torspec.cutoffs import modulate
 
@@ -977,6 +1031,15 @@ def test_plain_family_ratio_grows():
     for got, want in zip(ratios, oracle):
         assert abs(got - want) <= 1e-9 * want
     assert ratios[0] < ratios[1] < ratios[2]
+
+
+def test_norm_ratio_probe_needs_a_row():
+    # Zero trials and no adversarial input give no ratio at all, not 0.0.
+    _, a2 = ching_symbol(0.0, (2,), 1, 10)
+    with pytest.raises(ValueError):
+        norm_ratio_probe(a2, 0.0, trials=0, J=10, seed=1)
+    probe = norm_ratio_probe(a2, 0.0, trials=0, J=10, seed=1, adversarial=[delta_field((3,))])
+    assert [label for label, _ in probe.rows] == ["adversarial-0"]
 
 
 def test_twisted_family_ratio_bounded(rng):

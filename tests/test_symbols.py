@@ -249,6 +249,16 @@ def test_twisted_diagonal_vacuous_for_zero_symbol():
     assert ok and witness is None
 
 
+@pytest.mark.parametrize("C", [math.nan, 0.5])
+def test_twisted_diagonal_rejects_an_aperture_below_one(C):
+    # A NaN aperture used to pass the C < 1 guard and certify this symbol,
+    # for which C = 2 finds the witness ((-8,), (8,)).
+    _, a = ching_symbol(0.0, (1,), 3, 8)
+    assert twisted_diagonal_check(a, 2.0) == (False, ((-8,), (8,)))
+    with pytest.raises(ValueError):
+        twisted_diagonal_check(a, C)
+
+
 def test_twisted_diagonal_2d():
     _, a2 = ching_symbol(0.0, (0, 2), 1, 15)
     ok, _ = twisted_diagonal_check(a2, 2.0)

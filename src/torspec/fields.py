@@ -181,9 +181,6 @@ class SparseField:
             out[xi] = out.get(xi, 0.0) + c
         return SparseField(self.n, out)
 
-    def sub(self, other: "SparseField") -> "SparseField":
-        return self.add(other.scale(-1.0))
-
     def scale(self, a: complex) -> "SparseField":
         return SparseField(self.n, {xi: a * c for xi, c in self.coeffs.items()})
 
@@ -221,18 +218,23 @@ def pointwise_mul(
 
     (uv)^(zeta) = sum_{xi + eta = zeta} u^(xi) v^(eta).  Raises BudgetExceeded
     when |u| * |v| passes the pair budget; callers should switch to a grid.
+    pi_product's steps share its sum, _convolve, on dicts of coefficients.
     """
-    if u.n != v.n:
+    return _convolve(u.n, u.coeffs, v.n, v.coeffs, budget)
+
+
+def _convolve(n: int, a: dict, nb: int, b: dict, budget: int = DEFAULT_PAIR_BUDGET) -> SparseField:
+    """pointwise_mul of n- and nb-dimensional coefficient dicts a and b, in its (xi, eta) order."""
+    if n != nb:
         raise DimensionMismatch("cannot multiply fields of different dimension")
-    if len(u) * len(v) > budget:
-        raise BudgetExceeded(f"{len(u)} * {len(v)} coefficient pairs exceed {budget}")
+    if len(a) * len(b) > budget:
+        raise BudgetExceeded(f"{len(a)} * {len(b)} coefficient pairs exceed {budget}")
     out: dict[Frequency, complex] = {}
-    etas = list(v.coeffs)
-    cvs = list(v.coeffs.values())
-    for xi, cu in u.coeffs.items():
+    etas, cvs = list(b), list(b.values())
+    for xi, cu in a.items():
         for zeta, cv in zip(shifted(xi, etas), cvs):
             out[zeta] = out.get(zeta, 0.0) + cu * cv
-    return SparseField(u.n, out)
+    return SparseField(n, out)
 
 
 def inner_product(u: SparseField, v: SparseField) -> complex:

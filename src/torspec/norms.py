@@ -35,7 +35,9 @@ from .fields import (
 
 
 def sobolev_norm(u: SparseField, s: float) -> float:
-    """Discrete H^s norm ( sum <xi>^{2s} |u^(xi)|^2 )^{1/2}."""
+    """Discrete H^s norm ( sum <xi>^{2s} |u^(xi)|^2 )^{1/2}; s = 0 computes no weight."""
+    if s == 0.0:  # s = -0.0 too: every <xi>^{2s} is exactly 1.0, so the sum is bitwise the same
+        return math.sqrt(math.fsum(abs(c) ** 2 for c in u.coeffs.values()))
     return math.sqrt(
         math.fsum(angled(xi) ** (2.0 * s) * abs(c) ** 2 for xi, c in u.items())
     )

@@ -22,6 +22,7 @@ product, norm-ratio probes and the one-dimensional spatial kernel.
 
 vanishing_limit and pi_product share one modulation-run loop: each builds
 a sequence per cutoff profile over its m range and _diagnose judges them,
+from H^0 norms read off the coefficients (no difference field is built),
 including whether the plateau reached the radius the caller must cover.
 That loop is the one place covered steps are reused: every step whose
 plateau already covers that radius, in any profile, returns the field of
@@ -52,10 +53,10 @@ from .fields import (
     DenseField,
     Frequency,
     SparseField,
+    _convolve,
     freq_abs,
     freq_add,
     freq_scale,
-    pointwise_mul,
     shifted,
     sparse_to_dense,
 )
@@ -288,9 +289,17 @@ class ModulationDiagnostic:
 
 
 def _diff_norm(f: SparseField, g: SparseField) -> float:
-    # f - g of one object is exactly empty (c + (-1.0 c) is 0 for finite c,
-    # and pruning drops it), so its norm 0.0 needs no subtraction.
-    return 0.0 if f is g else sobolev_norm(f.sub(g), 0.0)
+    """The H^0 norm of f - g, bitwise that of the built field (|c - c'| = |c + (-1.0 c')|
+    and fsum is order-free); an infinite difference raises ValueError, as building it does."""
+    if f is g:  # c - c is exactly 0 for finite c
+        return 0.0
+    diff = dict(f.coeffs)
+    for xi, c in g.coeffs.items():
+        diff[xi] = diff.get(xi, 0.0) - c
+    norm = math.sqrt(math.fsum(abs(c) ** 2 for c in diff.values()))
+    if norm == math.inf:  # only from an infinite |c - c'|; a finite one too big to square raises
+        raise ValueError("non-finite coefficient in a difference of fields")
+    return norm
 
 
 def _h0_norms(seq: list[SparseField]) -> list[float]:
@@ -401,12 +410,20 @@ def pi_product(
     |xi| over both factors: on a covered step both modulated factors hold
     1.0 * c at every mode, so _modulation_run computes that product once.
     It is not pointwise_mul(u, v): 1.0 * c is not always c bitwise (a zero
-    part can lose its sign).
+    part can lose its sign).  A step convolves both factors' modulated
+    coefficients, less exact zeros as in modulate, without building them.
     """
-    top = max((freq_abs(xi) for f in (u, v) for xi in f.coeffs), default=0.0)
-    diag = _modulation_run(
-        lambda p, m: pointwise_mul(modulate(u, m, p), modulate(v, m, p)), profiles, m_range, top
-    )
+    parts = [(f.coeffs, [freq_abs(xi) for xi in f.coeffs]) for f in (u, v)]
+    top = max((rho for _, rs in parts for rho in rs), default=0.0)
+
+    def step(p: CutoffProfile, m: int) -> SparseField:
+        a, b = (
+            {xi: c for xi, c in zip(cs, modulated_coeffs(rs, cs.values(), m, p)) if c}
+            for cs, rs in parts
+        )
+        return _convolve(u.n, a, v.n, b)
+
+    diag = _modulation_run(step, profiles, m_range, top)
     return diag, diag.limit
 
 

@@ -207,12 +207,12 @@ def test_ball_difference_equals_block_bitwise(fam, rng):
     }
     u = SparseField(1, coeffs)
     for j in range(1, 10):
-        lhs = ball_diff(u, j, -1, fam.profile).sub(ball_diff(u, j - 1, -1, fam.profile))
+        lhs = ball_diff(u, j, -1, fam.profile).add(ball_diff(u, j - 1, -1, fam.profile).scale(-1.0))
         rhs = lp_project(u, j, fam)
         assert lhs.coeffs == rhs.coeffs
         # every products-first difference u^j - u^k, not only k = j - 1
         for k in range(j):
-            lhs = ball_diff(u, j, -1, fam.profile).sub(ball_diff(u, k, -1, fam.profile))
+            lhs = ball_diff(u, j, -1, fam.profile).add(ball_diff(u, k, -1, fam.profile).scale(-1.0))
             assert ball_diff(u, j, k, fam.profile).coeffs == lhs.coeffs
 
 

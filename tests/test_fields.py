@@ -81,7 +81,7 @@ def test_prune_threshold_applies_only_to_the_field_built_with_it():
     ops = {
         "scale": lambda f: f.scale(0.5),
         "add": lambda f: f.add(SparseField(1, {(1,): -0.3})),
-        "sub": lambda f: f.sub(f.scale(0.9)),
+        "add a negation": lambda f: f.add(f.scale(0.9).scale(-1.0)),
         "conjugate": lambda f: f.conjugate(),
         "multiplier": lambda f: f.multiplier(lambda xi: 0.5),
         "pointwise_mul": lambda f: pointwise_mul(f, SparseField(1, {(0,): 0.5})),
@@ -99,7 +99,7 @@ def test_prune_threshold_applies_only_to_the_field_built_with_it():
         assert got.coeffs == want.coeffs, name
         assert got.tau == 0.0, name
     assert min(abs(c) for c in u.scale(0.5).coeffs.values()) <= u.tau
-    assert u.sub(u.scale(0.9)).spectrum() == {(0,), (1,)}
+    assert u.add(u.scale(0.9).scale(-1.0)).spectrum() == {(0,), (1,)}
 
 
 def test_frequency_cap_enforced():
@@ -300,7 +300,7 @@ def test_coefficient_order_is_set_at_construction(u, v, rnd):
     results = (
         w,
         w.add(v),
-        w.sub(v),
+        w.add(v.scale(-1.0)),
         w.scale(-0.5j),
         w.conjugate(),
         w.multiplier(lambda xi: xi[0] - 3),

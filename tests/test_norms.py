@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from torspec.constructions import lacunary_field, vanishing_family, weierstrass_field
@@ -13,6 +13,7 @@ from torspec.errors import EmptySpectrum
 from torspec.fields import (
     DenseField,
     SparseField,
+    angled,
     delta_field,
     grid_frequencies,
     sparse_to_dense,
@@ -58,6 +59,35 @@ def test_squares_add_across_disjoint_spectra():
     s = 0.75
     total = sobolev_norm(u.add(v), s) ** 2
     assert abs(total - sobolev_norm(u, s) ** 2 - sobolev_norm(v, s) ** 2) <= 1e-15 * total
+
+
+def _weighted_norm(u, s):
+    """Reference: the H^s sum with a weight <xi>^(2s) on every mode."""
+    return math.sqrt(math.fsum(angled(xi) ** (2.0 * s) * abs(c) ** 2 for xi, c in u.items()))
+
+
+_parts = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308]),
+    st.floats(-1e150, 1e150, allow_nan=False),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 2).flatmap(
+        lambda n: st.dictionaries(
+            st.tuples(*[st.integers(-(2**40), 2**40)] * n),
+            st.builds(complex, _parts, _parts),
+            max_size=8,
+        ).map(lambda d: SparseField(n, d))
+    )
+)
+@example(SparseField(2, {(0, 0): complex(-0.0, 5e-324), (3, -1): complex(1e-310, -0.0), (1, 1): -2j}))
+def test_h0_norm_matches_weighted_sum_bitwise(u):
+    # <xi>^0 is exactly 1.0, so the unweighted H^0 sum must equal the
+    # weighted one bit for bit, subnormal and signed-zero parts included.
+    for s in (0.0, -0.0):
+        assert sobolev_norm(u, s).hex() == _weighted_norm(u, s).hex()
 
 
 @settings(max_examples=60, deadline=None)

@@ -33,16 +33,21 @@ from torspec.errors import (
 )
 from torspec.experiments import random_symbol
 from torspec.fields import (
+    DenseField,
     SparseField,
+    angled,
     delta_field,
+    dense_to_sparse,
     freq_abs,
     inner_product,
     pointwise_mul,
+    sparse_to_dense,
     zero_field,
 )
 from torspec.norms import sobolev_norm
 from torspec.operator import (
     _diagnose,
+    _diff_norm,
     _modulation_run,
     _rank,
     _support_hits,
@@ -950,12 +955,13 @@ def test_pi_product_convolves_once_per_uncovered_step(profiles, monkeypatch):
     import torspec.operator as op
 
     calls = []
+    convolve = op._convolve
 
-    def counted(u, v, *rest):
-        calls.append((len(u), len(v)))
-        return pointwise_mul(u, v, *rest)
+    def counted(n, a, nb, b, *rest):
+        calls.append((len(a), len(b)))
+        return convolve(n, a, nb, b, *rest)
 
-    monkeypatch.setattr(op, "pointwise_mul", counted)
+    monkeypatch.setattr(op, "_convolve", counted)
     u = SparseField(1, {(0,): 1.0, (40,): 1.0, (-7,): 0.5j})
     v = SparseField(1, {(0,): 1.0, (33,): 1.0})
     diag, limit = pi_product(u, v, profiles, (0, 9))
@@ -963,6 +969,114 @@ def test_pi_product_convolves_once_per_uncovered_step(profiles, monkeypatch):
     assert 0 < uncovered < 20
     assert len(calls) == uncovered + 1
     assert diag.passed and rel_coeff_diff(limit, pointwise_mul(u, v)) == 0.0
+
+
+def test_pi_product_builds_one_field_per_computed_step(profiles, monkeypatch):
+    # The modulated factors, the step differences and the norms are read
+    # from coefficients: each computed step builds its product alone.
+    u = SparseField(1, {(0,): 1.0, (40,): 1.0, (-7,): 0.5j})
+    v = SparseField(1, {(0,): 1.0, (33,): 1.0})
+    built = []
+    init = SparseField.__post_init__
+
+    def counted(self):
+        built.append(len(self.coeffs))
+        init(self)
+
+    monkeypatch.setattr(SparseField, "__post_init__", counted)
+    diag, _ = pi_product(u, v, profiles, (0, 9))
+    uncovered = sum(40.0 / float(2**m) > p.r for p in profiles for m in range(10))
+    assert diag.passed
+    assert len(built) == uncovered + 1 == 13
+
+
+def test_pi_product_raises_range_errors_before_step_errors(profiles):
+    u = SparseField(1, {(0,): 1.0, (3,): 0.5})
+    w = SparseField(2, {(0, 1): 1.0})
+    with pytest.raises(DimensionMismatch):
+        pi_product(u, w, profiles, (0, 4))
+    # One profile, a reversed range and a negative index are ValueErrors
+    # proper, raised before any step multiplies the mismatched factors.
+    for run_profiles, m_range in [(profiles[:1], (0, 4)), (profiles, (4, 0)), (profiles, (-1, 4))]:
+        with pytest.raises(ValueError) as err:
+            pi_product(u, w, run_profiles, m_range)
+        assert type(err.value) is ValueError
+
+
+@st.composite
+def _grid_factors(draw):
+    # 1-d factors whose product spectrum lies in [-126, 126], inside an M = 256 grid.
+    coeffs = st.complex_numbers(
+        min_magnitude=1e-6, max_magnitude=1e3, allow_nan=False, allow_infinity=False
+    )
+    fields = st.dictionaries(st.integers(-63, 63).map(lambda k: (k,)), coeffs, max_size=8)
+    return SparseField(1, draw(fields)), SparseField(1, draw(fields))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_grid_factors())
+def test_products_match_the_dense_grid_product(profiles, pair):
+    # The oracle multiplies samples on the grid and transforms back: it
+    # shares neither the lattice sums nor the dict sum with the sparse code.
+    u, v = pair
+    M = 256
+    grid = DenseField(1, M, sparse_to_dense(u, M).samples * sparse_to_dense(v, M).samples)
+    want = dense_to_sparse(grid)
+    # sum |u^| sum |v^| bounds every coefficient and every sample of uv.
+    scale = math.fsum(map(abs, u.coeffs.values())) * math.fsum(map(abs, v.coeffs.values()))
+    _, limit = pi_product(u, v, profiles, (0, 8))
+    for got in (pointwise_mul(u, v), limit):
+        keys = got.coeffs.keys() | want.coeffs.keys()
+        worst = max((abs(got.coeff(xi) - want.coeff(xi)) for xi in keys), default=0.0)
+        assert worst <= 1e-12 * scale
+
+
+def _norm_of_difference(f, g):
+    """Reference: the weighted H^0 norm of the field of per-key differences."""
+    keys = f.coeffs.keys() | g.coeffs.keys()
+    d = SparseField(f.n, {xi: f.coeff(xi) - g.coeff(xi) for xi in keys})
+    return math.sqrt(math.fsum(angled(xi) ** 0.0 * abs(c) ** 2 for xi, c in d.items()))
+
+
+@st.composite
+def _overlapping_pair(draw):
+    freqs = st.integers(-50, 50).map(lambda k: (k,))
+    keys = draw(st.lists(freqs, min_size=2, max_size=12, unique=True))
+    half = len(keys) // 2
+    f_keys, g_keys = draw(
+        st.sampled_from(
+            [(keys, keys), (keys[: half + 1], keys[half - 1 :]), (keys[:half], keys[half:])]
+        )
+    )
+    parts = st.one_of(
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310]),
+        st.floats(-1e150, 1e150, allow_nan=False),
+    )
+    coeffs = st.builds(complex, parts, parts)
+    f = SparseField(1, {xi: draw(coeffs) for xi in f_keys})
+    g = SparseField(1, {xi: draw(coeffs) for xi in g_keys})
+    return f, g
+
+
+@settings(max_examples=100, deadline=None)
+@given(_overlapping_pair())
+def test_diff_norm_matches_norm_of_per_key_difference_bitwise(pair):
+    # Equal, overlapping and disjoint spectra, with subnormal and signed-zero parts.
+    f, g = pair
+    twin = SparseField(f.n, dict(f.coeffs))
+    for a, b in ((f, g), (g, f), (f, f), (f, twin)):
+        assert _diff_norm(a, b).hex() == _norm_of_difference(a, b).hex()
+    assert _diff_norm(f, twin) == 0.0
+
+
+@pytest.mark.parametrize("big", [1e308, -1e308, 1e308j, complex(-1e308, 1.0)])
+def test_diff_norm_rejects_an_infinite_difference(big):
+    # One coefficient's difference overflows; building f - g raises for it.
+    f = SparseField(1, {(0,): big, (2,): 1.0})
+    g = SparseField(1, {(0,): -big, (5,): 1.0})
+    for a, b in ((f, g), (g, f)):
+        with pytest.raises(ValueError):
+            _diff_norm(a, b)
 
 
 MODULATION_SHA256 = "70dd0ab135c3351c0f0e2f96a0774eb07d308fc40ceb4b1ef1baec711c09e324"

@@ -18,7 +18,8 @@ Everything else here is built on top of that kernel: frequency-modulated
 approximants and their stabilisation diagnostics, the adjoint of the
 lacunary family, spectral kernels, the frequency-support rule, the
 paradifferential three-way split with corona checks, the generalised
-product, norm-ratio probes and the one-dimensional spatial kernel.
+product, norm-ratio probes (each input drawn and applied once for all its
+exponents) and the one-dimensional spatial kernel.
 
 vanishing_limit and pi_product share one modulation-run loop: each builds
 a sequence per cutoff profile over its m range and _diagnose judges them,
@@ -638,32 +639,37 @@ class RatioProbe:
 
 def norm_ratio_probe(
     a: SeparableSymbol,
-    s: float,
+    s_values: tuple[float, ...],
     trials: int,
     J: int,
     seed: int,
     p: float = 2.0,
     adversarial: list[SparseField] | None = None,
-) -> RatioProbe:
-    """Ratios ||A u||_{H^s_p} / ||u||_{H^{s+d}_p} over seeded band-limited fields.
+) -> list[RatioProbe]:
+    """Ratios ||A u||_{H^s_p} / ||u||_{H^{s+d}_p} over seeded band-limited fields:
+    one RatioProbe per exponent of s_values, in order.
 
     Random inputs draw frequencies inside the terms' eta supports (capped at
     2^J) plus a low-frequency background, so the probe actually exercises
-    the operator.  p = 2 uses the exact weighted-l2 norm; other p go through
-    the dense Bessel-potential route, which needs the spectra to fit a grid
-    (J <= 16).  Extra adversarial inputs can be appended explicitly; their
-    rows are labelled adversarial-0, adversarial-1, ...  A probe with no
-    row (zero trials and no adversarial input) raises ValueError.
+    the operator.  Neither an input nor A u depends on s, so each is drawn
+    and applied once for all the exponents.  p = 2 uses the exact
+    weighted-l2 norm; other p go through the dense Bessel-potential route,
+    which needs the spectra to fit a grid (J <= 16), sized once per input.
+    Extra adversarial inputs can be appended explicitly; their rows are
+    labelled adversarial-0, adversarial-1, ...  No exponent, or no row (zero
+    trials and no adversarial input), raises ValueError.
     """
     if p != 2.0 and J > 16:
         raise FrequencyOutOfRange("dense L_p ratios need a grid: require J <= 16")
+    if not s_values:
+        raise ValueError("need at least one exponent s")
     rng = np.random.default_rng(seed)
+    rows: list[list[tuple[str, float]]] = [[] for _ in s_values]
 
-    def norm_pair(u: SparseField) -> float:
+    def add_rows(label: str, u: SparseField) -> None:
         au = apply(a, u)
         if p == 2.0:
-            denom = sobolev_norm(u, s + a.d)
-            num = sobolev_norm(au, s)
+            pairs = [(sobolev_norm(au, s), sobolev_norm(u, s + a.d)) for s in s_values]
         else:
             top = max(
                 [freq_abs(x) for x in u.spectrum()]
@@ -671,18 +677,17 @@ def norm_ratio_probe(
                 + [1.0]
             )
             M = 1 << max(4, math.ceil(math.log2(2.5 * top)))
-            denom = hsp_norm(u, s + a.d, p, M)
-            num = hsp_norm(au, s, p, M)
-        return num / denom if denom > 0 else 0.0
+            pairs = [(hsp_norm(au, s, p, M), hsp_norm(u, s + a.d, p, M)) for s in s_values]
+        for box, (num, denom) in zip(rows, pairs):
+            box.append((label, num / denom if denom > 0 else 0.0))
 
-    rows: list[tuple[str, float]] = []
     for trial in range(trials):
-        rows.append((f"random-{trial}", norm_pair(_probe_field(a, J, rng))))
+        add_rows(f"random-{trial}", _probe_field(a, J, rng))
     for i, v in enumerate(adversarial or []):
-        rows.append((f"adversarial-{i}", norm_pair(v)))
-    if not rows:
+        add_rows(f"adversarial-{i}", v)
+    if not rows[0]:
         raise ValueError("need at least one trial or adversarial input: zero rows are no evidence")
-    return RatioProbe(s, p, rows, max(v for _, v in rows))
+    return [RatioProbe(s, p, box, max(v for _, v in box)) for s, box in zip(s_values, rows)]
 
 
 def _probe_field(a: SeparableSymbol, J: int, rng) -> SparseField:

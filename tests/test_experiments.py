@@ -166,6 +166,53 @@ def test_continuity_small():
     assert r5 < r6
 
 
+def _count_continuity_work(monkeypatch, **params):
+    # (norm_ratio_probe, _probe_field, apply) calls of one exp_continuity run;
+    # apply is counted where the experiment and the probe look it up.
+    import torspec.operator as op
+
+    calls = {"probe": 0, "field": 0, "apply": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(experiments, "norm_ratio_probe", counted("probe", op.norm_ratio_probe))
+    monkeypatch.setattr(op, "_probe_field", counted("field", op._probe_field))
+    apply = counted("apply", op.apply)
+    monkeypatch.setattr(op, "apply", apply)
+    monkeypatch.setattr(experiments, "apply", apply)
+    try:
+        exp_continuity(**params)
+    finally:
+        monkeypatch.undo()
+    return calls
+
+
+def test_continuity_draws_and_applies_each_input_once(monkeypatch):
+    # Per J one probe draws `trials` fields and applies the symbol to each,
+    # for both exponents; per N one apply serves s = 0 and s = 1; plus one
+    # apply for the exploratory member.
+    small = _count_continuity_work(monkeypatch, n_list=(5, 6), j_list=(10, 14), trials=3)
+    assert small == {"probe": 2, "field": 6, "apply": 2 + 6 + 1}
+    defaults = _count_continuity_work(monkeypatch)
+    assert defaults == {"probe": 4, "field": 24, "apply": 4 + 24 + 1}
+
+
+def test_continuity_range_check_comes_before_any_probe(monkeypatch):
+    # min(n_list) = 8 puts the exploratory member past the exact family's
+    # N^2 <= 60, so the run fails before it computes a single ratio.
+    called = []
+    monkeypatch.setattr(experiments, "norm_ratio_probe", lambda *args: called.append("probe"))
+    monkeypatch.setattr(experiments, "apply", lambda *args: called.append("apply"))
+    with pytest.raises(RangeTooLarge, match=r"N\^2 = 64 > 60"):
+        exp_continuity(n_list=(8, 9), trials=2)
+    assert called == []
+
+
 def test_product_experiment():
     report = exp_product(trials=10)
     assert report.passed

@@ -1123,7 +1123,7 @@ def test_modulation_outputs_are_pinned():
 
 
 def test_identity_ratio_is_unity(rng):
-    probe = norm_ratio_probe(identity_symbol(1), 0.5, trials=10, J=8, seed=5)
+    [probe] = norm_ratio_probe(identity_symbol(1), (0.5,), trials=10, J=8, seed=5)
     for _, ratio in probe.rows:
         assert ratio <= 1.0 + 1e-12
         assert ratio >= 1.0 - 1e-12
@@ -1135,7 +1135,7 @@ def test_plain_family_ratio_grows():
     for N in (5, 6, 7):
         vN, _, j_hi = vanishing_family(N, 0.0, (1,))
         _, a = ching_symbol(0.0, (1,), N, j_hi)
-        probe = norm_ratio_probe(a, 0.0, trials=0, J=10, seed=1, adversarial=[vN])
+        [probe] = norm_ratio_probe(a, (0.0,), trials=0, J=10, seed=1, adversarial=[vN])
         ratios.append(probe.max_ratio)
     oracle = []
     for N in (5, 6, 7):
@@ -1151,16 +1151,55 @@ def test_norm_ratio_probe_needs_a_row():
     # Zero trials and no adversarial input give no ratio at all, not 0.0.
     _, a2 = ching_symbol(0.0, (2,), 1, 10)
     with pytest.raises(ValueError):
-        norm_ratio_probe(a2, 0.0, trials=0, J=10, seed=1)
-    probe = norm_ratio_probe(a2, 0.0, trials=0, J=10, seed=1, adversarial=[delta_field((3,))])
+        norm_ratio_probe(a2, (0.0,), trials=0, J=10, seed=1)
+    [probe] = norm_ratio_probe(a2, (0.0,), trials=0, J=10, seed=1, adversarial=[delta_field((3,))])
     assert [label for label, _ in probe.rows] == ["adversarial-0"]
+
+
+@pytest.mark.parametrize(
+    "a, J, p, adversarial",
+    [
+        (ching_symbol(0.0, (2,), 1, 12)[1], 12, 2.0, [vanishing_family(5, 0.0, (1,))[0]]),
+        (ching_symbol(0.0, (2,), 1, 8)[1], 8, 4.0, [delta_field((3,)), delta_field((-5,), 2.0)]),
+    ],
+)
+def test_norm_ratio_probe_reads_every_exponent_off_one_draw(a, J, p, adversarial):
+    # One probe over several exponents is, row by row and bit for bit, one
+    # single-exponent probe per exponent.
+    s_values = (-1.0, 0.0, 0.5, 1.0)
+    probes = norm_ratio_probe(a, s_values, trials=4, J=J, seed=11, p=p, adversarial=adversarial)
+    assert [probe.s for probe in probes] == list(s_values)
+    for s, probe in zip(s_values, probes):
+        [alone] = norm_ratio_probe(a, (s,), trials=4, J=J, seed=11, p=p, adversarial=adversarial)
+        assert [(label, r.hex()) for label, r in probe.rows] == [
+            (label, r.hex()) for label, r in alone.rows
+        ]
+        assert probe.max_ratio.hex() == alone.max_ratio.hex()
+        assert probe.p == alone.p == p
+    assert [label for label, _ in probes[0].rows][-len(adversarial) :] == [
+        f"adversarial-{i}" for i in range(len(adversarial))
+    ]
+
+
+def test_norm_ratio_probe_needs_an_exponent(monkeypatch):
+    # No exponent is refused before any input is drawn or applied.
+    import torspec.operator as op
+
+    drawn = []
+    monkeypatch.setattr(op, "_probe_field", lambda *args: drawn.append(args))
+    monkeypatch.setattr(op, "apply", lambda *args: drawn.append(args))
+    _, a2 = ching_symbol(0.0, (2,), 1, 10)
+    with pytest.raises(ValueError, match="exponent"):
+        norm_ratio_probe(a2, (), trials=3, J=10, seed=1, adversarial=[delta_field((3,))])
+    assert drawn == []
 
 
 def test_twisted_family_ratio_bounded(rng):
     maxima = []
     for J in (10, 20, 30):
         _, a2 = ching_symbol(0.0, (2,), 1, J)
-        maxima.append(norm_ratio_probe(a2, -1.0, trials=6, J=J, seed=9).max_ratio)
+        [probe] = norm_ratio_probe(a2, (-1.0,), trials=6, J=J, seed=9)
+        maxima.append(probe.max_ratio)
     assert maxima[-1] <= 2.0 * maxima[0]
 
 
@@ -1253,11 +1292,11 @@ def test_support_rule_2d(rng):
 
 
 def test_norm_ratio_probe_dense_lp_route():
-    probe = norm_ratio_probe(identity_symbol(1), 0.5, trials=6, J=6, seed=2, p=4.0)
+    [probe] = norm_ratio_probe(identity_symbol(1), (0.5,), trials=6, J=6, seed=2, p=4.0)
     for _, ratio in probe.rows:
         assert ratio <= 1.0 + 1e-10
     with pytest.raises(FrequencyOutOfRange):
-        norm_ratio_probe(identity_symbol(1), 0.0, trials=1, J=30, seed=2, p=4.0)
+        norm_ratio_probe(identity_symbol(1), (0.0,), trials=1, J=30, seed=2, p=4.0)
 
 
 def test_flip_identity_negative_order_and_deep_range():

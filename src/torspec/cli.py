@@ -87,11 +87,12 @@ def _parse_value(raw: str):
 def load_config(path: str | None) -> RunConfig:
     """Parse the flat dotted key-value configuration file.
 
-    Besides ``out`` and ``emit_plots`` (a JSON true/false), a key is
-    ``profile.<name>`` or ``<experiment>.<param>`` naming a parameter of
-    that experiment, with a value of the type of its default; anything else
-    raises ValueError.  A profile value is a JSON object with numbers "r"
-    and "R", an optional string "kind" (default "exp") and no other key.
+    Besides ``out`` (a nonempty string) and ``emit_plots`` (a JSON
+    true/false), a key is ``profile.<name>`` or ``<experiment>.<param>``
+    naming a parameter of that experiment, with a value of the type of its
+    default; anything else raises ValueError.  A profile value is a JSON
+    object with numbers "r" and "R", an optional string "kind" (default
+    "exp") and no other key.
     """
     cfg = RunConfig()
     env_out = os.environ.get("TORSPEC_OUT")
@@ -109,7 +110,7 @@ def load_config(path: str | None) -> RunConfig:
             key, raw = (part.strip() for part in line.split("=", 1))
             value = _parse_value(raw)
             if key == "out":
-                cfg.out = Path(str(value))
+                cfg.out = Path(typed_param(value, "runs", f"{path}:{line_no}: {key}"))
             elif key == "emit_plots":
                 typed_param(value, False, f"{path}:{line_no}: {key}")
                 cfg.emit_plots = value
@@ -305,8 +306,8 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         cfg = load_config(args.config)
-        if args.out:
-            cfg.out = Path(args.out)
+        if args.out is not None:
+            cfg.out = Path(typed_param(args.out, "runs", "--out"))
         cfg.emit_plots = cfg.emit_plots or args.emit_plots
         if args.command == "suite":
             return run_suite(cfg)

@@ -187,19 +187,17 @@ def ball_diff(u: SparseField, j: int, k: int, profile: CutoffProfile) -> SparseF
     """The dyadic difference u^j - u^k, where u^i is empty for i < 0.
 
     j < 0 gives the empty field and k < 0 gives modulate(u, j, profile).
-    Otherwise each coefficient is psi(2^{-j} xi) c - psi(2^{-k} xi) c,
-    products first, never (psi(..) - psi(..)) c: only that form telescopes
-    bitwise across dyadic levels.
+    Otherwise each coefficient is psi(2^{-j} xi) c - psi(2^{-k} xi) c, the
+    modulated_coeffs products first, never (psi(..) - psi(..)) c: only that
+    form telescopes bitwise across dyadic levels.
     """
     if j < 0:
         return SparseField(u.n, {})
     if k < 0:
         return modulate(u, j, profile)
-    out = {}
-    for xi, c in u.items():
-        rho = freq_abs(xi)
-        out[xi] = profile.radial(rho / 2**j) * c - profile.radial(rho / 2**k) * c
-    return SparseField(u.n, out)
+    radii = [freq_abs(xi) for xi in u.coeffs]
+    hi, lo = (modulated_coeffs(radii, u.coeffs.values(), i, profile) for i in (j, k))
+    return SparseField(u.n, {xi: x - y for xi, x, y in zip(u.coeffs, hi, lo)})
 
 
 def lp_project(u: SparseField, j: int, fam: LPFamily) -> SparseField:

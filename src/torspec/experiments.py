@@ -120,10 +120,10 @@ def typed_param(value, default, what: str):
     A bool comes only from a bool, an int never from a float or a bool, a
     float from an int or float of magnitude at most sys.float_info.max (so
     never NaN, an infinity or an int too large for a float; returned as a
-    float), a str from a str; a tuple default takes one such element or a
-    nonempty list or tuple of them, each checked and cast, and returns a
-    tuple (an empty one would run the experiment on no case at all).
-    Anything else raises ValueError.
+    float), a str from a nonempty str; a tuple default takes one such
+    element or a nonempty list or tuple of them, each checked and cast, and
+    returns a tuple (an empty one would run the experiment on no case at
+    all).  Anything else raises ValueError.
     """
     if isinstance(default, tuple):
         items = value if isinstance(value, (list, tuple)) else [value]
@@ -135,7 +135,7 @@ def typed_param(value, default, what: str):
     elif isinstance(default, float):
         ok = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
     else:
-        ok = isinstance(value, type(default))
+        ok = isinstance(value, type(default)) and value != ""
     if not ok:
         raise ValueError(f"{what} must be {type(default).__name__}, got {value!r}")
     return float(value) if isinstance(default, float) else value

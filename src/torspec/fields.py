@@ -13,6 +13,7 @@ is stored as given; any other key (numpy integers, bools, floats, a wrong
 length, a component at or past the cap) goes through check_frequency.
 A prune threshold applies only to the field built with it: every operation
 here builds its result with the default, which drops exact zeros only.
+Every sparse product here and in operator sums into xi + eta in lattice_sum.
 """
 
 from __future__ import annotations
@@ -55,10 +56,9 @@ def shifted(xi: Frequency, etas: list[Frequency]) -> list[Frequency]:
     """The lattice sums xi + eta for each eta of etas, in order.
 
     The same tuples as freq_add(xi, eta), built by one comprehension per
-    dimension instead of one call per pair; the pair loops of apply, the
-    support bound Xi and pointwise_mul go through it.  Every eta must have
-    the length of xi, which must be 1 or 2; any other length of xi raises
-    DimensionMismatch.
+    dimension instead of one call per pair; lattice_sum and the support
+    bound Xi go through it.  Every eta must have the length of xi, which
+    must be 1 or 2; any other length of xi raises DimensionMismatch.
     """
     if len(xi) == 1:
         x = xi[0]
@@ -218,23 +218,33 @@ def pointwise_mul(
 
     (uv)^(zeta) = sum_{xi + eta = zeta} u^(xi) v^(eta).  Raises BudgetExceeded
     when |u| * |v| passes the pair budget; callers should switch to a grid.
-    pi_product's steps share its sum, _convolve, on dicts of coefficients.
+    It is _convolve on the two coefficient dicts, as pi_product's steps are.
     """
     return _convolve(u.n, u.coeffs, v.n, v.coeffs, budget)
 
 
 def _convolve(n: int, a: dict, nb: int, b: dict, budget: int = DEFAULT_PAIR_BUDGET) -> SparseField:
-    """pointwise_mul of n- and nb-dimensional coefficient dicts a and b, in its (xi, eta) order."""
+    """pointwise_mul of n- and nb-dimensional coefficient dicts a and b, by lattice_sum."""
     if n != nb:
         raise DimensionMismatch("cannot multiply fields of different dimension")
     if len(a) * len(b) > budget:
         raise BudgetExceeded(f"{len(a)} * {len(b)} coefficient pairs exceed {budget}")
-    out: dict[Frequency, complex] = {}
-    etas, cvs = list(b), list(b.values())
-    for xi, cu in a.items():
-        for zeta, cv in zip(shifted(xi, etas), cvs):
-            out[zeta] = out.get(zeta, 0.0) + cu * cv
-    return SparseField(n, out)
+    return SparseField(n, lattice_sum([(a, list(b), list(b.values()))]))
+
+
+def lattice_sum(parts, start=()) -> dict[Frequency, complex]:
+    """Sum c * w into xi + eta for each (coeffs, etas, weights) of parts, in
+    (part, xi, eta) order, onto a copy of start: the one lattice-sum loop, a
+    part per term in operator, one per product in _convolve.  A key starts
+    from 0.0 + c * w, not c * w, which fixes the sign of a zero part."""
+    out: dict[Frequency, complex] = dict(start)
+    for coeffs, etas, weights in parts:
+        if not etas:
+            continue
+        for xi, c in coeffs.items():
+            for zeta, w in zip(shifted(xi, etas), weights):
+                out[zeta] = out.get(zeta, 0.0) + c * w
+    return out
 
 
 def inner_product(u: SparseField, v: SparseField) -> complex:

@@ -12,8 +12,8 @@ the windows gives, per term, the hit modes and their weights; apply sums
 from it, apply_with_support also builds the support bound Xi from the same
 hits; a vanishing-modulation run scans u^m's coefficients over u's one
 ranking, skips the exact zeros and x-parts that modulate to nothing, and
-sums the saturated prefix of its terms once.  A term's lattice sums
-xi + eta take one fields.shifted call per xi.
+sums the saturated prefix of its terms once.  Every sum goes through
+fields.lattice_sum, one (x-part coefficients, etas, weights) part per term.
 Everything else here is built on top of that kernel: frequency-modulated
 approximants and their stabilisation diagnostics, the adjoint of the
 lacunary family, spectral kernels, the frequency-support rule, the
@@ -58,6 +58,7 @@ from .fields import (
     freq_abs,
     freq_add,
     freq_scale,
+    lattice_sum,
     shifted,
     sparse_to_dense,
 )
@@ -86,7 +87,7 @@ def apply(a: SeparableSymbol, u: SparseField, budget: int = DEFAULT_PAIR_BUDGET)
     bound is built; apply_with_support returns one as well.
     """
     check_work(a, u, budget)
-    return SparseField(u.n, _accumulate(_support_hits(a, _rank(u), list(u.coeffs.values()))))
+    return SparseField(u.n, lattice_sum(_support_hits(a, _rank(u), list(u.coeffs.values()))))
 
 
 def apply_with_support(
@@ -101,11 +102,11 @@ def apply_with_support(
     """
     check_work(a, u, budget)
     term_hits = list(_support_hits(a, _rank(u), list(u.coeffs.values())))
-    au = SparseField(u.n, _accumulate(term_hits))
+    au = SparseField(u.n, lattice_sum(term_hits))
     xi_set: set[Frequency] = set()
-    for t, etas, _ in term_hits:
+    for xc, etas, _ in term_hits:
         if etas:
-            for xi in t.xpart.coeffs:
+            for xi in xc:
                 xi_set.update(shifted(xi, etas))
     if not au.coeffs.keys() <= xi_set:
         raise AssertionError("spectral support rule violated")
@@ -122,19 +123,6 @@ def check_work(a: SeparableSymbol, u: SparseField, budget: int = DEFAULT_PAIR_BU
         raise BudgetExceeded(f"{work} coefficient products exceed budget {budget}")
 
 
-def _accumulate(term_hits, start=()) -> dict[Frequency, complex]:
-    """Sum c_t(xi) * w into xi + eta over each (t, etas, weights) of term_hits,
-    in (term, xi, eta) order, onto a copy of start: the coefficients of a(x, D) u."""
-    out: dict[Frequency, complex] = dict(start)
-    for t, etas, weights in term_hits:
-        if not etas:
-            continue
-        for xi, cx in t.xpart.coeffs.items():
-            for zeta, wu in zip(shifted(xi, etas), weights):
-                out[zeta] = out.get(zeta, 0.0) + cx * wu
-    return out
-
-
 def _rank(u: SparseField):
     """u's keys, their radii, the key indices stably sorted by radius, the sorted radii."""
     radii = [freq_abs(eta) for eta in u.coeffs]
@@ -143,11 +131,11 @@ def _rank(u: SparseField):
 
 
 def _support_hits(a: SeparableSymbol, rank, coeffs: list[complex] | dict[int, complex]):
-    """Yield (t, etas, weights) per term of a: etas lists the ranked modes eta
-    (in key order) where coeffs[i] != 0 and m_t(eta) != 0, weights the
-    products m_t(eta) coeffs[i].  m_t is evaluated only where lo <= |eta| <= hi
-    (bisecting the ranked radii) and coeffs[i] != 0, so u's ranking with u^m's
-    coefficients gives u^m's lists.  Key order keeps apply's output nearly sorted.
+    """Yield the lattice_sum part (t.xpart.coeffs, etas, weights) per term t of a:
+    etas lists the ranked modes eta (in key order) where coeffs[i] != 0 and
+    m_t(eta) != 0, weights the products m_t(eta) coeffs[i].  m_t is evaluated
+    only where lo <= |eta| <= hi (bisecting the ranked radii) and coeffs[i] != 0,
+    so u's ranking with u^m's coefficients gives u^m's lists, in key order.
     """
     keys, radii, order, ranked = rank
     whole = range(len(ranked))
@@ -163,7 +151,7 @@ def _support_hits(a: SeparableSymbol, rank, coeffs: list[complex] | dict[int, co
             if mv != 0.0:
                 etas.append(keys[i])
                 weights.append(mv * coeffs[i])
-        yield t, etas, weights
+        yield t.xpart.coeffs, etas, weights
 
 
 def rel_coeff_diff(u: SparseField, v: SparseField) -> float:
@@ -233,10 +221,10 @@ def _modulated_steps(a: SeparableSymbol, u: SparseField, rank):
         f_hits = list(_support_hits(SeparableSymbol(a.d, a.n, full), rank, coeffs))
         new = flat - len(held)
         if new:
-            first, second = _accumulate(x_hits[:new], first), _accumulate(f_hits[:new], second)
+            first, second = lattice_sum(x_hits[:new], first), lattice_sum(f_hits[:new], second)
         runs[p] = (x_only.terms[:flat], first, second)
-        first = SparseField(u.n, _accumulate(x_hits[new:], first))
-        second = SparseField(u.n, _accumulate(f_hits[new:], second))
+        first = SparseField(u.n, lattice_sum(x_hits[new:], first))
+        second = SparseField(u.n, lattice_sum(f_hits[new:], second))
         if not rel_coeff_diff(first, second) <= 1e-12:  # a NaN difference fails too
             raise AssertionError("modulation-order equivalence violated beyond rounding")
         return first
@@ -253,10 +241,11 @@ class ModulationDiagnostic:
     output stops changing; cross_profile_max is the largest discrepancy
     between profiles at the top of the range.  cover_radius is the largest
     radius the run must see (the caller's input spectrum), plateau_radius the
-    smallest profile plateau r 2^m_star, and covered says that
-    cover_radius / 2^m_star <= r for every profile, in modulate's float
-    expression.  passed needs at least one step (m_hi > m_lo: a one-point
-    range is no evidence of stabilisation), a stable m_star, agreement
+    smallest profile plateau r 2^m_star, and covered says that m_star is
+    stable and cover_radius / 2^m_hi <= r for every profile, in modulate's
+    float expression: every output from m_star on is then m_hi's, a covered
+    step and so the exact limit.  passed needs at least one step (m_hi >
+    m_lo: a one-point range is no evidence of stabilisation), agreement
     across profiles and coverage: a run whose plateau never reached the
     input's top mode stabilised only because that mode was cut off.
     """
@@ -331,7 +320,7 @@ def _diagnose(
         for j in range(i + 1, len(finals)):
             cross = max(cross, _diff_norm(finals[i], finals[j]))
     plateau = None if m_star is None else r * float(2**m_star)
-    covered = m_star is not None and cover / float(2**m_star) <= r
+    covered = m_star is not None and cover / float(2**m_hi) <= r
     passed = steps > 0 and covered and cross == 0.0
     norms = {p: _h0_norms(seqs[p]) for p in ids}
     return ModulationDiagnostic(
@@ -344,8 +333,8 @@ def _modulation_run(
 ) -> ModulationDiagnostic:
     """Diagnose the sequences step(p, m), m = m_lo..m_hi, one per profile p.
 
-    cover is the largest radius that every profile's plateau must reach at
-    m_star for the run to pass.  A step is covered when cover / 2^m <= p.r
+    cover is the largest radius that every profile's plateau must reach by
+    m_hi for the run to pass.  A step is covered when cover / 2^m <= p.r
     (_diagnose's covered): every mode that contributes then holds 1.0 * c,
     so all covered steps are bitwise one field, and the run returns its
     first covered step's field for each later one without calling step
@@ -393,7 +382,7 @@ def vanishing_limit(
     """
     rank = _rank(u)  # shared by the cover pass and every step
     hits = _support_hits(a, rank, list(u.coeffs.values()))
-    radii = (freq_abs(k) for t, etas, _ in hits if etas for k in etas + list(t.xpart.coeffs))
+    radii = (freq_abs(k) for xc, etas, _ in hits if etas for k in etas + list(xc))
     cover = max(radii, default=0.0)
     return _modulation_run(_modulated_steps(a, u, rank), profiles, m_range, cover)
 

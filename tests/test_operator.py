@@ -248,7 +248,7 @@ def _reference_run(a, u, profiles, m_range):
     # vanishing_limit with every step a fresh apply_modulated: nothing is kept
     # from one step to the next, and a covered step is computed like any other.
     hits = _support_hits(a, _rank(u), list(u.coeffs.values()))
-    radii = (freq_abs(k) for t, etas, _ in hits if etas for k in etas + list(t.xpart.coeffs))
+    radii = (freq_abs(k) for xc, etas, _ in hits if etas for k in etas + list(xc))
     m_lo, m_hi = m_range
     seqs = {p.id: [apply_modulated(a, u, p, m) for m in range(m_lo, m_hi + 1)] for p in profiles}
     r = min(p.r for p in profiles)
@@ -448,6 +448,19 @@ def test_uncovered_top_mode_is_not_a_pass(profiles):
     # Once the range reaches the plateau the same input passes.
     assert vanishing_limit(identity_symbol(1), u, profiles, (17, 21)).passed
     assert pi_product(u, u, profiles, (17, 21))[0].passed
+
+
+def test_run_settled_before_its_plateau_covers_can_pass(profiles):
+    # Every step of 0 * delta(2) is the empty field, so m_star is 0, one step
+    # before the plateaus cover radius 2; the covered top step m_hi shows
+    # that the settled output is the exact limit.
+    diag, limit = pi_product(zero_field(1), delta_field((2,)), profiles, (0, 8))
+    assert diag.m_star == 0 and diag.plateau_radius == min(p.r for p in profiles)
+    assert diag.cover_radius == 2.0 and diag.covered and diag.passed
+    assert len(limit) == 0
+    # A mode that no step covers still fails, however early the output settled.
+    diag, _ = pi_product(zero_field(1), delta_field((2000,)), profiles, (0, 8))
+    assert diag.m_star == 0 and not diag.covered and not diag.passed
 
 
 def test_cover_radius_counts_only_hit_modes(profiles):
@@ -1026,6 +1039,49 @@ def test_products_match_the_dense_grid_product(profiles, pair):
     scale = math.fsum(map(abs, u.coeffs.values())) * math.fsum(map(abs, v.coeffs.values()))
     _, limit = pi_product(u, v, profiles, (0, 8))
     for got in (pointwise_mul(u, v), limit):
+        keys = got.coeffs.keys() | want.coeffs.keys()
+        worst = max((abs(got.coeff(xi) - want.coeff(xi)) for xi in keys), default=0.0)
+        assert worst <= 1e-12 * scale
+
+
+@st.composite
+def _grid_operands(draw):
+    # A 1-d random_symbol (x-parts in [-32, 32]) and a field in [-63, 63]:
+    # every lattice sum lies in [-95, 95], inside an M = 256 grid.
+    a = random_symbol(1, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    coeffs = st.complex_numbers(
+        min_magnitude=1e-6, max_magnitude=1e3, allow_nan=False, allow_infinity=False
+    )
+    u = draw(st.dictionaries(st.integers(-63, 63).map(lambda k: (k,)), coeffs, max_size=12))
+    return a, SparseField(1, u), draw(st.sampled_from(_DEFAULT_PROFILES)), draw(st.integers(0, 8))
+
+
+def _grid_apply(a, u, M=256):
+    """a(x, D) u on the grid: per term, the x-part's samples times those of
+    m_t(D) u, summed over terms; the error bound sum_t sum|c_t| sum|m_t u^|."""
+    total = np.zeros(M, dtype=complex)
+    scale = 0.0
+    for t in a.terms:
+        mu = SparseField(1, {eta: t.mult_at(eta) * c for eta, c in u.coeffs.items()})
+        total += sparse_to_dense(t.xpart, M).samples * sparse_to_dense(mu, M).samples
+        sums = [math.fsum(map(abs, f.coeffs.values())) for f in (t.xpart, mu)]
+        scale += sums[0] * sums[1]
+    return dense_to_sparse(DenseField(1, M, total)), scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(_grid_operands())
+def test_apply_matches_the_dense_grid_product(case):
+    # The oracle shares neither the windows, the lattice sums nor the dict
+    # sum with apply; apply_modulated is checked against the same oracle on
+    # the modulated symbol and field.
+    a, u, p, m = case
+    cases = [
+        (a, u, apply(a, u)),
+        (symbol_modulate(a, m, p), modulate(u, m, p), apply_modulated(a, u, p, m)),
+    ]
+    for sym, field, got in cases:
+        want, scale = _grid_apply(sym, field)
         keys = got.coeffs.keys() | want.coeffs.keys()
         worst = max((abs(got.coeff(xi) - want.coeff(xi)) for xi in keys), default=0.0)
         assert worst <= 1e-12 * scale

@@ -173,7 +173,8 @@ def test_env_var_sets_output_root(tmp_path, monkeypatch):
     assert cfg.out == tmp_path / "envroot"
 
 
-def test_bad_profile_rejected_before_running(tmp_path):
+def test_bad_profile_rejected_before_running(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # a coerced output root would land here
     bad_lines = [
         'profile.main = {"r": 3.0, "R": 1.0}',
         "seed = 42",
@@ -201,6 +202,11 @@ def test_bad_profile_rejected_before_running(tmp_path):
         'profile.main = {"r": true, "R": 2.0}',
         'profile.main = {"r": "1.1", "R": 2.0}',
         'profile.main = {"r": 1.1, "R": 2.0, "extra": 1}',
+        # The output root is a nonempty string, never a coerced value.
+        "out = null",
+        "out = a,b",
+        'out = {"x": 1}',
+        'out = ""',
     ]
     for i, line in enumerate(bad_lines):
         cfg_file = tmp_path / f"bad{i}.cfg"
@@ -209,6 +215,10 @@ def test_bad_profile_rejected_before_running(tmp_path):
         code = main(["suite", "--config", str(cfg_file), "--out", str(out)])
         assert code == 2, line
         assert not out.exists(), line
+    # An empty --out is not an absent one.
+    assert main(["suite", "--out", ""]) == 2
+    made = sorted(p.name for p in tmp_path.iterdir())
+    assert made == sorted(f"bad{i}.cfg" for i in range(len(bad_lines)))
 
 
 # -- CLI behaviour ------------------------------------------------------------------

@@ -75,6 +75,7 @@ from .symbols import (
     SeparableSymbol,
     ching_symbol,
     class_verify,
+    dyadic_blocks,
     identity_symbol,
     meyer_apply,
     meyer_symbol,

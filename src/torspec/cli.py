@@ -9,7 +9,8 @@ read from the signatures in REGISTRY and typed by experiments.typed_param
 before any work.  run and suite write every file atomically, and only once
 the last experiment has returned and every text is ready, so a run that
 fails writes nothing.  The output root comes from --out, the config file,
-or the TORSPEC_OUT environment variable, in that order of precedence.
+or the TORSPEC_OUT environment variable, in that order of precedence;
+each that is given must be a nonempty string.
 """
 
 from __future__ import annotations
@@ -96,8 +97,8 @@ def load_config(path: str | None) -> RunConfig:
     """
     cfg = RunConfig()
     env_out = os.environ.get("TORSPEC_OUT")
-    if env_out:
-        cfg.out = Path(env_out)
+    if env_out is not None:
+        cfg.out = Path(typed_param(env_out, "runs", "TORSPEC_OUT"))
     if path is None:
         return cfg
     with open(path) as handle:

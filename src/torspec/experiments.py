@@ -52,6 +52,7 @@ from .symbols import (
     Term,
     check_vanishes_at_zero,
     ching_symbol,
+    dyadic_blocks,
     meyer_apply,
     meyer_symbol,
     twisted_diagonal_check,
@@ -452,14 +453,17 @@ def exp_composite(
     wsup = float(np.max(np.abs(w_dense.samples.real)))
     w = w_dense.samples.real / wsup
 
-    u_pot = {s: bessel_potential(u_dense, s) for s in s_list}
+    # One set of dyadic blocks serves both functions' symbols and applies,
+    # and one forward FFT per field serves every s.
+    blocks = dyadic_blocks(u_dense, fam, K)
+    u_pots = bessel_potential(u_dense, s_list)
     norm_rows = []
     lip_rows = []
     for fname in f:
         F, Fp, tol = _COMPOSITE_F[fname]
         check_vanishes_at_zero(F)
-        mks = meyer_symbol(u_dense, Fp, fam, K, Q)
-        reproduced = meyer_apply(mks, fam, u_dense)
+        mks = meyer_symbol(u_dense, Fp, blocks, Q)
+        reproduced = meyer_apply(mks, blocks)
         exact = F(u_dense.samples.real)
         err = float(np.max(np.abs(reproduced.samples - exact)))
         report.metrics[f"sup_error[{fname}]"] = err
@@ -467,19 +471,19 @@ def exp_composite(
 
         # One Bessel-potential field per (field, s), reduced once per p.
         fu = DenseField(1, M, np.asarray(exact, dtype=np.complex128))
-        for s in s_list:
-            fu_pot = bessel_potential(fu, s)
+        for s, fu_pot, u_pot in zip(s_list, bessel_potential(fu, s_list), u_pots):
             for p in p_list:
                 nf = lp_norm(fu_pot, p)
                 report.metrics[f"hsp[{fname},s={s},p={p}]"] = nf
-                norm_rows.append((fname, s, p, nf, lp_norm(u_pot[s], p)))
+                norm_rows.append((fname, s, p, nf, lp_norm(u_pot, p)))
 
         diffs = [F(u_dense.samples.real + delta * w) - exact for delta in delta_list]
-        for s in s_list:
-            diff_pots = [
-                bessel_potential(DenseField(1, M, diff.astype(np.complex128)), s)
-                for diff in diffs
-            ]
+        pots_by_delta = [
+            bessel_potential(DenseField(1, M, diff.astype(np.complex128)), s_list)
+            for diff in diffs
+        ]
+        for i, s in enumerate(s_list):
+            diff_pots = [pots[i] for pots in pots_by_delta]
             for p in p_list:
                 ratios = [lp_norm(pot, p) / delta for delta, pot in zip(delta_list, diff_pots)]
                 lip_rows.extend((fname, s, p, delta, r) for delta, r in zip(delta_list, ratios))

@@ -307,14 +307,16 @@ def sparse_to_dense(u: SparseField, M: int) -> DenseField:
     """Evaluate the trigonometric polynomial on the grid via an inverse FFT.
 
     Every frequency component must lie in [-M/2, M/2); otherwise the embedding
-    would alias and FrequencyOutOfRange is raised.
+    would alias and FrequencyOutOfRange is raised.  The spectrum grid belongs
+    to this call, so it is inverted in place and becomes the samples: one
+    complex grid is alive, not two.
     """
     shape = (M,) * u.n
     spec = np.zeros(shape, dtype=np.complex128)
     scale = float(M) ** u.n
     for xi, c in u.items():
         spec[_grid_index(xi, M)] += scale * c
-    return DenseField(u.n, M, np.fft.ifftn(spec))
+    return DenseField(u.n, M, np.fft.ifftn(spec, out=spec))
 
 
 def dense_to_sparse(g: DenseField, tau: float = 0.0) -> SparseField:

@@ -11,9 +11,12 @@ Block norms aggregate dyadic pieces either as
 Each dense transform is computed once and reduced many times:
 block_norms puts every dyadic block on the grid once and returns both the
 per-block L_p norms and the envelope sup_j 2^{js}|Phi_j(D)u|, whose L_p
-norm is the Triebel value for any p; bessel_potential gives the grid field
-<D>^s g once, and lp_norm reduces it for each p.  Only one block grid is
-alive at a time.
+norm is the Triebel value for any p; bessel_potential takes one forward
+FFT of g and gives the grid field <D>^s g for each s, and lp_norm reduces
+each for every p.  block_norms holds at most two complex grids' worth of
+memory at once: one block's complex samples, which sparse_to_dense
+inverts in place, while its moduli and the envelope (half a complex grid
+each) are alive.
 """
 
 from __future__ import annotations
@@ -45,12 +48,16 @@ def sobolev_norm(u: SparseField, s: float) -> float:
 
 def lp_norm(g: DenseField, p: float) -> float:
     """Grid quadrature of the L_p norm; p = inf gives the max modulus."""
-    mods = np.abs(g.samples)
+    return _lp_of_moduli(np.abs(g.samples), p)
+
+
+def _lp_of_moduli(mods: np.ndarray, p: float) -> float:
+    """lp_norm of a grid field from its moduli |g| on the (M,)*n grid."""
     if math.isinf(p):
         return float(mods.max(initial=0.0))
     if p < 1:
         raise ValueError("p must be >= 1")
-    weight = 1.0 / float(g.M) ** g.n
+    weight = 1.0 / float(mods.size)
     return float((weight * np.sum(mods**p)) ** (1.0 / p))
 
 
@@ -63,21 +70,32 @@ def hsp_norm(u: SparseField, s: float, p: float, M: int) -> float:
     return lp_norm(sparse_to_dense(weighted, M), p)
 
 
-def bessel_potential(g: DenseField, s: float) -> DenseField:
-    """The grid field <D>^s g (spectrally truncated at M/2)."""
+def bessel_potential(g: DenseField, s_values) -> list[DenseField]:
+    """The grid fields <D>^s g (spectrally truncated at M/2), one per s of s_values.
+
+    One forward FFT of g serves every s; each weighted spectrum belongs to
+    this call and is inverted in place.  An empty s_values raises ValueError.
+    """
+    if not s_values:
+        raise ValueError("bessel_potential needs at least one exponent s")
     rho = grid_frequencies(g.M, g.n)
-    weight = (1.0 + rho * rho) ** (0.5 * s)
-    spec = np.fft.fftn(g.samples) * weight
-    return DenseField(g.n, g.M, np.fft.ifftn(spec))
+    base = 1.0 + rho * rho
+    spec = np.fft.fftn(g.samples)
+    out = []
+    for s in s_values:
+        weighted = spec * base ** (0.5 * s)
+        out.append(DenseField(g.n, g.M, np.fft.ifftn(weighted, out=weighted)))
+    return out
 
 
 def hsp_norm_dense(g: DenseField, s: float, p: float) -> float:
-    """Bessel-potential norm of a grid field: lp_norm of bessel_potential(g, s).
+    """Bessel-potential norm of a grid field: lp_norm of bessel_potential(g, (s,)).
 
-    A caller that needs several p for one (g, s) computes bessel_potential
-    once and reduces it with lp_norm per p.
+    A caller that needs several (s, p) for one g calls bessel_potential
+    once with every s and reduces each field with lp_norm per p.
     """
-    return lp_norm(bessel_potential(g, s), p)
+    (pot,) = bessel_potential(g, (s,))
+    return lp_norm(pot, p)
 
 
 def block_norms(
@@ -85,7 +103,9 @@ def block_norms(
 ) -> tuple[list[float], DenseField]:
     """One pass over the nonempty dyadic blocks u_j of a sparse field.
 
-    Each block goes through sparse_to_dense exactly once.  Returns the
+    Each block goes through sparse_to_dense exactly once, and its moduli
+    |u_j| are taken once: they give ||u_j||_p, are scaled by 2^{js} in
+    place and are folded into the envelope in place.  Returns the
     per-block values 2^{js} ||u_j||_p in ascending j and the envelope
     sup_j 2^{js} |u_j| on the M grid (zero when every block is empty).
     """
@@ -95,10 +115,12 @@ def block_norms(
         uj = lp_project(u, j, fam)
         if len(uj) == 0:
             continue
-        g = sparse_to_dense(uj, M)
-        per_block.append(2.0 ** (j * s) * lp_norm(g, p))
-        env = np.maximum(env, 2.0 ** (j * s) * np.abs(g.samples))
-        del g  # free this grid before the next block's is built
+        mods = np.abs(sparse_to_dense(uj, M).samples)  # the complex grid dies here
+        scale = 2.0 ** (j * s)
+        per_block.append(scale * _lp_of_moduli(mods, p))
+        np.multiply(mods, scale, out=mods)
+        np.maximum(env, mods, out=env)
+        del mods  # free it before the next block's grid is built
     return per_block, DenseField(u.n, M, env.astype(np.complex128))
 
 

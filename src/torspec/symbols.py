@@ -530,19 +530,35 @@ def _cis(x, xi: Frequency) -> complex:
 # -- composite-function (paraproduct) symbols ----------------------------------
 
 
+def dyadic_blocks(u: DenseField, fam: LPFamily, K: int) -> list[np.ndarray]:
+    """Grid samples of the dyadic blocks Phi_k(D)u for k = 0..K, in order.
+
+    One forward FFT of u serves all K+1 blocks, and each block's weighted
+    spectrum is inverted in place.  The blocks are read-only, so one list
+    can serve every meyer_symbol and meyer_apply call on u.  K < 0 leaves
+    no block and raises ValueError.
+    """
+    if K < 0:
+        raise ValueError(f"need a top block K >= 0, got {K}")
+    spec = np.fft.fftn(u.samples)
+    blocks = [_block_from_spectrum(spec, k, fam) for k in range(K + 1)]
+    for block in blocks:
+        block.flags.writeable = False
+    return blocks
+
+
 def meyer_symbol(
     u: DenseField,
     Fprime: Callable[[np.ndarray], np.ndarray],
-    fam: LPFamily,
-    K: int,
+    blocks: list[np.ndarray],
     Q: int = 32,
 ) -> list[tuple[DenseField, int]]:
     """Multiplier coefficients m_k of the composite-function symbol.
 
     m_k(x) = integral_0^1 F'(u^{k-1}(x) + t u_k(x)) dt, evaluated per grid
     point with Q-node Gauss-Legendre quadrature; u_k and u^{k-1} are the
-    dyadic block and ball pieces of u.  All blocks u_k come from one forward
-    FFT of u, one at a time.  The symbol they carry is
+    dyadic block and ball pieces of u, read from blocks = dyadic_blocks(u,
+    fam, K), so the symbol costs no FFT.  The symbol they carry is
     sum_{k=0..K} m_k(x) Phi_k(eta).
     """
     real = _require_real(u)
@@ -553,9 +569,8 @@ def meyer_symbol(
     tweights = 0.5 * weights
     out = []
     ball = np.zeros_like(real)
-    spec = np.fft.fftn(u.samples)
-    for k in range(K + 1):
-        uk = np.real(_block_from_spectrum(spec, k, fam))
+    for k, block in enumerate(blocks):
+        uk = np.real(block)
         mk = np.zeros_like(real)
         for t, w in zip(tnodes, tweights):
             mk = mk + w * np.asarray(Fprime(ball + t * uk), dtype=float)
@@ -564,15 +579,17 @@ def meyer_symbol(
     return out
 
 
-def meyer_apply(
-    mks: list[tuple[DenseField, int]], fam: LPFamily, u: DenseField
-) -> DenseField:
-    """Apply the dense multiplier-sum symbol: sum_k m_k(x) (Phi_k(D)u)(x)."""
-    acc = np.zeros((u.M,) * u.n, dtype=np.complex128)
-    spec = np.fft.fftn(u.samples)
+def meyer_apply(mks: list[tuple[DenseField, int]], blocks: list[np.ndarray]) -> DenseField:
+    """Apply the dense multiplier-sum symbol: sum_k m_k(x) (Phi_k(D)u)(x).
+
+    blocks = dyadic_blocks(u, fam, K) supplies each Phi_k(D)u, the same
+    list that meyer_symbol read, so the apply costs no FFT either.
+    """
+    shape = blocks[0].shape
+    acc = np.zeros(shape, dtype=np.complex128)
     for mk, k in mks:
-        acc = acc + mk.samples * _block_from_spectrum(spec, k, fam)
-    return DenseField(u.n, u.M, acc)
+        acc += mk.samples * blocks[k]
+    return DenseField(len(shape), shape[0], acc)
 
 
 def _require_real(u: DenseField) -> np.ndarray:
@@ -607,8 +624,12 @@ def _radial_on_grid(mult: Block, M: int, n: int) -> np.ndarray:
 
 
 def _block_from_spectrum(spec: np.ndarray, j: int, fam: LPFamily) -> np.ndarray:
-    """Grid samples of Phi_j(D)g from spec = fftn(g.samples), for j >= 0."""
-    return np.fft.ifftn(_radial_on_grid(Block(fam.profile, j), spec.shape[0], spec.ndim) * spec)
+    """Grid samples of Phi_j(D)g from spec = fftn(g.samples), for j >= 0.
+
+    The weighted spectrum is this call's own array, so it is inverted in place.
+    """
+    weighted = _radial_on_grid(Block(fam.profile, j), spec.shape[0], spec.ndim) * spec
+    return np.fft.ifftn(weighted, out=weighted)
 
 
 def lp_project_dense(g: DenseField, j: int, fam: LPFamily) -> DenseField:

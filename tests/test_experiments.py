@@ -145,11 +145,11 @@ def _count_ffts(monkeypatch, run):
 def test_dense_transforms_are_computed_once(monkeypatch):
     # One inverse FFT per nonempty block per d: 2 d values x 4 blocks.
     assert _count_ffts(monkeypatch, lambda: exp_weierstrass(J=4, M=128)) == 8
-    # Per function: one forward FFT plus 5 blocks in meyer_symbol and in
-    # meyer_apply (12), 2 s x 2 FFTs for F(u) (4) and 2 s x 4 deltas x 2 FFTs
-    # for the differences (16); plus 2 FFTs to build u and w and 2 s x 2 FFTs
-    # for u's potential, shared by both functions.
-    assert _count_ffts(monkeypatch, lambda: exp_composite(seed=0, M=256, K=4)) == 70
+    # 6 for the shared blocks (one forward FFT, 5 inverse); per function, 3
+    # for F(u)'s potentials (one forward FFT, one inverse per s) and 12 for
+    # the differences' (4 deltas x 3); 2 to build u and w; 3 for u's
+    # potentials: 6 + 2 x 15 + 2 + 3.
+    assert _count_ffts(monkeypatch, lambda: exp_composite(seed=0, M=256, K=4)) == 41
 
 
 def test_composite_unknown_function():

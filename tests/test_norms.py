@@ -282,13 +282,36 @@ def test_bessel_potential_split_matches_one_pass_bitwise():
         M = 128 if u.n == 1 else 64
         g = sparse_to_dense(u, M)
         for s in (-1.0, 0.0, 0.5, 2.0):
-            field = bessel_potential(g, s)
+            (field,) = bessel_potential(g, (s,))
             want = _potential_by_pass(g, s)
             assert field.samples.tobytes() == want.tobytes()
             for p in (1.0, 2.0, 4.0, math.inf):
                 ref = lp_norm(DenseField(u.n, M, want), p).hex()
                 assert lp_norm(field, p).hex() == ref
                 assert hsp_norm_dense(g, s, p).hex() == ref
+
+
+def test_dense_passes_hold_only_their_own_grids(fam):
+    # Traced peaks in complex grids of M = 2^14: sparse_to_dense inverts its
+    # spectrum in place (one grid, not two), and block_norms holds one
+    # block's samples plus its moduli and the envelope, half a grid each
+    # (two grids, not the 2.5 of a pass that keeps the last moduli alive).
+    import tracemalloc
+
+    M = 2**14
+    grid = 16 * M
+    w = weierstrass_field(0.5, 10)
+    for bound, run in (
+        (1.25, lambda: sparse_to_dense(w, M)),
+        (2.25, lambda: block_norms(w, 0.5, math.inf, fam, M)),
+    ):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * grid, (bound, peak / grid)
 
 
 # -- directional decay ----------------------------------------------------------------------

@@ -215,8 +215,11 @@ def test_bad_profile_rejected_before_running(tmp_path, monkeypatch):
         code = main(["suite", "--config", str(cfg_file), "--out", str(out)])
         assert code == 2, line
         assert not out.exists(), line
-    # An empty --out is not an absent one.
+    # An empty --out is not an absent one, nor is an empty TORSPEC_OUT.
     assert main(["suite", "--out", ""]) == 2
+    monkeypatch.setenv("TORSPEC_OUT", "")
+    assert main(["run", "flip"]) == 2
+    monkeypatch.delenv("TORSPEC_OUT")
     made = sorted(p.name for p in tmp_path.iterdir())
     assert made == sorted(f"bad{i}.cfg" for i in range(len(bad_lines)))
 

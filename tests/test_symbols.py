@@ -20,7 +20,7 @@ from torspec.fields import (
     grid_frequencies,
     sparse_to_dense,
 )
-from torspec.norms import lp_norm
+from torspec.norms import bessel_potential, lp_norm
 from torspec.constructions import random_band_limited
 from torspec.symbols import (
     Block,
@@ -31,6 +31,7 @@ from torspec.symbols import (
     check_vanishes_at_zero,
     ching_symbol,
     class_verify,
+    dyadic_blocks,
     identity_symbol,
     lp_project_dense,
     meyer_apply,
@@ -280,24 +281,26 @@ def _real_dense(rng, M=512, window=16, sup=1.5):
 
 def test_meyer_identity_function_reproduces_field(fam, rng):
     u = _real_dense(rng)
-    mks = meyer_symbol(u, lambda t: np.ones_like(t), fam, K=6, Q=8)
+    blocks = dyadic_blocks(u, fam, K=6)
+    mks = meyer_symbol(u, lambda t: np.ones_like(t), blocks, Q=8)
     for mk, _ in mks:
         assert float(np.max(np.abs(mk.samples - 1.0))) <= 1e-12
-    out = meyer_apply(mks, fam, u)
+    out = meyer_apply(mks, blocks)
     assert float(np.max(np.abs(out.samples - u.samples))) <= 1e-10
 
 
 def test_meyer_zero_function_gives_zero(fam, rng):
     u = _real_dense(rng)
-    mks = meyer_symbol(u, lambda t: np.zeros_like(t), fam, K=6, Q=4)
+    mks = meyer_symbol(u, lambda t: np.zeros_like(t), dyadic_blocks(u, fam, K=6), Q=4)
     for mk, _ in mks:
         assert float(np.max(np.abs(mk.samples))) == 0.0
 
 
 def test_meyer_square_matches_pointwise_square(fam, rng):
     u = _real_dense(rng)
-    mks = meyer_symbol(u, lambda t: 2.0 * t, fam, K=6, Q=4)
-    out = meyer_apply(mks, fam, u)
+    blocks = dyadic_blocks(u, fam, K=6)
+    mks = meyer_symbol(u, lambda t: 2.0 * t, blocks, Q=4)
+    out = meyer_apply(mks, blocks)
     assert float(np.max(np.abs(out.samples - u.samples.real**2))) <= 1e-10
 
 
@@ -315,7 +318,7 @@ def test_meyer_multiplier_sup_bound(fam, rng):
     c_psi = lp_norm(DenseField(1, M, np.fft.ifft(kernel)), 1.0)
     sup_u = float(np.max(np.abs(u.samples.real)))
     fprime = lambda t: t  # F = t^2/2, unbounded slope
-    mks = meyer_symbol(u, fprime, fam, K=6, Q=8)
+    mks = meyer_symbol(u, fprime, dyadic_blocks(u, fam, K=6), Q=8)
     bound = sup_u * (1.0 + c_psi)
     for mk, _ in mks:
         assert float(np.max(np.abs(mk.samples))) <= bound + 1e-12
@@ -324,7 +327,7 @@ def test_meyer_multiplier_sup_bound(fam, rng):
 def test_meyer_rejects_complex_input(fam):
     g = DenseField(1, 64, 1j * np.ones(64, dtype=complex))
     with pytest.raises(NonRealInput):
-        meyer_symbol(g, np.cos, fam, K=3)
+        meyer_symbol(g, np.cos, dyadic_blocks(g, fam, K=3))
 
 
 def test_vanishing_at_zero_guard():
@@ -340,8 +343,9 @@ def test_meyer_term_conversion_applies_like_dense(fam, rng):
     # Small carrier and a pruned conversion keep the exact sparse product
     # inside the grid band; the two routes then agree to pruning accuracy.
     u = _real_dense(rng, M=256, window=8, sup=1.0)
-    mks = meyer_symbol(u, np.cos, fam, K=5, Q=16)
-    dense_out = meyer_apply(mks, fam, u)
+    u_blocks = dyadic_blocks(u, fam, K=5)
+    mks = meyer_symbol(u, np.cos, u_blocks, Q=16)
+    dense_out = meyer_apply(mks, u_blocks)
     # The exact term form of sum_k m_k(x) Phi_k(eta), one Block term per m_k.
     blocks = [Term(dense_to_sparse(mk, 1e-10), Block(fam.profile, k)) for mk, k in mks]
     terms = SeparableSymbol(0.0, 1, tuple(t for t in blocks if len(t.xpart)))
@@ -462,10 +466,42 @@ def test_one_transform_blocks_match_per_block_ffts_bitwise(families, rng):
                 got = lp_project_dense(g, j, fam).samples
                 want = np.zeros_like(got) if j < 0 else _block_by_own_fft(g, j, fam)
                 assert got.tobytes() == want.tobytes()
-            mks = meyer_symbol(g, np.cos, fam, K=5, Q=6)
+            blocks = dyadic_blocks(g, fam, K=5)
+            mks = meyer_symbol(g, np.cos, blocks, Q=6)
             want = _meyer_by_own_ffts(g, np.cos, fam, K=5, Q=6)
             assert [mk.samples.tobytes() for mk, _ in mks] == [w.tobytes() for w in want]
             acc = np.zeros((M,) * n, dtype=np.complex128)
             for mk, k in mks:
                 acc = acc + mk.samples * _block_by_own_fft(g, k, fam)
-            assert meyer_apply(mks, fam, g).samples.tobytes() == acc.tobytes()
+            assert meyer_apply(mks, blocks).samples.tobytes() == acc.tobytes()
+
+
+def test_in_place_transforms_match_out_of_place_ffts_bitwise(families, rng):
+    # References call np.fft.fftn/ifftn themselves and never pass out=.
+    for n, M in ((1, 8), (1, 256), (1, 4096), (2, 8), (2, 64)):
+        u = random_band_limited(n, 10, M // 4, rng)
+        spec = np.zeros((M,) * n, dtype=np.complex128)
+        for xi, c in u.items():
+            spec[tuple(k % M for k in xi)] += float(M) ** n * c
+        g = sparse_to_dense(u, M)
+        assert g.samples.tobytes() == np.fft.ifftn(spec).tobytes()
+
+        s_values = (-1.0, 0.0, 0.5, 2.0)
+        rho = grid_frequencies(M, n)
+        for s, pot in zip(s_values, bessel_potential(g, s_values), strict=True):
+            want = np.fft.ifftn(np.fft.fftn(g.samples) * (1.0 + rho * rho) ** (0.5 * s))
+            assert pot.samples.tobytes() == want.tobytes(), (n, M, s)
+
+        for fam in families:
+            blocks = dyadic_blocks(g, fam, 6)
+            assert len(blocks) == 7
+            for k, block in enumerate(blocks):
+                assert block.tobytes() == _block_by_own_fft(g, k, fam).tobytes()
+                assert not block.flags.writeable
+
+
+def test_dyadic_blocks_need_a_top_block(fam):
+    # With no block the factorisation would be an empty sum: no evidence.
+    g = DenseField(1, 64, np.ones(64, dtype=complex))
+    with pytest.raises(ValueError):
+        dyadic_blocks(g, fam, -1)

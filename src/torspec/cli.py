@@ -5,7 +5,7 @@ unparsable inputs (JSON nested too deeply too) or an unwritable output root,
 3 resource errors (budgets, ranges, frequency caps, a dyadic index too large
 for a float).  main maps errors to codes through one table, the same for
 every command.  Each experiment parameter is a config key and a run flag,
-read from the signatures in REGISTRY and typed by experiments.typed_param
+read from the signatures in REGISTRY and typed by serialize.typed_param
 before any work.  run and suite write every file atomically, and only once
 the last experiment has returned and every text is ready, so a run that
 fails writes nothing.  The output root comes from --out, the config file,
@@ -28,7 +28,7 @@ from pathlib import Path
 
 from .cutoffs import CutoffProfile, default_families
 from .errors import TorspecError
-from .experiments import REGISTRY, ExperimentReport, typed_param
+from .experiments import REGISTRY, ExperimentReport
 from .operator import apply_with_support, check_work
 from .serialize import (
     atomic_write_text,
@@ -37,6 +37,7 @@ from .serialize import (
     load_symbol,
     profile_from_json,
     save_sparse,
+    typed_param,
 )
 from .symbols import symbol_full_modulate
 

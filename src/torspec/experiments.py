@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import inspect
 import math
-import sys
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -43,6 +42,7 @@ from .operator import (
     rel_coeff_diff,
     vanishing_limit,
 )
+from .serialize import typed_param
 from .symbols import (
     Ball,
     Corona,
@@ -115,31 +115,11 @@ def _need_positive(name: str, count: int) -> None:
         raise ValueError(f"{name} must be >= 1, got {count}")
 
 
-def typed_param(value, default, what: str):
-    """value checked against the type of a parameter's default, in its shape.
-
-    A bool comes only from a bool, an int never from a float or a bool, a
-    float from an int or float of magnitude at most sys.float_info.max (so
-    never NaN, an infinity or an int too large for a float; returned as a
-    float), a str from a nonempty str; a tuple default takes one such
-    element or a nonempty list or tuple of them, each checked and cast, and
-    returns a tuple (an empty one would run the experiment on no case at
-    all).  Anything else raises ValueError.
-    """
-    if isinstance(default, tuple):
-        items = value if isinstance(value, (list, tuple)) else [value]
-        if not items:
-            raise ValueError(f"{what} must not be an empty list")
-        return tuple(typed_param(item, default[0], what) for item in items)
-    if isinstance(default, bool) or isinstance(value, bool):
-        ok = isinstance(value, bool) and isinstance(default, bool)
-    elif isinstance(default, float):
-        ok = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
-    else:
-        ok = isinstance(value, type(default)) and value != ""
-    if not ok:
-        raise ValueError(f"{what} must be {type(default).__name__}, got {value!r}")
-    return float(value) if isinstance(default, float) else value
+def _need_sweep(name: str, values: tuple) -> None:
+    """Raise ValueError unless values holds two distinct points: verdicts that
+    compare the points of a sweep have no evidence from one."""
+    if len(set(values)) < 2:
+        raise ValueError(f"{name} needs two distinct values, got {list(values)}")
 
 
 def _typed_params(fn):
@@ -214,6 +194,7 @@ def exp_unclosable(
 ) -> ExperimentReport:
     """The vanishing family: exact harmonic-ratio output and shrinking norms."""
     report = ExperimentReport("unclosable", _params(locals()))
+    _need_sweep("n_list", n_list)
     norms = []
     rows = []
     for N in n_list:
@@ -513,6 +494,8 @@ def exp_continuity(
     member is built first, so its RangeTooLarge comes before any ratio."""
     report = ExperimentReport("continuity", _params(locals()))
     _need_positive("trials", trials)
+    _need_sweep("n_list", n_list)
+    _need_sweep("j_list", j_list)
     rows = []
     v_zero, _, j_zero = vanishing_family(min(n_list), d, theta)
 

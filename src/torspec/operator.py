@@ -87,7 +87,7 @@ def apply(a: SeparableSymbol, u: SparseField, budget: int = DEFAULT_PAIR_BUDGET)
     bound is built; apply_with_support returns one as well.
     """
     check_work(a, u, budget)
-    return SparseField(u.n, lattice_sum(_support_hits(a, _rank(u), list(u.coeffs.values()))))
+    return SparseField(u.n, lattice_sum(_support_hits(a.terms, _rank(u), list(u.coeffs.values()))))
 
 
 def apply_with_support(
@@ -101,7 +101,7 @@ def apply_with_support(
     The output is bitwise apply(a, u), under the same budget.
     """
     check_work(a, u, budget)
-    term_hits = list(_support_hits(a, _rank(u), list(u.coeffs.values())))
+    term_hits = list(_support_hits(a.terms, _rank(u), list(u.coeffs.values())))
     au = SparseField(u.n, lattice_sum(term_hits))
     xi_set: set[Frequency] = set()
     for xc, etas, _ in term_hits:
@@ -130,8 +130,9 @@ def _rank(u: SparseField):
     return list(u.coeffs), radii, order, [radii[i] for i in order]
 
 
-def _support_hits(a: SeparableSymbol, rank, coeffs: list[complex] | dict[int, complex]):
-    """Yield the lattice_sum part (t.xpart.coeffs, etas, weights) per term t of a:
+def _support_hits(terms, rank, coeffs: list[complex] | dict[int, complex]):
+    """Yield the lattice_sum part (t.xpart.coeffs, etas, weights) per term t of
+    the sequence terms (a symbol's sorted terms, or a run of them):
     etas lists the ranked modes eta (in key order) where coeffs[i] != 0 and
     m_t(eta) != 0, weights the products m_t(eta) coeffs[i].  m_t is evaluated
     only where lo <= |eta| <= hi (bisecting the ranked radii) and coeffs[i] != 0,
@@ -139,7 +140,7 @@ def _support_hits(a: SeparableSymbol, rank, coeffs: list[complex] | dict[int, co
     """
     keys, radii, order, ranked = rank
     whole = range(len(ranked))
-    for t in a.terms:
+    for t in terms:
         lo = bisect_left(ranked, t.mult.lo)
         hi = bisect_right(ranked, t.mult.hi)
         window = whole if hi - lo == len(ranked) else sorted(order[lo:hi])
@@ -156,10 +157,15 @@ def _support_hits(a: SeparableSymbol, rank, coeffs: list[complex] | dict[int, co
 
 def rel_coeff_diff(u: SparseField, v: SparseField) -> float:
     """Max coefficient difference over both spectra, relative to their largest magnitude."""
-    scale = max([abs(c) for f in (u, v) for c in f.coeffs.values()] + [1e-300])
+    return _rel_diff(u.coeffs, v.coeffs)
+
+
+def _rel_diff(u: dict[Frequency, complex], v: dict[Frequency, complex]) -> float:
+    """rel_coeff_diff of two coefficient dicts; a missing key counts as 0."""
+    scale = max([abs(c) for f in (u, v) for c in f.values()] + [1e-300])
     worst = 0.0
-    for xi in u.coeffs.keys() | v.coeffs.keys():
-        worst = max(worst, abs(u.coeff(xi) - v.coeff(xi)))
+    for xi in u.keys() | v.keys():
+        worst = max(worst, abs(u.get(xi, 0.0 + 0.0j) - v.get(xi, 0.0 + 0.0j)))
     return worst / scale
 
 
@@ -185,7 +191,9 @@ def _modulated_steps(a: SeparableSymbol, u: SparseField, rank):
     to nothing and is skipped.  Per profile a step keeps both orders' sums
     over the saturated prefix of its sorted terms while it leads (pruning
     can reorder terms sharing a lo) and scans only the terms after it, so
-    per key the sums keep their order.
+    per key the sums keep their order.  The scanned terms are already in a^m's
+    order.  The full-modulation sum stays a dict, checked by rel_coeff_diff's
+    rule; a non-finite coefficient in it raises ValueError, as a field would.
     """
     _, radii, order, ranked = rank
     coeffs = list(u.coeffs.values())
@@ -216,16 +224,18 @@ def _modulated_steps(a: SeparableSymbol, u: SparseField, rank):
         idx = order[bisect_left(ranked, lo) : bisect_right(ranked, hi)]
         um = modulated_coeffs([radii[i] for i in idx], [coeffs[i] for i in idx], m, p)
         check_work(x_only, u)  # x_only has the x-parts of the full modulation
-        full = tuple(Term(t.xpart, Modulated(t.mult, m, p)) for t in live)
-        x_hits = list(_support_hits(SeparableSymbol(a.d, a.n, live), rank, dict(zip(idx, um))))
-        f_hits = list(_support_hits(SeparableSymbol(a.d, a.n, full), rank, coeffs))
+        full = [Term(t.xpart, Modulated(t.mult, m, p)) for t in live]
+        x_hits = list(_support_hits(live, rank, dict(zip(idx, um))))
+        f_hits = list(_support_hits(full, rank, coeffs))
         new = flat - len(held)
         if new:
             first, second = lattice_sum(x_hits[:new], first), lattice_sum(f_hits[:new], second)
         runs[p] = (x_only.terms[:flat], first, second)
         first = SparseField(u.n, lattice_sum(x_hits[new:], first))
-        second = SparseField(u.n, lattice_sum(f_hits[new:], second))
-        if not rel_coeff_diff(first, second) <= 1e-12:  # a NaN difference fails too
+        second = lattice_sum(f_hits[new:], second)
+        if not all(abs(c) < math.inf for c in second.values()):  # as building it would
+            raise ValueError("non-finite coefficient in the full-modulation sum")
+        if not _rel_diff(first.coeffs, second) <= 1e-12:
             raise AssertionError("modulation-order equivalence violated beyond rounding")
         return first
 
@@ -381,7 +391,7 @@ def vanishing_limit(
     covered one (_modulation_run).
     """
     rank = _rank(u)  # shared by the cover pass and every step
-    hits = _support_hits(a, rank, list(u.coeffs.values()))
+    hits = _support_hits(a.terms, rank, list(u.coeffs.values()))
     radii = (freq_abs(k) for xc, etas, _ in hits if etas for k in etas + list(xc))
     cover = max(radii, default=0.0)
     return _modulation_run(_modulated_steps(a, u, rank), profiles, m_range, cover)
@@ -618,12 +628,6 @@ class RatioProbe:
     p: float
     rows: list[tuple[str, float]]
     max_ratio: float
-
-    def ratio(self, label: str) -> float:
-        for name, value in self.rows:
-            if name == label:
-                return value
-        raise KeyError(label)
 
 
 def norm_ratio_probe(

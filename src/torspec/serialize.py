@@ -7,13 +7,15 @@ multiplier's own to_json() and read back by a lookup on its "kind".  The
 support radii are not stored: they are derived from the multiplier when it
 is rebuilt.  Malformed input raises ValueError (KeyError for a missing
 key): a value of the wrong JSON type is never cast, truncated or dropped.
+typed_param, the one rule for a value from outside, checks every integer,
+number and kind string a loader reads, and every config value and flag.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
+import sys
 import tempfile
 from pathlib import Path
 
@@ -64,27 +66,34 @@ def write_json(path: Path | str, obj) -> Path:
     return atomic_write_text(path, json_text(obj))
 
 
+def typed_param(value, default, what: str):
+    """value checked against the type of a parameter's default, in its shape.
+
+    A bool comes only from a bool, an int never from a float or a bool, a
+    float from an int or float of magnitude at most sys.float_info.max (so
+    never NaN, an infinity or an int too large for a float; returned as a
+    float), a str from a nonempty str; a tuple default takes one such
+    element or a nonempty list or tuple of them, each checked and cast, and
+    returns a tuple (an empty one would run the experiment on no case at
+    all).  Anything else raises ValueError.
+    """
+    if isinstance(default, tuple):
+        items = value if isinstance(value, (list, tuple)) else [value]
+        if not items:
+            raise ValueError(f"{what} must not be an empty list")
+        return tuple(typed_param(item, default[0], what) for item in items)
+    if isinstance(default, bool) or isinstance(value, bool):
+        ok = isinstance(value, bool) and isinstance(default, bool)
+    elif isinstance(default, float):
+        ok = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    else:
+        ok = isinstance(value, type(default)) and value != ""
+    if not ok:
+        raise ValueError(f"{what} must be {type(default).__name__}, got {value!r}")
+    return float(value) if isinstance(default, float) else value
+
+
 # -- sparse fields ---------------------------------------------------------------
-
-
-def _index(obj: dict | list, key: str | int) -> int:
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"field {key!r} must be an integer, got {value!r}")
-    return value
-
-
-def _number(obj: dict, key: str) -> float:
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"field {key!r} must be a number, got {value!r}")
-    try:
-        value = float(value)
-    except OverflowError:
-        raise ValueError(f"field {key!r} is too large for a float") from None
-    if not math.isfinite(value):
-        raise ValueError(f"field {key!r} must be finite, got {value!r}")
-    return value
 
 
 def _typed(value, kind: type, what: str):
@@ -111,7 +120,7 @@ def sparse_from_json(obj: dict) -> SparseField:
     frequency and a non-numeric or non-finite "re"/"im" (also one too large
     for a float).
     """
-    n = _index(_typed(obj, dict, "sparse field"), "n")
+    n = typed_param(_typed(obj, dict, "sparse field")["n"], 0, "field 'n'")
     if n not in (1, 2):
         raise ValueError(f"dimension {n} not in {{1, 2}}")
     coeffs = {}
@@ -119,10 +128,10 @@ def sparse_from_json(obj: dict) -> SparseField:
         xi = _typed(_typed(entry, dict, "coefficient entry")["xi"], list, "xi")
         if len(xi) != n:
             raise ValueError(f"frequency {xi!r} does not have {n} components")
-        xi = tuple(_index(xi, i) for i in range(n))
+        xi = tuple(typed_param(k, 0, "frequency component") for k in xi)
         if xi in coeffs:
             raise ValueError(f"frequency {list(xi)} appears twice")
-        coeffs[xi] = complex(_number(entry, "re"), _number(entry, "im"))
+        coeffs[xi] = complex(*(typed_param(entry[k], 0.0, f"field {k!r}") for k in ("re", "im")))
     return SparseField(n, coeffs)
 
 
@@ -157,7 +166,7 @@ def load_dense(base: Path | str) -> DenseField:
     base = Path(base)
     with open(base.with_suffix(".json")) as handle:
         meta = _typed(json.load(handle), dict, "dense sidecar")
-    n, M = _index(meta, "n"), _index(meta, "M")
+    n, M = (typed_param(meta[k], 0, f"field {k!r}") for k in ("n", "M"))
     if n not in (1, 2):
         raise ValueError(f"dimension {n} not in {{1, 2}}")
     if M < 2 or M & (M - 1):
@@ -175,9 +184,9 @@ def load_dense(base: Path | str) -> DenseField:
 def _bump(obj: dict) -> RadialBump:
     _typed(obj, dict, "chi")
     return RadialBump(
-        *(_number(obj, key) for key in ("lo", "hi", "plo", "phi")),
-        _typed(obj["kind"], str, "chi kind"),
-        _index(obj, "zero_order"),
+        *(typed_param(obj[k], 0.0, f"field {k!r}") for k in ("lo", "hi", "plo", "phi")),
+        typed_param(obj["kind"], "exp", "chi kind"),
+        typed_param(obj["zero_order"], 0, "field 'zero_order'"),
     )
 
 
@@ -187,17 +196,20 @@ def profile_from_json(obj: dict) -> CutoffProfile:
     if extra:
         raise ValueError(f"unknown profile keys {sorted(extra)}")
     return CutoffProfile(
-        _number(obj, "r"), _number(obj, "R"), _typed(obj["kind"], str, "profile kind")
+        *(typed_param(obj[k], 0.0, f"field {k!r}") for k in ("r", "R")),
+        typed_param(obj["kind"], "exp", "profile kind"),
     )
 
 
 _MULT_FROM_JSON = {
     "one": lambda m: One(),
-    "corona": lambda m: Corona(_bump(m["chi"]), _index(m, "j")),
-    "block": lambda m: Block(profile_from_json(m["profile"]), _index(m, "j")),
-    "ball": lambda m: Ball(_number(m, "radius")),
+    "corona": lambda m: Corona(_bump(m["chi"]), typed_param(m["j"], 0, "field 'j'")),
+    "block": lambda m: Block(profile_from_json(m["profile"]), typed_param(m["j"], 0, "field 'j'")),
+    "ball": lambda m: Ball(typed_param(m["radius"], 0.0, "field 'radius'")),
     "modulated": lambda m: Modulated(
-        mult_from_json(m["inner"]), _index(m, "m"), profile_from_json(m["profile"])
+        mult_from_json(m["inner"]),
+        typed_param(m["m"], 0, "field 'm'"),
+        profile_from_json(m["profile"]),
     ),
 }
 
@@ -223,7 +235,7 @@ def symbol_from_json(obj: dict) -> SeparableSymbol:
     number, a dimension "n" other than the integers 1 and 2, an x-part of
     another dimension, and a radius, bump or profile value of the wrong type.
     """
-    n = _index(_typed(obj, dict, "symbol"), "n")
+    n = typed_param(_typed(obj, dict, "symbol")["n"], 0, "field 'n'")
     if n not in (1, 2):
         raise ValueError(f"dimension {n} not in {{1, 2}}")
     terms = []
@@ -232,7 +244,7 @@ def symbol_from_json(obj: dict) -> SeparableSymbol:
         if xpart.n != n:
             raise ValueError(f"x-part of dimension {xpart.n} in a symbol of dimension {n}")
         terms.append(Term(xpart, mult_from_json(entry["mult"])))
-    return SeparableSymbol(_number(obj, "d"), n, tuple(terms))
+    return SeparableSymbol(typed_param(obj["d"], 0.0, "field 'd'"), n, tuple(terms))
 
 
 def save_symbol(a: SeparableSymbol, path: Path | str) -> Path:

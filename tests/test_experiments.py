@@ -68,15 +68,15 @@ def test_python_callers_get_the_parameter_rule():
         exp_unclosable(theta=(1.0,))
     with pytest.raises(ValueError):
         exp_composite(f=("square",), s_list=(math.nan,), M=1024, K=6)
-    report = exp_unclosable(d=0, n_list=5, theta=[1])
+    report = exp_unclosable(d=0, n_list=[5, 6], theta=1)
     assert report.passed
-    assert report.params == {"d": 0.0, "n_list": [5], "theta": [1]}
+    assert report.params == {"d": 0.0, "n_list": [5, 6], "theta": [1]}
     assert type(report.params["d"]) is float
 
 
 def test_unclosable_range_guard():
     with pytest.raises(RangeTooLarge):
-        exp_unclosable(n_list=(8,))
+        exp_unclosable(n_list=(5, 8))
 
 
 def test_flip_single_d():

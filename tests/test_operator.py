@@ -208,8 +208,8 @@ def test_apply_modulated_is_apply_of_the_modulations_bitwise(case):
         return [(etas, [(w.real.hex(), w.imag.hex()) for w in ws]) for _, etas, ws in hits]
 
     rank = _rank(u)
-    got = _support_hits(x_only, rank, modulated_coeffs(rank[1], u.coeffs.values(), m, p))
-    assert hexed(got) == hexed(_support_hits(x_only, _rank(um), list(um.coeffs.values())))
+    got = _support_hits(x_only.terms, rank, modulated_coeffs(rank[1], u.coeffs.values(), m, p))
+    assert hexed(got) == hexed(_support_hits(x_only.terms, _rank(um), list(um.coeffs.values())))
     assert _hexed(apply_modulated(a, u, p, m)) == _hexed(apply(x_only, um))
 
 
@@ -247,7 +247,7 @@ def test_modulation_index_checked_for_a_symbol_with_no_terms(profiles):
 def _reference_run(a, u, profiles, m_range):
     # vanishing_limit with every step a fresh apply_modulated: nothing is kept
     # from one step to the next, and a covered step is computed like any other.
-    hits = _support_hits(a, _rank(u), list(u.coeffs.values()))
+    hits = _support_hits(a.terms, _rank(u), list(u.coeffs.values()))
     radii = (freq_abs(k) for xc, etas, _ in hits if etas for k in etas + list(xc))
     m_lo, m_hi = m_range
     seqs = {p.id: [apply_modulated(a, u, p, m) for m in range(m_lo, m_hi + 1)] for p in profiles}
@@ -371,6 +371,59 @@ def test_vanishing_limit_scans_each_term_while_it_is_live(profiles, monkeypatch)
         vanishing_limit(a, vN, profiles, (0, m_hi))
         scans, terms, steps, orders = len(scanned), len(a.terms), m_hi + 1, 2
         assert scans <= terms + orders * len(profiles) * (terms + steps)
+
+
+def test_modulation_step_builds_one_field(profiles, monkeypatch):
+    # A computed step builds its returned field and nothing else besides the
+    # x-parts modulate builds: the full-modulation order is compared as a
+    # coefficient dict, and the scanned terms are not wrapped in symbols.
+    import torspec.operator as op
+
+    vN, _, j_hi = vanishing_family(5, 0.0, (1,))
+    _, a = ching_symbol(0.0, (1,), 5, j_hi)
+    counts = {"fields": 0, "steps": 0, "modulate": 0}
+    post_init, steps, modulate_ = SparseField.__post_init__, op._modulated_steps, op.modulate
+
+    def built(self):
+        counts["fields"] += 1
+        post_init(self)
+
+    def counted_steps(*args):
+        step = steps(*args)
+
+        def counted(p, m):
+            counts["steps"] += 1
+            return step(p, m)
+
+        return counted
+
+    def counted_modulate(*args):
+        counts["modulate"] += 1
+        return modulate_(*args)
+
+    monkeypatch.setattr(SparseField, "__post_init__", built)
+    monkeypatch.setattr(op, "_modulated_steps", counted_steps)
+    monkeypatch.setattr(op, "modulate", counted_modulate)
+    vanishing_limit(a, vN, profiles, (0, 12))
+    assert counts == {"fields": 42, "steps": 26, "modulate": 16}  # 42 = 26 + 16
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_non_finite_full_modulation_sum_raises(profiles, monkeypatch, bad):
+    # Only the full-modulation order sees the blown-up multiplier; its sum is
+    # never built as a field, so the step itself must reject it.
+    import torspec.operator as op
+
+    class Blown(Modulated):
+        def radial(self, rho):
+            return bad
+
+    vN, _, j_hi = vanishing_family(5, 0.0, (1,))
+    _, a = ching_symbol(0.0, (1,), 5, j_hi)
+    assert len(apply_modulated(a, vN, profiles[0], 6)) == 3
+    monkeypatch.setattr(op, "Modulated", Blown)
+    with pytest.raises(ValueError, match="non-finite"):
+        apply_modulated(a, vN, profiles[0], 6)
 
 
 def test_vanishing_limit_passes_for_band_limited_inputs(rng, profiles):

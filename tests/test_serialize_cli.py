@@ -270,7 +270,7 @@ def test_run_unclosable_with_list_flag(tmp_path):
 def test_tuple_flag_takes_one_element(tmp_path):
     # One element for a tuple parameter runs as a tuple of it, not a crash.
     runs = {
-        "unclosable": ["--n-list", "5"],
+        "unclosable": ["--n-list", "5,6"],
         "flip": ["--J", "8", "--with-2d", "false"],
         "continuity": ["--n-list", "5,6", "--j-list", "10,14", "--trials", "3"],
     }
@@ -279,7 +279,7 @@ def test_tuple_flag_takes_one_element(tmp_path):
         report = json.loads((tmp_path / name / "report.json").read_text())
         assert report["params"]["theta"] == [1], name
     report = json.loads((tmp_path / "unclosable" / "report.json").read_text())
-    assert report["params"] == {"d": 0.0, "n_list": [5], "theta": [1]}
+    assert report["params"] == {"d": 0.0, "n_list": [5, 6], "theta": [1]}
 
 
 def test_bad_input_errors_exit_two(tmp_path):
@@ -308,7 +308,7 @@ def test_bad_config_value_exits_two_writing_nothing(tmp_path):
 
 
 def test_resource_error_exits_three(tmp_path):
-    code = main(["run", "unclosable", "--n-list", "8", "--out", str(tmp_path)])
+    code = main(["run", "unclosable", "--n-list", "5,8", "--out", str(tmp_path)])
     assert code == 3
     # A dyadic index too large for a float.
     assert main(["run", "partition-check", "--m", "2000", "--out", str(tmp_path)]) == 3
@@ -331,6 +331,11 @@ def test_bad_parameter_exits_two(tmp_path):
             ["run", "weierstrass", "--d", "[]"],
             ["run", "composite", "--f", "[]"],
             ["run", "continuity", "--j-list", "[]"],
+            # A sweep needs two distinct points.
+            ["run", "unclosable", "--n-list", "5"],
+            ["run", "continuity", "--n-list", "5"],
+            ["run", "continuity", "--j-list", "10"],
+            ["run", "continuity", "--j-list", "10,10"],
         ]
     ):
         out = tmp_path / f"zero{i}"
@@ -533,6 +538,7 @@ def test_apply_parse_failure_exits_two(tmp_path):
         "bool-radius": _symbol_text({"kind": "ball", "radius": True}),
         "negative-radius": _symbol_text({"kind": "ball", "radius": -3}),
         "huge-radius": _symbol_text({"kind": "ball", "radius": 7.5}).replace("7.5", "1e400"),
+        "past-double-radius": _symbol_text({"kind": "ball", "radius": int(sys.float_info.max) + 1}),
         "string-chi-lo": _symbol_text({"kind": "corona", "j": 2, "chi": {**chi, "lo": "a"}}),
         "unknown-chi-kind": _symbol_text(
             {"kind": "corona", "j": 2, "chi": {**chi, "kind": "nosuch"}}
@@ -586,6 +592,7 @@ def test_apply_parse_failure_exits_two(tmp_path):
         "list-field": json.dumps([1, 2]),
         "huge-re": json.dumps({"n": 1, "coeffs": [entry([1], 10**400)]}),
         "huge-im": json.dumps({"n": 1, "coeffs": [{"xi": [1], "re": 0.0, "im": -(10**400)}]}),
+        "past-double-re": json.dumps({"n": 1, "coeffs": [entry([1], int(sys.float_info.max) + 1)]}),
     }
     save_symbol(identity_symbol(1), tmp_path / "a.json")
     for name, text in fields.items():

@@ -5,12 +5,13 @@ unparsable inputs (JSON nested too deeply too) or an unwritable output root,
 3 resource errors (budgets, ranges, frequency caps, a dyadic index too large
 for a float).  main maps errors to codes through one table, the same for
 every command.  Each experiment parameter is a config key and a run flag,
-read from the signatures in REGISTRY and typed by serialize.typed_param
-before any work.  run and suite write every file atomically, and only once
-the last experiment has returned and every text is ready, so a run that
-fails writes nothing.  The output root comes from --out, the config file,
-or the TORSPEC_OUT environment variable, in that order of precedence;
-each that is given must be a nonempty string.
+read from the signatures in REGISTRY.  A flag value is read by _parse_value
+exactly as the config value of the same key is, and both are typed only by
+serialize.typed_param, before any work.  run and suite write every file
+atomically, and only once the last experiment has returned and every text
+is ready, so a run that fails writes nothing.  The output root comes from
+--out, the config file, or the TORSPEC_OUT environment variable, in that
+order of precedence; each that is given must be a nonempty string.
 """
 
 from __future__ import annotations
@@ -66,13 +67,14 @@ class RunConfig:
         return self.profiles[name]
 
 
-def _param_defaults(names) -> dict[str, list]:
-    """Each parameter of the named experiments, read from REGISTRY now, with its defaults."""
-    params: dict[str, list] = {}
-    for name in names:
-        for p in inspect.signature(REGISTRY[name]).parameters.values():
-            params.setdefault(p.name, []).append(p.default)
-    return params
+def _params(name: str):
+    """The parameters of one experiment, read from REGISTRY now, by name."""
+    return inspect.signature(REGISTRY[name]).parameters
+
+
+def _param_names(names) -> dict:
+    """The parameter names of the named experiments, each once, in order."""
+    return dict.fromkeys(key for name in names for key in _params(name))
 
 
 def _parse_value(raw: str):
@@ -123,10 +125,10 @@ def load_config(path: str | None) -> RunConfig:
             else:
                 exp, _, param = key.partition(".")
                 param = param.replace("-", "_")
-                defaults = _param_defaults([exp] if exp in REGISTRY else [])
-                if param not in defaults:
+                params = _params(exp) if exp in REGISTRY else {}
+                if param not in params:
                     raise ValueError(f"{path}:{line_no}: unknown key {key!r}")
-                typed_param(value, defaults[param][0], f"{path}:{line_no}: {key}")
+                typed_param(value, params[param].default, f"{path}:{line_no}: {key}")
                 cfg.overrides.setdefault(exp, {})[param] = value
     return cfg
 
@@ -183,7 +185,7 @@ def _experiment_kwargs(name: str, cfg: RunConfig, flag_params: dict) -> dict:
     if name not in REGISTRY:
         raise ValueError(f"unknown experiment {name!r}")
     kwargs = {**cfg.overrides.get(name, {}), **flag_params}
-    params = _param_defaults([name])
+    params = _params(name)
     for key in kwargs:
         if key not in params:
             raise ValueError(f"experiment {name!r} has no parameter {key!r}")
@@ -224,13 +226,15 @@ def run_apply(args, cfg: RunConfig) -> int:
     """Apply the symbol, or with --modulate its full modulation, to the field.
 
     Xi is the support bound of the symbol actually applied; the pair budget
-    counts the input symbol either way.
+    counts the input symbol either way.  A negative --modulate is rejected
+    before any input is read.
     """
+    # An absent --modulate sets no attribute, so a given null is no absent flag.
+    if hasattr(args, "modulate") and typed_param(args.modulate, 0, "--modulate") < 0:
+        raise ValueError(f"--modulate must be >= 0, got {args.modulate}")
     symbol = load_symbol(args.symbol)
     field_in = load_sparse(args.field)
-    if args.modulate is not None:
-        if type(args.modulate) is not int:  # argparse gives [] for --modulate=--
-            raise ValueError(f"--modulate expects an integer >= 0, got {args.modulate!r}")
+    if hasattr(args, "modulate"):
         profile = cfg.profile(args.profile)
         check_work(symbol, field_in)
         symbol = symbol_full_modulate(symbol, args.modulate, profile)
@@ -247,33 +251,13 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--emit-plots", action="store_true")
 
 
-def _strict_bool(raw: str) -> bool:
-    lowered = raw.lower()
-    if lowered not in ("true", "false"):
-        raise argparse.ArgumentTypeError(f"expected true or false, got {raw!r}")
-    return lowered == "true"
-
-
-def _nonnegative_int(raw: str) -> int:
-    value = int(raw)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {raw!r}")
-    return value
-
-
-def _add_param_flags(parser: argparse.ArgumentParser, params: dict[str, list]) -> None:
-    """One flag per parameter: int if every default is an int, _strict_bool
-    for a bool, _parse_value otherwise.  An absent flag sets no attribute, so
+def _add_param_flags(parser: argparse.ArgumentParser, names) -> None:
+    """One flag per parameter name, its value read by _parse_value as a config
+    value is; the experiment types it.  An absent flag sets no attribute, so
     a given JSON null is not taken for an absent flag."""
-    for key, defaults in params.items():
-        if all(isinstance(d, bool) for d in defaults):
-            typ = _strict_bool
-        elif all(type(d) is int for d in defaults):
-            typ = int
-        else:
-            typ = _parse_value
+    for key in names:
         flag = "--" + key.replace("_", "-")
-        parser.add_argument(flag, dest=key, type=typ, default=argparse.SUPPRESS)
+        parser.add_argument(flag, dest=key, type=_parse_value, default=argparse.SUPPRESS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -283,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run one named experiment")
     p_run.add_argument("name", help=f"one of: {', '.join(REGISTRY)}")
     _add_common(p_run)
-    _add_param_flags(p_run, _param_defaults(REGISTRY))
+    _add_param_flags(p_run, _param_names(REGISTRY))
 
     p_suite = sub.add_parser("suite", help="run every experiment at default parameters")
     _add_common(p_suite)
@@ -291,14 +275,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_part = sub.add_parser("partition-check", help="shortcut for `run partition-check`")
     _add_common(p_part)
     p_part.set_defaults(name="partition-check")
-    _add_param_flags(p_part, _param_defaults(["partition-check"]))
+    _add_param_flags(p_part, _params("partition-check"))
 
     p_apply = sub.add_parser("apply", help="apply a serialized symbol to a field")
     _add_common(p_apply)
     p_apply.add_argument("--symbol", required=True)
     p_apply.add_argument("--field", required=True)
     p_apply.add_argument("--out-field", required=True)
-    p_apply.add_argument("--modulate", type=_nonnegative_int, default=None)
+    p_apply.add_argument("--modulate", type=_parse_value, default=argparse.SUPPRESS)
     p_apply.add_argument("--profile", default="main")
     return parser
 
@@ -315,8 +299,8 @@ def main(argv=None) -> int:
             return run_suite(cfg)
         if args.command == "apply":
             return run_apply(args, cfg)
-        params = _param_defaults(REGISTRY)
-        return run_experiment(args.name, cfg, {k: v for k, v in vars(args).items() if k in params})
+        names = _param_names(REGISTRY)
+        return run_experiment(args.name, cfg, {k: v for k, v in vars(args).items() if k in names})
     except SystemExit as exc:  # argparse: --help, or a bad flag (2)
         return int(exc.code or 0)
     except (OSError, ValueError, KeyError, RecursionError) as exc:

@@ -29,6 +29,7 @@ from .fields import (
     DenseField,
     SparseField,
     delta_field,
+    freq_abs,
     freq_scale,
     pointwise_mul,
     sparse_to_dense,
@@ -122,6 +123,13 @@ def _need_sweep(name: str, values: tuple) -> None:
         raise ValueError(f"{name} needs two distinct values, got {list(values)}")
 
 
+def _need_chi_at_theta(theta: tuple) -> None:
+    """Raise ValueError when the default chi vanishes at |theta|: the symbol
+    then annihilates the vanishing family, so its verdicts have no evidence."""
+    if RadialBump().radial(freq_abs(theta)) == 0.0:
+        raise ValueError(f"chi vanishes at |theta| for theta = {list(theta)}")
+
+
 def _typed_params(fn):
     """fn with every argument passed through typed_param first."""
     sig = inspect.signature(fn)
@@ -195,6 +203,7 @@ def exp_unclosable(
     """The vanishing family: exact harmonic-ratio output and shrinking norms."""
     report = ExperimentReport("unclosable", _params(locals()))
     _need_sweep("n_list", n_list)
+    _need_chi_at_theta(theta)
     norms = []
     rows = []
     for N in n_list:
@@ -421,6 +430,8 @@ def exp_composite(
     for fname in f:
         if fname not in _COMPOSITE_F:
             raise ValueError(f"unknown composite function {fname!r}")
+    if not all(delta > 0.0 for delta in delta_list):
+        raise ValueError(f"every delta must be > 0, got {list(delta_list)}")
     rng = np.random.default_rng(seed)
     fam = default_families()[0]
     window = 2 ** (K - 1)
@@ -496,6 +507,7 @@ def exp_continuity(
     _need_positive("trials", trials)
     _need_sweep("n_list", n_list)
     _need_sweep("j_list", j_list)
+    _need_chi_at_theta(theta)
     rows = []
     v_zero, _, j_zero = vanishing_family(min(n_list), d, theta)
 
@@ -504,9 +516,7 @@ def exp_continuity(
     ratios_s1 = []
     for N in n_list:
         vN, _, j_hi = vanishing_family(N, d, theta, allow_truncation=True)
-        data, a = ching_symbol(d, theta, N, j_hi)
-        if data.chi_at_theta() == 0.0:
-            raise TorspecError("plain family requires chi(theta) != 0")
+        _, a = ching_symbol(d, theta, N, j_hi)
         au = apply(a, vN)
         for s, box in ((0.0, ratios_s0), (1.0, ratios_s1)):
             num = sobolev_norm(au, s)

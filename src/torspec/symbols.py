@@ -274,9 +274,6 @@ class ChingData:
     j_hi: int
     chi: RadialBump
 
-    def chi_at_theta(self) -> float:
-        return self.chi.radial(freq_abs(self.theta))
-
 
 def ching_symbol(
     d: float,

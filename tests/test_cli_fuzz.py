@@ -84,11 +84,12 @@ def _boundary():
         yield Path(tmp)
 
 
-def _check(argv, written: Path) -> None:
+def _check(argv, written: Path) -> int:
     code = cli.main(argv)
     assert code in (0, 2, 3), (argv, code)
     if code != 0:
         assert not written.exists(), argv
+    return code
 
 
 def _write(path: Path, text: str) -> Path:
@@ -229,10 +230,47 @@ def test_fuzz_run_flags(argv, text):
         _check([*command, f"{flag}={text}", "--out", str(out)], out)
 
 
+# The config reader strips comments and splits lines; argparse reads the
+# value -- of --flag=-- as no value at all (see test_double_dash_flag_value).
+line_texts = texts.filter(lambda t: t != "--" and not any(c in t for c in "#\n\r"))
+
+
+@FUZZ
+@given(st.sampled_from([(name, p) for name, params in _PARAMS.items() for p in params]), line_texts)
+@example(("partition-check", "m"), "\u0665")  # an Arabic-Indic digit 5
+@example(("partition-check", "n_samples"), "1_00")
+@example(("partition-check", "m"), "+3")
+@example(("partition-check", "m"), " 3")
+@example(("flip", "with_2d"), "True")
+@example(("flip", "with_2d"), "False")
+def test_flag_and_config_line_agree(pair, text):
+    # A flag value is read and typed exactly as the config value of its key.
+    name, param = pair
+    with _boundary() as tmp:
+        flag = "--" + param.replace("_", "-")
+        config = _write(tmp / "run.cfg", f"{name}.{param} = {text}\n")
+        by_flag = _check(["run", name, f"{flag}={text}", "--out", str(tmp / "a")], tmp / "a")
+        by_line = _check(["run", name, "--config", str(config), "--out", str(tmp / "b")], tmp / "b")
+        assert by_flag == by_line, (name, param, text)
+
+
+def test_double_dash_flag_value():
+    # argparse passes [] for --flag=--, past the type function: no
+    # parameter takes an empty list, so every such flag is bad input.
+    with _boundary() as tmp:
+        for name, params in _PARAMS.items():
+            for param in params:
+                flag = "--" + param.replace("_", "-")
+                out = tmp / "runs"
+                assert _check(["run", name, f"{flag}=--", "--out", str(out)], out) == 2
+
+
 @FUZZ
 @given(texts)
 @example("2000")
 @example("--")  # argparse passes [] past the type function
+@example("null")  # a given null is no absent flag
+@example("\u0663")  # an Arabic-Indic digit 3
 def test_fuzz_modulate_flag(text):
     with _boundary() as tmp:
         symbol = save_symbol(identity_symbol(1), tmp / "a.json")

@@ -238,12 +238,16 @@ def test_run_flip_exits_zero(tmp_path):
 
 
 def test_with_2d_flag_is_strict_boolean(tmp_path):
-    code = main(["run", "flip", "--with-2d", "False", "--J", "8", "--out", str(tmp_path)])
+    code = main(["run", "flip", "--with-2d", "false", "--J", "8", "--out", str(tmp_path)])
     assert code == 0
     report = json.loads((tmp_path / "flip" / "report.json").read_text())
     assert report["params"]["with_2d"] is False
     assert not any("2d" in a["id"] for a in report["assertions"])
-    assert main(["run", "flip", "--with-2d", "maybe", "--out", str(tmp_path)]) == 2
+    # JSON true/false only, as in the config file.
+    for bad in ("False", "TRUE", "maybe"):
+        out = tmp_path / bad
+        assert main(["run", "flip", "--with-2d", bad, "--out", str(out)]) == 2, bad
+        assert not out.exists(), bad
 
 
 def test_run_unknown_experiment_exits_two(tmp_path):
@@ -336,6 +340,18 @@ def test_bad_parameter_exits_two(tmp_path):
             ["run", "continuity", "--n-list", "5"],
             ["run", "continuity", "--j-list", "10"],
             ["run", "continuity", "--j-list", "10,10"],
+            # Every delta of the Lipschitz probe is > 0.
+            ["run", "composite", "--delta-list", "0,0.1"],
+            ["run", "composite", "--delta-list=-0.1,0.1"],
+            # The default chi vanishes at |theta|, so the symbol annihilates the family.
+            ["run", "unclosable", "--theta", "2"],
+            ["run", "unclosable", "--theta", "1,1"],
+            ["run", "continuity", "--theta", "2"],
+            ["run", "continuity", "--theta", "1,1"],
+            # A flag value is read as a config value is, never by int().
+            ["run", "partition-check", "--m", "\u0665"],
+            ["run", "partition-check", "--n-samples", "1_00"],
+            ["run", "partition-check", "--m", "+3"],
         ]
     ):
         out = tmp_path / f"zero{i}"
@@ -380,8 +396,8 @@ def test_failed_run_writes_nothing(tmp_path):
         "support.trials = 0": ("suite", 2),
         "support.n_modes = 2": ("suite", 2),
         'composite.f = "nope"': ("suite", 2),
-        "continuity.n_list = 4": ("suite", 2),
-        "unclosable.n_list = 4": ("run unclosable", 2),
+        "continuity.n_list = [4, 5]": ("suite", 2),
+        "unclosable.n_list = [4, 5]": ("run unclosable", 2),
         "weierstrass.M = 64": ("suite", 3),
         "composite.s_list = 1e300": ("run composite", 2),
     }
@@ -493,6 +509,13 @@ def test_apply_modulate_bounds_by_the_applied_symbol(tmp_path, capsys):
     assert "output modes: 3; support bound size: 3; containment: True" in printed
 
 
+def test_negative_modulate_is_rejected_before_any_input_is_read(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    argv = ["apply", "--symbol", missing, "--field", missing, "--out-field", missing]
+    assert main([*argv, "--modulate", "-1"]) == 2
+    assert "--modulate must be >= 0" in capsys.readouterr().err
+
+
 def test_apply_over_budget_exits_three(tmp_path):
     # 4000 x-part modes times 2501 input modes pass the 10^7 pair budget.
     f = SparseField(1, {(k,): 1.0 for k in range(4000)})
@@ -601,7 +624,11 @@ def test_apply_parse_failure_exits_two(tmp_path):
         assert code == 2, name
 
     save_sparse(delta_field((3,)), tmp_path / "d3.json")
-    flag_sets = {"negative-modulate": ["--modulate", "-1"]}
+    flag_sets = {
+        "negative-modulate": ["--modulate", "-1"],
+        "digit-three-modulate": ["--modulate=\u0663"],
+        "null-modulate": ["--modulate", "null"],
+    }
     for name, flags in flag_sets.items():
         code = apply_code(tmp_path / "a.json", tmp_path / "d3.json", *flags)
         assert code == 2, name

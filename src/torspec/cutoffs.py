@@ -122,15 +122,13 @@ class LPFamily:
         return self.profile.block_weight(freq_abs(xi), j)
 
     def top_block(self, u: SparseField) -> int:
-        """Smallest j0 with Phi_j vanishing on spectrum(u) for all j > j0."""
-        top = 0
-        for xi in u.spectrum():
-            rho = freq_abs(xi)
-            j = 0
-            while self.profile.r * 2 ** (j - 1) <= rho and j < 70:
-                j += 1
-            top = max(top, j - 1)
-        return top
+        """Smallest j0 with Phi_j vanishing on spectrum(u) for all j > j0: the
+        count of j with r 2^(j-1) <= rho grows with rho, so u's largest radius decides."""
+        rho = max(map(freq_abs, u.coeffs), default=0.0)
+        j = 0
+        while self.profile.r * 2 ** (j - 1) <= rho and j < 70:
+            j += 1
+        return max(j - 1, 0)
 
 
 def default_families() -> tuple[LPFamily, LPFamily]:

@@ -124,8 +124,8 @@ def _need_sweep(name: str, values: tuple) -> None:
 
 
 def _need_chi_at_theta(theta: tuple) -> None:
-    """Raise ValueError when the default chi vanishes at |theta|: the symbol
-    then annihilates the vanishing family, so its verdicts have no evidence."""
+    """Raise ValueError when the default chi vanishes at |theta|: the symbol then
+    annihilates the vanishing family or lacunary field, so verdicts lack evidence."""
     if RadialBump().radial(freq_abs(theta)) == 0.0:
         raise ValueError(f"chi vanishes at |theta| for theta = {list(theta)}")
 
@@ -206,9 +206,12 @@ def exp_unclosable(
     _need_chi_at_theta(theta)
     norms = []
     rows = []
+    N0 = min(n_list)
     for N in n_list:
         vN, v, j_hi = vanishing_family(N, d, theta)
         _, a = ching_symbol(d, theta, N, j_hi)
+        if N == N0:
+            smallest = (vN, v, j_hi, a)
         out = apply(a, vN)
         rN = harmonic_ratio(N)
         expected = v.scale(rN)
@@ -226,9 +229,7 @@ def exp_unclosable(
     report.check_flag("input-norm-strictly-decreasing", strict)
 
     # Stabilisation diagnostic on the smallest member, both profiles.
-    N0 = min(n_list)
-    vN, v, j_hi = vanishing_family(N0, d, theta)
-    _, a = ching_symbol(d, theta, N0, j_hi)
+    vN, v, j_hi, a = smallest
     fams = default_families()
     diag = vanishing_limit(a, vN, [f.profile for f in fams], (0, j_hi + 3))
     report.metrics["diagnostic_m_star"] = float(diag.m_star if diag.m_star is not None else -1)
@@ -265,6 +266,7 @@ def exp_wavefront_flip(
 ) -> ExperimentReport:
     """Flip of the lacunary direction and the cross-direction generalisation."""
     report = ExperimentReport("flip", _params(locals()))
+    _need_chi_at_theta(theta)
     rows = []
 
     def run_case(tag, n, theta_n, shift_dir, d_val):

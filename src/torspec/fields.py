@@ -56,9 +56,9 @@ def shifted(xi: Frequency, etas: list[Frequency]) -> list[Frequency]:
     """The lattice sums xi + eta for each eta of etas, in order.
 
     The same tuples as freq_add(xi, eta), built by one comprehension per
-    dimension instead of one call per pair; lattice_sum and the support
-    bound Xi go through it.  Every eta must have the length of xi, which
-    must be 1 or 2; any other length of xi raises DimensionMismatch.
+    dimension instead of one call per pair (lattice_sum, _dyadic_sum).
+    Every eta must have the length of xi, which must be 1 or 2; any other
+    length of xi raises DimensionMismatch.
     """
     if len(xi) == 1:
         x = xi[0]

@@ -9,8 +9,8 @@ term's multiplier is evaluated only on the modes of u whose radius |eta|
 lies in its support [lo, hi] (the spectral support rule): _rank sorts the
 radii of u once and each term's window is found by bisection.  One scan of
 the windows gives, per term, the hit modes and their weights; apply sums
-from it, apply_with_support also builds the support bound Xi from the same
-hits; a vanishing-modulation run scans u^m's coefficients over u's one
+from it, apply_with_support also reads the support bound Xi off the keys of
+that sum; a vanishing-modulation run scans u^m's coefficients over u's one
 ranking, skips the exact zeros and x-parts that modulate to nothing, and
 sums the saturated prefix of its terms once.  Every sum goes through
 fields.lattice_sum, one (x-part coefficients, etas, weights) part per term.
@@ -59,7 +59,6 @@ from .fields import (
     freq_add,
     freq_scale,
     lattice_sum,
-    shifted,
     sparse_to_dense,
 )
 from .norms import hsp_norm, sobolev_norm
@@ -95,19 +94,15 @@ def apply_with_support(
 ) -> tuple[SparseField, set[Frequency]]:
     """a(x, D) u and its frequency-support bound Xi from one window scan.
 
-    Xi = {xi + eta : c_t(xi) != 0, m_t(eta) u^(eta) != 0} is built from the
-    same per-term hits that the sum uses, not from the output's keys, and
-    the containment spectrum(Au) within Xi is asserted before returning.
+    Xi = {xi + eta : c_t(xi) != 0, m_t(eta) u^(eta) != 0} is the key set of
+    the lattice sum before SparseField prunes it, so a mode whose terms cancel
+    stays in Xi, and spectrum(Au) within Xi is asserted before returning.
     The output is bitwise apply(a, u), under the same budget.
     """
     check_work(a, u, budget)
-    term_hits = list(_support_hits(a.terms, _rank(u), list(u.coeffs.values())))
-    au = SparseField(u.n, lattice_sum(term_hits))
-    xi_set: set[Frequency] = set()
-    for xc, etas, _ in term_hits:
-        if etas:
-            for xi in xc:
-                xi_set.update(shifted(xi, etas))
+    sums = lattice_sum(_support_hits(a.terms, _rank(u), list(u.coeffs.values())))
+    au = SparseField(u.n, sums)
+    xi_set = set(sums)
     if not au.coeffs.keys() <= xi_set:
         raise AssertionError("spectral support rule violated")
     return au, xi_set
@@ -491,9 +486,9 @@ def spectral_kernel(
 def support_rule_xi(a: SeparableSymbol, u: SparseField) -> set[Frequency]:
     """The frequency-support bound Xi = {xi + eta : c_t(xi) != 0, m_t(eta) u^(eta) != 0}.
 
-    This is apply_with_support(a, u)[1]: Xi comes from the window scan that
-    also computes a(x, D) u, and the containment spectrum(Au) within Xi is
-    asserted before returning.
+    This is apply_with_support(a, u)[1]: Xi is the key set of the lattice
+    sum that computes a(x, D) u, exact-zero sums included, and the
+    containment spectrum(Au) within Xi is asserted before returning.
     """
     return apply_with_support(a, u)[1]
 

@@ -234,6 +234,42 @@ def test_ball_at_zero_equals_block_at_zero(fam):
     assert ball_diff(u, 0, -1, fam.profile).coeffs == lp_project(u, 0, fam).coeffs
 
 
+def _top_block_by_modes(fam, u):
+    """Reference for LPFamily.top_block: its former loop over every mode."""
+    top = 0
+    for xi in u.spectrum():
+        rho = freq_abs(xi)
+        j = 0
+        while fam.profile.r * 2 ** (j - 1) <= rho and j < 70:
+            j += 1
+        top = max(top, j - 1)
+    return top
+
+
+def test_top_block_matches_per_mode_loop(rng):
+    # r = 1.25 puts r 2^(j-1) on integer radii: 5 = |(3, 4)|, 10 = |(-6, 8)|, 20.
+    wide = LPFamily(make_cutoff(1.25, 5.0), h=4)
+    fams = [*default_families(), wide]
+    fields = [SparseField(1, {}), SparseField(2, {}), delta_field((0,)), delta_field((0, 0))]
+    fields += [delta_field((3, 4)), delta_field((-6, 8))]
+    fields.append(SparseField(2, {(12, -16): 1.0, (1, 1): 2.0}))
+    for fam in fams:
+        for j in range(12):
+            edge = fam.profile.r * 2 ** (j - 1)
+            for k in {math.floor(edge), math.ceil(edge)}:
+                fields += [delta_field((-k,)), delta_field((0, k))]
+                fields.append(SparseField(1, {(1,): 1.0, (k,): 2.0}))
+    for _ in range(20):
+        n = int(rng.integers(1, 3))
+        keys = rng.integers(-300, 300, size=(int(rng.integers(1, 8)), n))
+        fields.append(SparseField(n, {tuple(int(x) for x in key): 1.0 for key in keys}))
+    for fam in fams:
+        for u in fields:
+            assert fam.top_block(u) == _top_block_by_modes(fam, u), (fam.profile.id, u.coeffs)
+    assert wide.top_block(delta_field((3, 4))) == 3
+    assert wide.top_block(SparseField(2, {})) == 0
+
+
 # -- modulation ------------------------------------------------------------------------
 
 

@@ -710,14 +710,22 @@ def test_support_rule_flip_collapses_to_negative_cone():
 
 
 def test_support_rule_strict_inclusion_by_cancellation():
-    t1 = Term(delta_field((3,), 1.0), One())
-    t2 = Term(delta_field((5,), -1.0), One())
-    a = SeparableSymbol(0.0, 1, (t1, t2))
-    u = SparseField(1, {(10,): 1.0, (8,): 1.0})
-    au = apply(a, u)
-    xi_set = support_rule_xi(a, u)
-    assert (13,) in xi_set and (13,) not in au.spectrum()
-    assert au.spectrum() < xi_set
+    # Two terms cancel one output mode exactly; Xi keeps that mode, so it
+    # is read off the lattice sum, not off the pruned output.
+    cases = [
+        ((3,), (5,), {(10,): 1.0, (8,): 1.0}, (13,)),
+        ((1, 0), (0, 1), {(2, 3): 1.0, (3, 2): 1.0}, (3, 3)),
+    ]
+    for x1, x2, coeffs, cancelled in cases:
+        t1 = Term(delta_field(x1, 1.0), One())
+        t2 = Term(delta_field(x2, -1.0), One())
+        a = SeparableSymbol(0.0, len(x1), (t1, t2))
+        u = SparseField(len(x1), coeffs)
+        au = apply(a, u)
+        xi_set = support_rule_xi(a, u)
+        assert cancelled in xi_set and cancelled not in au.spectrum()
+        assert au.spectrum() < xi_set
+        assert apply_with_support(a, u)[1] == _support_by_pairs(a, u)
 
 
 def test_support_rule_containment_seeded(rng):

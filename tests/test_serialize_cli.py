@@ -348,6 +348,8 @@ def test_bad_parameter_exits_two(tmp_path):
             ["run", "unclosable", "--theta", "1,1"],
             ["run", "continuity", "--theta", "2"],
             ["run", "continuity", "--theta", "1,1"],
+            ["run", "flip", "--theta", "2", "--J", "10"],
+            ["run", "flip", "--theta", "1,1"],
             # A flag value is read as a config value is, never by int().
             ["run", "partition-check", "--m", "\u0665"],
             ["run", "partition-check", "--n-samples", "1_00"],

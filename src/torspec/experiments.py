@@ -28,6 +28,7 @@ from .errors import TorspecError
 from .fields import (
     DenseField,
     SparseField,
+    check_grid_size,
     delta_field,
     freq_abs,
     freq_scale,
@@ -111,7 +112,7 @@ class ExperimentReport:
 
 
 def _need_positive(name: str, count: int) -> None:
-    """Raise ValueError unless count >= 1: zero trials or samples are no evidence."""
+    """Raise ValueError unless count >= 1: zero trials, samples or blocks are no evidence."""
     if count < 1:
         raise ValueError(f"{name} must be >= 1, got {count}")
 
@@ -308,6 +309,8 @@ def exp_weierstrass(
 ) -> ExperimentReport:
     """Second microlocalisation and unit block norms of the lacunary sum."""
     report = ExperimentReport("weierstrass", _params(locals()))
+    _need_positive("J", J)
+    check_grid_size(M)
     if not 2 ** (J + 1) < M // 2:
         raise TorspecError(f"need 2^(J+1) < M/2, got J={J}, M={M}")
     fam = default_families()[0]
@@ -434,52 +437,52 @@ def exp_composite(
             raise ValueError(f"unknown composite function {fname!r}")
     if not all(delta > 0.0 for delta in delta_list):
         raise ValueError(f"every delta must be > 0, got {list(delta_list)}")
+    _need_positive("K", K)
+    check_grid_size(M)
     rng = np.random.default_rng(seed)
     fam = default_families()[0]
     window = 2 ** (K - 1)
     u_sparse = random_band_limited(1, 24, window, rng, hermitian=True)
-    u_dense = sparse_to_dense(u_sparse, M)
-    sup = float(np.max(np.abs(u_dense.samples.real)))
-    u_dense = DenseField(1, M, (1.5 / sup) * u_dense.samples.real.astype(np.complex128))
-
+    u_real = sparse_to_dense(u_sparse, M).samples.real
+    u_dense = DenseField(1, M, (1.5 / float(np.max(np.abs(u_real)))) * u_real)
+    u_real = u_dense.samples.real  # drops the drawn grid
     w_sparse = random_band_limited(1, 24, window, rng, hermitian=True)
-    w_dense = sparse_to_dense(w_sparse, M)
-    wsup = float(np.max(np.abs(w_dense.samples.real)))
-    w = w_dense.samples.real / wsup
+    w = sparse_to_dense(w_sparse, M).samples.real
+    w = w / float(np.max(np.abs(w)))  # drops the drawn grid
 
     # One set of dyadic blocks serves both functions' symbols and applies,
-    # and one forward FFT per field serves every s.
+    # and one forward FFT per field serves every s; each potential is
+    # reduced to its p-norms as soon as it is formed.
     blocks = dyadic_blocks(u_dense, fam, K)
-    u_pots = bessel_potential(u_dense, s_list)
+
+    def pot_norms(samples) -> list[list[float]]:
+        """lp_norm(<D>^s g, p) per s of s_list, per p of p_list, for g on the grid."""
+        pots = bessel_potential(DenseField(1, M, samples), s_list)
+        return [[lp_norm(pot, p) for p in p_list] for pot in pots]
+
+    u_norms = pot_norms(u_dense.samples)
     norm_rows = []
     lip_rows = []
     for fname in f:
         F, Fp, tol = _COMPOSITE_F[fname]
         check_vanishes_at_zero(F)
-        mks = meyer_symbol(u_dense, Fp, blocks, Q)
-        reproduced = meyer_apply(mks, blocks)
-        exact = F(u_dense.samples.real)
+        reproduced = meyer_apply(meyer_symbol(u_dense, Fp, blocks, Q), blocks)
+        exact = F(u_real)
         err = float(np.max(np.abs(reproduced.samples - exact)))
+        del reproduced
         report.metrics[f"sup_error[{fname}]"] = err
         report.check(f"factorisation-sup-error[{fname}]", err, tol)
 
-        # One Bessel-potential field per (field, s), reduced once per p.
-        fu = DenseField(1, M, np.asarray(exact, dtype=np.complex128))
-        for s, fu_pot, u_pot in zip(s_list, bessel_potential(fu, s_list), u_pots):
-            for p in p_list:
-                nf = lp_norm(fu_pot, p)
+        for s, fu_row, u_row in zip(s_list, pot_norms(exact), u_norms):
+            for p, nf, nu in zip(p_list, fu_row, u_row):
                 report.metrics[f"hsp[{fname},s={s},p={p}]"] = nf
-                norm_rows.append((fname, s, p, nf, lp_norm(u_pot, p)))
+                norm_rows.append((fname, s, p, nf, nu))
 
-        diffs = [F(u_dense.samples.real + delta * w) - exact for delta in delta_list]
-        pots_by_delta = [
-            bessel_potential(DenseField(1, M, diff.astype(np.complex128)), s_list)
-            for diff in diffs
-        ]
-        for i, s in enumerate(s_list):
-            diff_pots = [pots[i] for pots in pots_by_delta]
-            for p in p_list:
-                ratios = [lp_norm(pot, p) / delta for delta, pot in zip(delta_list, diff_pots)]
+        # diff_norms[i][j][k]: the p_list[k]-norm at s_list[j] of delta_list[i]'s difference.
+        diff_norms = [pot_norms(F(u_real + delta * w) - exact) for delta in delta_list]
+        for j, s in enumerate(s_list):
+            for k, p in enumerate(p_list):
+                ratios = [norms[j][k] / delta for delta, norms in zip(delta_list, diff_norms)]
                 lip_rows.extend((fname, s, p, delta, r) for delta, r in zip(delta_list, ratios))
                 spread = max(ratios) / min(ratios)
                 report.metrics[f"lipschitz_spread[{fname},s={s},p={p}]"] = spread

@@ -9,8 +9,9 @@ Coefficients are sorted by frequency once, at construction, and never
 mutated, so every reduction walks them in one fixed order and is bitwise
 reproducible.  Construction validates every kept frequency: a tuple of n
 plain ints inside the 2^62 cap, which is what every operation here builds,
-is stored as given; any other key (numpy integers, bools, floats, a wrong
-length, a component at or past the cap) goes through check_frequency.
+is stored as given; any other key goes through check_frequency: numpy
+integers become ints, and bools, floats, a wrong length and a component at
+or past the cap are rejected.
 A prune threshold applies only to the field built with it: every operation
 here builds its result with the default, which drops exact zeros only.
 Every sparse product here and in operator sums into xi + eta in lattice_sum.
@@ -37,11 +38,11 @@ DEFAULT_PAIR_BUDGET = 10_000_000
 
 
 def check_frequency(xi: Frequency, n: int) -> Frequency:
-    """Validate one lattice frequency: an n-tuple of ints below the 2^62 cap."""
+    """Validate one lattice frequency: an n-tuple of ints (not bools) below the 2^62 cap."""
     if len(xi) != n:
         raise DimensionMismatch(f"frequency {xi} is not {n}-dimensional")
     for c in xi:
-        if not isinstance(c, (int, np.integer)):
+        if isinstance(c, bool) or not isinstance(c, (int, np.integer)):
             raise FrequencyOutOfRange(f"non-integer frequency component {c!r}")
         if abs(int(c)) >= FREQ_CAP:
             raise FrequencyOutOfRange(f"|{c}| >= 2^62")
@@ -262,9 +263,15 @@ def inner_product(u: SparseField, v: SparseField) -> complex:
 # -- dense grid realization ---------------------------------------------------
 
 
+def check_grid_size(M: int) -> None:
+    """Raise ValueError unless the grid size M is a power of two >= 2."""
+    if M < 2 or M & (M - 1):
+        raise ValueError(f"grid size {M} is not a power of two >= 2")
+
+
 @dataclass(frozen=True)
 class DenseField:
-    """Complex samples on the uniform grid x_k = 2 pi k / M, k in {0..M-1}^n."""
+    """Samples at x_k = 2 pi k / M, k in {0..M-1}^n, kept as contiguous, read-only complex128."""
 
     n: int
     M: int
@@ -273,8 +280,7 @@ class DenseField:
     def __post_init__(self):
         if self.n not in (1, 2):
             raise DimensionMismatch(f"dimension {self.n} not in {{1, 2}}")
-        if self.M < 2 or (self.M & (self.M - 1)) != 0:
-            raise ValueError(f"grid size {self.M} is not a power of two")
+        check_grid_size(self.M)
         arr = np.ascontiguousarray(self.samples, dtype=np.complex128)
         if arr.shape != (self.M,) * self.n:
             raise ValueError(f"sample shape {arr.shape} != {(self.M,) * self.n}")

@@ -121,7 +121,7 @@ def block_norms(
         np.multiply(mods, scale, out=mods)
         np.maximum(env, mods, out=env)
         del mods  # free it before the next block's grid is built
-    return per_block, DenseField(u.n, M, env.astype(np.complex128))
+    return per_block, DenseField(u.n, M, env)
 
 
 def besov_norm(

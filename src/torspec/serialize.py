@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import DenseField, SparseField
+from .fields import DenseField, SparseField, check_grid_size
 from .symbols import (
     Ball,
     Block,
@@ -169,13 +169,12 @@ def load_dense(base: Path | str) -> DenseField:
     n, M = (typed_param(meta[k], 0, f"field {k!r}") for k in ("n", "M"))
     if n not in (1, 2):
         raise ValueError(f"dimension {n} not in {{1, 2}}")
-    if M < 2 or M & (M - 1):
-        raise ValueError(f"grid size {M} is not a power of two >= 2")
+    check_grid_size(M)
     size = base.with_suffix(".c64").stat().st_size
     if size != 8 * M**n:
         raise ValueError(f"{size} bytes in the .c64 file, expected 8 M^n = {8 * M**n}")
     raw = np.fromfile(base.with_suffix(".c64"), dtype="<c8")
-    return DenseField(n, M, raw.reshape((M,) * n).astype(np.complex128))
+    return DenseField(n, M, raw.reshape((M,) * n))
 
 
 # -- term-form symbols ---------------------------------------------------------------

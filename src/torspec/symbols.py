@@ -570,9 +570,9 @@ def meyer_symbol(
         uk = np.real(block)
         mk = np.zeros_like(real)
         for t, w in zip(tnodes, tweights):
-            mk = mk + w * np.asarray(Fprime(ball + t * uk), dtype=float)
-        out.append((DenseField(u.n, u.M, mk.astype(np.complex128)), k))
-        ball = ball + uk
+            mk += w * np.asarray(Fprime(ball + t * uk), dtype=float)
+        out.append((DenseField(u.n, u.M, mk), k))
+        ball += uk
     return out
 
 
@@ -590,10 +590,11 @@ def meyer_apply(mks: list[tuple[DenseField, int]], blocks: list[np.ndarray]) -> 
 
 
 def _require_real(u: DenseField) -> np.ndarray:
+    """u's real samples, a read-only view; NonRealInput unless the imaginary part is negligible."""
     tol = 1e-12 * max(1.0, float(np.max(np.abs(u.samples))))
     if float(np.max(np.abs(u.samples.imag))) > tol:
         raise NonRealInput("field has a non-negligible imaginary part")
-    return np.real(u.samples).copy()
+    return u.samples.real
 
 
 def check_vanishes_at_zero(F: Callable[[float], float]) -> None:

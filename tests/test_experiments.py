@@ -3,12 +3,14 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from torspec import experiments
 from torspec.cli import main
+from torspec.constructions import random_band_limited
 from torspec.errors import RangeTooLarge, TorspecError
 from torspec.experiments import (
     REGISTRY,
@@ -22,6 +24,8 @@ from torspec.experiments import (
     exp_wavefront_flip,
     exp_weierstrass,
 )
+from torspec.fields import DenseField, sparse_to_dense
+from torspec.norms import bessel_potential, lp_norm
 
 
 def test_registry_holds_the_eight_experiments():
@@ -106,6 +110,47 @@ def test_weierstrass_grid_guard():
         exp_weierstrass(d=0.5, J=14, M=2**15)
 
 
+def _fail_on_call(monkeypatch, *names):
+    """Make each named experiments-module function record its call and raise."""
+    called = []
+
+    def record(name):
+        def fail(*args, **kwargs):
+            called.append(name)
+            raise AssertionError(f"{name} ran before the input was rejected")
+
+        return fail
+
+    for name in names:
+        monkeypatch.setattr(experiments, name, record(name))
+    return called
+
+
+def test_weierstrass_rejects_j_and_m_before_any_work(monkeypatch):
+    # J = 0 leaves the lacunary sum empty, so besov-unit-norm FAILed on an
+    # empty field; M = 3 is no grid, but the range check called it too small.
+    called = _fail_on_call(monkeypatch, "weierstrass_field", "block_norms")
+    with pytest.raises(ValueError, match="J must be >= 1, got 0"):
+        exp_weierstrass(J=0)
+    for M in (3, 100, 3 * 2**14):
+        with pytest.raises(ValueError, match=f"grid size {M} is not a power of two"):
+            exp_weierstrass(J=4, M=M)
+    assert called == []
+
+
+def test_composite_rejects_k_and_m_before_any_draw(monkeypatch):
+    # K = 0 made the draw window the float 0.5, so u and w were constants
+    # and every verdict passed; M = 1000 failed only after both draws.
+    called = _fail_on_call(monkeypatch, "random_band_limited", "sparse_to_dense")
+    for K in (0, -1):
+        with pytest.raises(ValueError, match=f"K must be >= 1, got {K}"):
+            exp_composite(K=K)
+    for M in (100, 1000, 2**12 + 2):
+        with pytest.raises(ValueError, match=f"grid size {M} is not a power of two"):
+            exp_composite(M=M)
+    assert called == []
+
+
 def test_support_experiment_counts():
     report = exp_spectral_support(seed=3, trials=60)
     assert report.passed
@@ -150,6 +195,77 @@ def test_dense_transforms_are_computed_once(monkeypatch):
     # the differences' (4 deltas x 3); 2 to build u and w; 3 for u's
     # potentials: 6 + 2 x 15 + 2 + 3.
     assert _count_ffts(monkeypatch, lambda: exp_composite(seed=0, M=256, K=4)) == 41
+
+
+def _composite_tables_reference(f, seed, M, K, s_list, p_list, delta_list):
+    """exp_composite's two CSV tables as it computed them when it held every
+    Bessel potential: u's potentials for the whole run, and per function the
+    potentials of every (delta, s) difference, transposed to s-major order."""
+    rng = np.random.default_rng(seed)
+    window = 2 ** (K - 1)
+    u_dense = sparse_to_dense(random_band_limited(1, 24, window, rng, hermitian=True), M)
+    sup = float(np.max(np.abs(u_dense.samples.real)))
+    u_dense = DenseField(1, M, (1.5 / sup) * u_dense.samples.real.astype(np.complex128))
+    w_dense = sparse_to_dense(random_band_limited(1, 24, window, rng, hermitian=True), M)
+    w = w_dense.samples.real / float(np.max(np.abs(w_dense.samples.real)))
+    u_pots = bessel_potential(u_dense, s_list)
+    norm_rows, lip_rows = [], []
+    for fname in f:
+        F = experiments._COMPOSITE_F[fname][0]
+        exact = F(u_dense.samples.real)
+        fu = DenseField(1, M, np.asarray(exact, dtype=np.complex128))
+        for s, fu_pot, u_pot in zip(s_list, bessel_potential(fu, s_list), u_pots):
+            for p in p_list:
+                norm_rows.append((fname, s, p, lp_norm(fu_pot, p), lp_norm(u_pot, p)))
+        diffs = [F(u_dense.samples.real + delta * w) - exact for delta in delta_list]
+        pots_by_delta = [
+            bessel_potential(DenseField(1, M, diff.astype(np.complex128)), s_list)
+            for diff in diffs
+        ]
+        for i, s in enumerate(s_list):
+            diff_pots = [pots[i] for pots in pots_by_delta]
+            for p in p_list:
+                ratios = [lp_norm(pot, p) / delta for delta, pot in zip(delta_list, diff_pots)]
+                lip_rows.extend((fname, s, p, delta, r) for delta, r in zip(delta_list, ratios))
+    return norm_rows, lip_rows
+
+
+def _hex_rows(rows):
+    return [tuple(v.hex() if isinstance(v, float) else v for v in row) for row in rows]
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        {"f": ("sin", "square", "tanh"), "seed": 0, "M": 1024, "K": 6},
+        {"f": ("tanh",), "seed": 5, "M": 256, "K": 3, "s_list": (-1.0, 0.0, 2.5),
+         "p_list": (1.0, 3.0, 6.0), "delta_list": (0.5, 1e-3, 1e-6)},
+    ],
+)
+def test_composite_norms_match_the_held_potentials_reference_bitwise(params):
+    # Reducing each potential to its p-norms as soon as it is formed runs
+    # the same operations in the same order as holding them all.
+    full = {"s_list": (0.5, 1.0), "p_list": (2.0, 4.0), "delta_list": (1e-1, 1e-2, 1e-3, 1e-4)}
+    full.update(params)
+    report = exp_composite(**full)
+    norm_rows, lip_rows = _composite_tables_reference(**full)
+    assert _hex_rows(report.tables["composite_norms.csv"][1]) == _hex_rows(norm_rows)
+    assert _hex_rows(report.tables["composite_lipschitz.csv"][1]) == _hex_rows(lip_rows)
+
+
+def test_composite_holds_one_grid_per_live_quantity():
+    # At M = 2^14 a complex grid is 256 KiB.  The traced peak of a warm run
+    # is the K + 1 = 10 shared blocks, one function's 10 multipliers and a
+    # few working grids; holding every multiplier list and every (delta, s)
+    # potential at once peaked at 12.5 MiB.
+    exp_composite(seed=0, M=2**14, K=9)
+    tracemalloc.start()
+    try:
+        exp_composite(seed=0, M=2**14, K=9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7.5 * 2**20
 
 
 def test_composite_unknown_function():

@@ -119,6 +119,16 @@ def test_non_integer_frequency_rejected():
         SparseField(1, {(1.5,): 1.0})
 
 
+def test_bool_frequency_component_rejected():
+    # Python's bool subclasses int, but a truth value is no lattice point,
+    # as np.bool_ is not: neither (True,) nor (3, False) becomes (1,) or (3, 0).
+    for n, xi in ((1, (True,)), (2, (np.int64(3), False)), (2, (0, np.bool_(True)))):
+        with pytest.raises(FrequencyOutOfRange, match="non-integer"):
+            SparseField(n, {xi: 1.0})
+        with pytest.raises(FrequencyOutOfRange):
+            check_frequency(xi, n)
+
+
 def test_non_finite_coefficient_rejected():
     # NaN fails the prune compare and inf passes it; neither may be dropped or kept.
     for c in (math.nan, complex(0.0, math.nan), math.inf, complex(1.0, -math.inf)):
@@ -345,6 +355,23 @@ def test_dense_rendering_matches_direct_evaluation(u):
 
 
 # -- dense_to_sparse and round trips ------------------------------------------------
+
+
+def test_dense_field_owns_the_conversion_to_read_only_complex():
+    # Any real or complex (M,)*n array is accepted as given; the stored
+    # samples are contiguous, read-only complex128 with the same values.
+    real = np.linspace(-1.0, 1.0, 16)
+    for samples in (real, real[::-1], np.float32(real), real.astype(np.complex64)):
+        g = DenseField(1, 16, samples)
+        assert g.samples.dtype == np.complex128 and g.samples.flags.c_contiguous
+        assert not g.samples.flags.writeable
+        assert g.samples.tobytes() == samples.astype(np.complex128).tobytes()
+    # A contiguous complex128 array is kept, not copied.
+    own = np.zeros((8, 8), dtype=np.complex128)
+    assert DenseField(2, 8, own).samples is own
+    for M in (0, 1, 3, 6, 100):
+        with pytest.raises(ValueError, match="not a power of two >= 2"):
+            DenseField(1, M, np.zeros(M))
 
 
 def test_constant_inverts_to_delta():

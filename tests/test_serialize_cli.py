@@ -316,6 +316,9 @@ def test_resource_error_exits_three(tmp_path):
     assert code == 3
     # A dyadic index too large for a float.
     assert main(["run", "partition-check", "--m", "2000", "--out", str(tmp_path)]) == 3
+    # A power-of-two grid too small for the top block is a grid band.
+    for argv in (["weierstrass", "--M", "64", "--J", "6"], ["composite", "--M", "64", "--K", "7"]):
+        assert main(["run", *argv, "--out", str(tmp_path)]) == 3, argv
 
 
 def test_bad_parameter_exits_two(tmp_path):
@@ -354,6 +357,15 @@ def test_bad_parameter_exits_two(tmp_path):
             ["run", "partition-check", "--m", "\u0665"],
             ["run", "partition-check", "--n-samples", "1_00"],
             ["run", "partition-check", "--m", "+3"],
+            # No block to isolate or factor: J = 0 leaves an empty lacunary
+            # sum, and K = 0 a window of 1/2, so u and w are constants.
+            ["run", "weierstrass", "--J", "0"],
+            ["run", "composite", "--K", "0"],
+            # A grid size is a power of two >= 2, checked before the range
+            # checks and before any draw.
+            ["run", "weierstrass", "--M", "3"],
+            ["run", "composite", "--M", "100"],
+            ["run", "composite", "--M", "1000"],
         ]
     ):
         out = tmp_path / f"zero{i}"
@@ -401,6 +413,9 @@ def test_failed_run_writes_nothing(tmp_path):
         "continuity.n_list = [4, 5]": ("suite", 2),
         "unclosable.n_list = [4, 5]": ("run unclosable", 2),
         "weierstrass.M = 64": ("suite", 3),
+        "weierstrass.J = 0": ("run weierstrass", 2),
+        "composite.K = 0": ("suite", 2),
+        "composite.M = 48": ("run composite", 2),
         "composite.s_list = 1e300": ("run composite", 2),
     }
     for i, (line, (command, code)) in enumerate(cases.items()):

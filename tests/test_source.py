@@ -1,7 +1,7 @@
 """Source hygiene checks that need no linter: every import is used, every
 private module-level function or class is referenced, only the command
-line and the file formats name a file writer, and every name the benchmark
-binds to still exists."""
+line and the file formats name a file writer, only DenseField converts
+grid samples, and every name the benchmark binds to still exists."""
 
 import ast
 import importlib.util
@@ -85,6 +85,51 @@ def test_only_cli_and_serialize_name_a_writer():
     writer = re.compile(r"\b(atomic_write_text|atomic_write_bytes|write_json)\b")
     naming = sorted(p.name for p in PACKAGE.glob("*.py") if writer.search(p.read_text()))
     assert naming == ["cli.py", "serialize.py"]
+
+
+def _converted_dense_samples(tree: ast.Module) -> list[int]:
+    # DenseField(...) calls whose arguments convert an array themselves:
+    # DenseField.__post_init__ is the one place samples become complex128.
+    def converts(node: ast.AST) -> bool:
+        if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
+            return False
+        if node.func.attr == "astype":
+            return True
+        return node.func.attr == "asarray" and any(k.arg == "dtype" for k in node.keywords)
+
+    def name(func: ast.AST) -> str:
+        return func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and name(node.func) == "DenseField"
+        and any(converts(sub) for arg in (*node.args, *node.keywords) for sub in ast.walk(arg))
+    )
+
+
+def test_only_dense_field_converts_grid_samples():
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        sites = _converted_dense_samples(ast.parse(path.read_text(), filename=str(path)))
+        if sites:
+            found[path.name] = sites
+    assert found == {}
+
+
+def test_conversion_check_sees_every_explicit_conversion():
+    # The six conversions the callers used to make before DenseField did.
+    text = """
+u = DenseField(1, M, (1.5 / sup) * u.samples.real.astype(np.complex128))
+fu = DenseField(1, M, np.asarray(exact, dtype=np.complex128))
+p = bessel_potential(DenseField(1, M, diff.astype(np.complex128)), s_list)
+e = DenseField(u.n, M, env.astype(np.complex128))
+out.append((DenseField(u.n, u.M, mk.astype(np.complex128)), k))
+g = fields.DenseField(n, M, samples=raw.reshape((M,) * n).astype(np.complex128))
+ok = DenseField(1, M, np.asarray(exact)) and np.asarray(x, dtype=float) and DenseField(1, M, w)
+"""
+    assert _converted_dense_samples(ast.parse(text)) == [2, 3, 4, 5, 6, 7]
 
 
 def test_benchmark_bindings_resolve():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from torspec import experiments
 from torspec.errors import (
     BadRange,
     FNotVanishingAtZero,
@@ -399,19 +400,39 @@ def _block_by_own_fft(g, j, fam):
     return np.fft.ifftn(w * np.fft.fftn(g.samples))
 
 
-def _meyer_by_own_ffts(u, Fprime, fam, K, Q):
+def _meyer_reference(u, Fprime, blocks, Q):
+    """meyer_symbol's m_k samples as computed before it accumulated in place:
+    a copy of u's real part, new m_k and ball arrays per node and per block,
+    and an explicit complex128 copy of each m_k."""
     nodes, weights = np.polynomial.legendre.leggauss(Q)
     tnodes, tweights = 0.5 * (nodes + 1.0), 0.5 * weights
     real = np.real(u.samples).copy()
     out, ball = [], np.zeros_like(real)
-    for k in range(K + 1):
-        uk = np.real(_block_by_own_fft(u, k, fam))
+    for block in blocks:
+        uk = np.real(block)
         mk = np.zeros_like(real)
         for t, w in zip(tnodes, tweights):
             mk = mk + w * np.asarray(Fprime(ball + t * uk), dtype=float)
         out.append(mk.astype(np.complex128))
         ball = ball + uk
     return out
+
+
+def _meyer_by_own_ffts(u, Fprime, fam, K, Q):
+    return _meyer_reference(u, Fprime, [_block_by_own_fft(u, k, fam) for k in range(K + 1)], Q)
+
+
+def test_meyer_symbol_matches_the_out_of_place_reference_bitwise(families, rng):
+    fprimes = [fp for _, fp, _ in experiments._COMPOSITE_F.values()]
+    for fam in families:
+        for n, M, K in ((1, 512, 7), (2, 32, 4)):
+            u = random_band_limited(n, 12, 2 ** (K - 1) if n == 1 else 6, rng, hermitian=True)
+            g = sparse_to_dense(u, M)  # its imaginary part is rounding noise
+            blocks = dyadic_blocks(g, fam, K)
+            for Fprime in fprimes:
+                for Q in (2, 7, 32):
+                    got = [mk.samples.tobytes() for mk, _ in meyer_symbol(g, Fprime, blocks, Q)]
+                    assert got == [w.tobytes() for w in _meyer_reference(g, Fprime, blocks, Q)]
 
 
 # r = 1 and r = 1.5 put both window ends r 2^(j-1) and R 2^j on grid radii;

@@ -35,7 +35,7 @@ from .fields import (
     pointwise_mul,
     sparse_to_dense,
 )
-from .norms import bessel_potential, block_norms, cone_report, lp_norm, sobolev_norm
+from .norms import _lp_of_moduli, bessel_potential, block_norms, cone_report, sobolev_norm
 from .operator import (
     apply,
     apply_with_support,
@@ -118,10 +118,17 @@ def _need_positive(name: str, count: int) -> None:
 
 
 def _need_sweep(name: str, values: tuple) -> None:
-    """Raise ValueError unless values holds two distinct points: verdicts that
-    compare the points of a sweep have no evidence from one."""
-    if len(set(values)) < 2:
-        raise ValueError(f"{name} needs two distinct values, got {list(values)}")
+    """Raise ValueError unless values strictly increase over two points or more:
+    a sweep's verdicts compare its later points with its earlier ones."""
+    if len(values) < 2 or any(b <= a for a, b in zip(values, values[1:])):
+        raise ValueError(f"{name} needs two or more strictly increasing values, got {list(values)}")
+
+
+def _need_distinct(name: str, values: tuple) -> None:
+    """Raise ValueError if a value repeats: each value names its own assertions
+    and metrics, so a repeat records the same id twice."""
+    if len(set(values)) < len(values):
+        raise ValueError(f"{name} repeats a value, got {list(values)}")
 
 
 def _need_chi_at_theta(theta: tuple) -> None:
@@ -267,6 +274,7 @@ def exp_wavefront_flip(
 ) -> ExperimentReport:
     """Flip of the lacunary direction and the cross-direction generalisation."""
     report = ExperimentReport("flip", _params(locals()))
+    _need_distinct("d", d)
     _need_chi_at_theta(theta)
     rows = []
 
@@ -309,6 +317,8 @@ def exp_weierstrass(
 ) -> ExperimentReport:
     """Second microlocalisation and unit block norms of the lacunary sum."""
     report = ExperimentReport("weierstrass", _params(locals()))
+    _need_distinct("d", d)
+    _need_distinct("p_list", p_list)
     _need_positive("J", J)
     check_grid_size(M)
     if not 2 ** (J + 1) < M // 2:
@@ -340,7 +350,7 @@ def exp_weierstrass(
             report.check(f"besov-unit-norm[d={d_val}]", abs(bnorm - 1.0), 1e-10)
         rows.append((d_val, "besov", "inf", bnorm))
         for p in p_list:
-            fnorm = lp_norm(envelope, p)
+            fnorm = _lp_of_moduli(envelope, p)
             report.metrics[f"triebel_norm[d={d_val},p={p}]"] = fnorm
             if assert_norms:
                 report.check(f"triebel-unit-norm[d={d_val},p={p}]", abs(fnorm - 1.0), 1e-10)
@@ -435,8 +445,13 @@ def exp_composite(
     for fname in f:
         if fname not in _COMPOSITE_F:
             raise ValueError(f"unknown composite function {fname!r}")
+    _need_distinct("f", f)
+    _need_distinct("s_list", s_list)
+    _need_distinct("p_list", p_list)
     if not all(delta > 0.0 for delta in delta_list):
         raise ValueError(f"every delta must be > 0, got {list(delta_list)}")
+    if len(set(delta_list)) < 2:
+        raise ValueError(f"delta_list needs two distinct values, got {list(delta_list)}")
     _need_positive("K", K)
     check_grid_size(M)
     rng = np.random.default_rng(seed)
@@ -456,9 +471,9 @@ def exp_composite(
     blocks = dyadic_blocks(u_dense, fam, K)
 
     def pot_norms(samples) -> list[list[float]]:
-        """lp_norm(<D>^s g, p) per s of s_list, per p of p_list, for g on the grid."""
-        pots = bessel_potential(DenseField(1, M, samples), s_list)
-        return [[lp_norm(pot, p) for p in p_list] for pot in pots]
+        """lp_norm(<D>^s g, p) per s of s_list, per p of p_list, from one |<D>^s g| per s."""
+        mods = (np.abs(pot.samples) for pot in bessel_potential(DenseField(1, M, samples), s_list))
+        return [[_lp_of_moduli(m, p) for p in p_list] for m in mods]
 
     u_norms = pot_norms(u_dense.samples)
     norm_rows = []
@@ -579,6 +594,8 @@ def exp_product(
     """
     report = ExperimentReport("product", _params(locals()))
     _need_positive("trials", trials)
+    if len(m_range) != 2 or not 0 <= m_range[0] < m_range[1]:
+        raise ValueError(f"m_range must be two ints with 0 <= m_lo < m_hi, got {list(m_range)}")
     rng = np.random.default_rng(seed)
     profiles = [f.profile for f in default_families()]
     worst_stab = 0.0

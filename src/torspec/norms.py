@@ -9,14 +9,13 @@ Block norms aggregate dyadic pieces either as
     triebel:  || sup_j 2^{js} |Phi_j(D)u| ||_p                  (q = inf form)
 
 Each dense transform is computed once and reduced many times:
-block_norms puts every dyadic block on the grid once and returns both the
-per-block L_p norms and the envelope sup_j 2^{js}|Phi_j(D)u|, whose L_p
-norm is the Triebel value for any p; bessel_potential takes one forward
-FFT of g and gives the grid field <D>^s g for each s, and lp_norm reduces
-each for every p.  block_norms holds at most two complex grids' worth of
-memory at once: one block's complex samples, which sparse_to_dense
-inverts in place, while its moduli and the envelope (half a complex grid
-each) are alive.
+block_norms puts every dyadic block on the grid once and returns the
+per-block L_p norms and the real envelope sup_j 2^{js}|Phi_j(D)u|, whose
+_lp_of_moduli is the Triebel value for any p; bessel_potential takes one
+forward FFT of g and gives the grid field <D>^s g for each s.  block_norms
+holds at most two complex grids' worth of memory at once: one block's
+complex samples (sparse_to_dense inverts in place) while its moduli and
+the envelope, half a grid each, are alive; a Triebel reduction holds one.
 """
 
 from __future__ import annotations
@@ -100,14 +99,14 @@ def hsp_norm_dense(g: DenseField, s: float, p: float) -> float:
 
 def block_norms(
     u: SparseField, s: float, p: float, fam: LPFamily, M: int
-) -> tuple[list[float], DenseField]:
+) -> tuple[list[float], np.ndarray]:
     """One pass over the nonempty dyadic blocks u_j of a sparse field.
 
     Each block goes through sparse_to_dense exactly once, and its moduli
     |u_j| are taken once: they give ||u_j||_p, are scaled by 2^{js} in
     place and are folded into the envelope in place.  Returns the
-    per-block values 2^{js} ||u_j||_p in ascending j and the envelope
-    sup_j 2^{js} |u_j| on the M grid (zero when every block is empty).
+    per-block values 2^{js} ||u_j||_p in ascending j and the read-only float64
+    envelope sup_j 2^{js} |u_j| on the M grid (zero when every block is empty).
     """
     env = np.zeros((M,) * u.n)
     per_block = []
@@ -121,7 +120,8 @@ def block_norms(
         np.multiply(mods, scale, out=mods)
         np.maximum(env, mods, out=env)
         del mods  # free it before the next block's grid is built
-    return per_block, DenseField(u.n, M, env)
+    env.flags.writeable = False
+    return per_block, env
 
 
 def besov_norm(
@@ -146,7 +146,7 @@ def besov_norm(
         raise ValueError("triebel aggregation is provided for q = inf only")
     per_block, env = block_norms(u, s, p, fam, M)
     if aggregation == "triebel":
-        return lp_norm(env, p)
+        return _lp_of_moduli(env, p)
     if not per_block:
         return 0.0
     if math.isinf(q):

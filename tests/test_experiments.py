@@ -41,6 +41,12 @@ def test_registry_holds_the_eight_experiments():
     }
 
 
+def test_reports_at_the_defaults_have_unique_assertion_ids():
+    for name, experiment in REGISTRY.items():
+        ids = [a.id for a in experiment().assertions]
+        assert ids and len(set(ids)) == len(ids), name
+
+
 def test_report_without_assertions_does_not_pass():
     report = ExperimentReport("empty", {})
     assert not report.passed
@@ -148,6 +154,47 @@ def test_composite_rejects_k_and_m_before_any_draw(monkeypatch):
     for M in (100, 1000, 2**12 + 2):
         with pytest.raises(ValueError, match=f"grid size {M} is not a power of two"):
             exp_composite(M=M)
+    assert called == []
+
+
+def test_repeated_or_unordered_lists_rejected_before_any_work(monkeypatch):
+    # A repeated value recorded its assertion ids twice (flip --d 0,0 gave
+    # 12 repeats); a reversed sweep compared its last point with its first
+    # (continuity --j-list 40,30,20,10 passed both no-growth verdicts, and
+    # --n-list 8,7,6,5 failed a correct construction); one delta gave every
+    # Lipschitz spread exactly 1.0.
+    called = _fail_on_call(
+        monkeypatch, "lacunary_field", "weierstrass_field", "random_band_limited",
+        "vanishing_family", "norm_ratio_probe",
+    )
+    cases = [
+        (exp_wavefront_flip, {"d": (0.0, 0.0)}, "d repeats a value"),
+        (exp_weierstrass, {"d": (0.5, 0.5)}, "d repeats a value"),
+        (exp_weierstrass, {"p_list": (2.0, 1.0, 2.0)}, "p_list repeats a value"),
+        (exp_composite, {"f": ("sin", "sin")}, "f repeats a value"),
+        (exp_composite, {"s_list": (1.0, 1.0)}, "s_list repeats a value"),
+        (exp_composite, {"p_list": (2.0, 2.0)}, "p_list repeats a value"),
+        (exp_composite, {"delta_list": (0.1,)}, "delta_list needs two distinct values"),
+        (exp_composite, {"delta_list": (0.1, 0.1)}, "delta_list needs two distinct values"),
+        (exp_unclosable, {"n_list": (7, 6, 5)}, "n_list needs two or more strictly increasing"),
+        (exp_unclosable, {"n_list": (5, 5, 6)}, "n_list needs two or more strictly increasing"),
+        (exp_continuity, {"n_list": (8, 7, 6, 5)}, "n_list needs two or more strictly increasing"),
+        (exp_continuity, {"j_list": (40, 30, 20, 10)}, "j_list needs two or more strictly increasing"),
+        (exp_continuity, {"j_list": (10, 20, 20)}, "j_list needs two or more strictly increasing"),
+    ]
+    for experiment, kwargs, message in cases:
+        with pytest.raises(ValueError, match=message):
+            experiment(**kwargs)
+    assert called == []
+
+
+def test_product_rejects_a_bad_m_range_before_any_draw(monkeypatch):
+    # m_range (0, 0) ran every trial and FAILed all-diagnostics-pass; a
+    # third value failed only when pi_product unpacked it.
+    called = _fail_on_call(monkeypatch, "random_band_limited", "pi_product")
+    for m_range in ((0, 0), (3, 2), (-1, 4), (0, 1, 2), (5,)):
+        with pytest.raises(ValueError, match="m_range must be two ints with 0 <= m_lo < m_hi"):
+            exp_product(m_range=m_range)
     assert called == []
 
 

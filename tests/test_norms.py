@@ -19,6 +19,7 @@ from torspec.fields import (
     sparse_to_dense,
 )
 from torspec.norms import (
+    _lp_of_moduli,
     bessel_potential,
     besov_norm,
     block_norms,
@@ -261,6 +262,8 @@ def test_block_pass_matches_per_pass_loops_bitwise(families):
             for s in (0.0, 0.75, -0.5):
                 for p in (1.0, 2.0, 3.5, math.inf):
                     per_block, env = block_norms(u, s, p, fam, M)
+                    assert env.dtype == np.float64 and env.shape == (M,) * u.n
+                    assert not env.flags.writeable
                     want = [
                         2.0 ** (j * s) * lp_norm(sparse_to_dense(uj, M), p)
                         for j, uj in enumerate(blocks)
@@ -268,7 +271,7 @@ def test_block_pass_matches_per_pass_loops_bitwise(families):
                     ]
                     assert [v.hex() for v in per_block] == [v.hex() for v in want]
                     triebel = _besov_by_passes(u, s, p, math.inf, fam, M, "triebel")
-                    assert lp_norm(env, p).hex() == triebel.hex()
+                    assert _lp_of_moduli(env, p).hex() == triebel.hex()
                     got = besov_norm(u, s, p, math.inf, fam, M, aggregation="triebel")
                     assert got.hex() == triebel.hex()
                     for q in (1.0, 2.0, math.inf):
@@ -296,14 +299,18 @@ def test_dense_passes_hold_only_their_own_grids(fam):
     # spectrum in place (one grid, not two), and block_norms holds one
     # block's samples plus its moduli and the envelope, half a grid each
     # (two grids, not the 2.5 of a pass that keeps the last moduli alive).
+    # The Triebel reductions of the real envelope add one power of it, half a
+    # grid; reading a complex copy of it, they also took its moduli, one grid.
     import tracemalloc
 
     M = 2**14
     grid = 16 * M
     w = weierstrass_field(0.5, 10)
+    _, env = block_norms(w, 0.5, math.inf, fam, M)
     for bound, run in (
         (1.25, lambda: sparse_to_dense(w, M)),
         (2.25, lambda: block_norms(w, 0.5, math.inf, fam, M)),
+        (0.75, lambda: [_lp_of_moduli(env, p) for p in (1.0, 2.0, 4.0, math.inf)]),
     ):
         tracemalloc.start()
         try:

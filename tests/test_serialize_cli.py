@@ -343,6 +343,27 @@ def test_bad_parameter_exits_two(tmp_path):
             ["run", "continuity", "--n-list", "5"],
             ["run", "continuity", "--j-list", "10"],
             ["run", "continuity", "--j-list", "10,10"],
+            # ... that strictly increase: a verdict compares later points
+            # with earlier ones.
+            ["run", "continuity", "--j-list", "40,30,20,10"],
+            ["run", "continuity", "--n-list", "8,7,6,5"],
+            ["run", "unclosable", "--n-list", "7,6,5"],
+            ["run", "unclosable", "--n-list", "5,5,6"],
+            # A value that names assertions or metrics is not repeated, and a
+            # Lipschitz spread needs two distinct deltas.
+            ["run", "flip", "--d", "0,0"],
+            ["run", "weierstrass", "--d", "0.5,0.5"],
+            ["run", "weierstrass", "--p-list", "2,2"],
+            ["run", "composite", "--f", "sin,sin"],
+            ["run", "composite", "--s-list", "1,1"],
+            ["run", "composite", "--p-list", "2,2"],
+            ["run", "composite", "--delta-list", "0.1"],
+            ["run", "composite", "--delta-list", "0.1,0.1"],
+            # m_range is two ints with 0 <= m_lo < m_hi.
+            ["run", "product", "--m-range", "0,0"],
+            ["run", "product", "--m-range", "0,1,2"],
+            ["run", "product", "--m-range", "3,2"],
+            ["run", "product", "--m-range=-1,4"],
             # Every delta of the Lipschitz probe is > 0.
             ["run", "composite", "--delta-list", "0,0.1"],
             ["run", "composite", "--delta-list=-0.1,0.1"],
@@ -417,6 +438,13 @@ def test_failed_run_writes_nothing(tmp_path):
         "composite.K = 0": ("suite", 2),
         "composite.M = 48": ("run composite", 2),
         "composite.s_list = 1e300": ("run composite", 2),
+        "continuity.j_list = [40, 30, 20, 10]": ("suite", 2),
+        "unclosable.n_list = [5, 5, 6]": ("run unclosable", 2),
+        "flip.d = [0, 0]": ("suite", 2),
+        "weierstrass.p_list = [2, 2]": ("run weierstrass", 2),
+        'composite.f = ["sin", "sin"]': ("suite", 2),
+        "composite.delta_list = 0.1": ("run composite", 2),
+        "product.m_range = [0, 0]": ("suite", 2),
     }
     for i, (line, (command, code)) in enumerate(cases.items()):
         cfg_file = tmp_path / f"c{i}.cfg"

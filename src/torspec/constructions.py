@@ -109,6 +109,38 @@ def vanishing_family(
     return _dyadic_sum(theta, N, j_hi, lambda j: pow2(-j * d) / (j * math.log(N)), v), v, j_hi
 
 
+def integer_draw(rng: np.random.Generator) -> Callable[[int, int], int]:
+    """draw(lo, hi), bitwise int(rng.integers(lo, hi)) at under half its cost.
+
+    A span hi - lo in (1, 2^32] runs numpy's own 32-bit Lemire rejection
+    (buffered_bounded_lemire_uint32) over the bit generator's next_uint32,
+    so the values and the generator state, its buffered half-word included,
+    are exactly those rng.integers leaves (at 2^32 the threshold is 0, so one
+    plain next_uint32, as numpy draws there).  Any other span is rng.integers
+    itself: a span of 1 draws nothing and an empty range raises numpy's
+    ValueError.  Bounds are read as Python ints, so numpy integers cannot
+    overflow the 64-bit product.  Unlike rng.integers, draw takes no lock:
+    one thread at a time may draw from rng.
+    """
+    ct = rng.bit_generator.ctypes
+    next_uint32, state = ct.next_uint32, ct.state
+    integers = rng.integers  # also keeps the generator that state points into alive
+
+    def draw(lo: int, hi: int) -> int:
+        lo = int(lo)
+        span = int(hi) - lo
+        if 1 < span <= 1 << 32:
+            m = next_uint32(state) * span
+            if m & 0xFFFFFFFF < span:
+                threshold = ((1 << 32) - span) % span
+                while m & 0xFFFFFFFF < threshold:
+                    m = next_uint32(state) * span
+            return lo + (m >> 32)
+        return int(integers(lo, hi))
+
+    return draw
+
+
 def random_band_limited(
     n: int,
     n_modes: int,
@@ -119,8 +151,8 @@ def random_band_limited(
     """Seeded random trigonometric polynomial with i.i.d. Gaussian coefficients.
 
     Frequencies are drawn uniformly from the cube [-window, window]^n, one
-    scalar draw per component (the same stream as one draw of size n, without
-    numpy's per-call cost for sized draws); each coefficient part is
+    integer_draw per component (the same stream and state as one
+    rng.integers draw of size n); each coefficient part is
     0.0 + standard_normal(), which is exactly numpy's normal() at loc 0 and
     scale 1 (loc + scale * z, so -0.0 becomes +0.0).  With hermitian=True
     the spectrum is symmetrised so the field is real-valued.  n must be 1
@@ -128,15 +160,15 @@ def random_band_limited(
     """
     if n not in (1, 2):
         raise DimensionMismatch(f"dimension {n} not in {{1, 2}}")
-    draw = rng.integers
+    draw = integer_draw(rng)
     normal = rng.standard_normal
     lo, hi = -window, window + 1
     coeffs: dict[Frequency, complex] = {}
     for _ in range(n_modes):
         if n == 1:
-            xi = (int(draw(lo, hi)),)
+            xi = (draw(lo, hi),)
         else:
-            xi = (int(draw(lo, hi)), int(draw(lo, hi)))
+            xi = (draw(lo, hi), draw(lo, hi))
         coeffs[xi] = complex(0.0 + normal(), 0.0 + normal())
     if hermitian:
         sym: dict[Frequency, complex] = {}

@@ -18,6 +18,7 @@ import numpy as np
 from .constructions import (
     harmonic_ratio,
     harmonic_ratio_bracket,
+    integer_draw,
     lacunary_field,
     random_band_limited,
     vanishing_family,
@@ -129,6 +130,13 @@ def _need_distinct(name: str, values: tuple) -> None:
     and metrics, so a repeat records the same id twice."""
     if len(set(values)) < len(values):
         raise ValueError(f"{name} repeats a value, got {list(values)}")
+
+
+def _need_lp_exponents(name: str, values: tuple) -> None:
+    """Raise ValueError unless every value is an L_p exponent p >= 1: the grid
+    quadrature rejects a smaller p only once a field is on the grid."""
+    if not all(p >= 1 for p in values):
+        raise ValueError(f"{name} needs every p >= 1, got {list(values)}")
 
 
 def _need_chi_at_theta(theta: tuple) -> None:
@@ -319,6 +327,7 @@ def exp_weierstrass(
     report = ExperimentReport("weierstrass", _params(locals()))
     _need_distinct("d", d)
     _need_distinct("p_list", p_list)
+    _need_lp_exponents("p_list", p_list)
     _need_positive("J", J)
     check_grid_size(M)
     if not 2 ** (J + 1) < M // 2:
@@ -365,17 +374,17 @@ def exp_weierstrass(
 
 def random_symbol(n: int, rng: np.random.Generator, max_terms: int = 3) -> SeparableSymbol:
     """Seeded random separable symbol with structured multipliers."""
+    draw = integer_draw(rng)
     terms = []
-    for _ in range(int(rng.integers(1, max_terms + 1))):
-        n_modes = int(rng.integers(1, 5))
-        xpart = random_band_limited(n, n_modes, 32, rng)
-        kind = ("corona", "one", "ball")[int(rng.integers(0, 3))]  # rng.choice's draw
+    for _ in range(draw(1, max_terms + 1)):
+        xpart = random_band_limited(n, draw(1, 5), 32, rng)
+        kind = ("corona", "one", "ball")[draw(0, 3)]  # rng.choice's draw
         if kind == "corona":
-            terms.append(Term(xpart, Corona(RadialBump(), int(rng.integers(1, 9)))))
+            terms.append(Term(xpart, Corona(RadialBump(), draw(1, 9))))
         elif kind == "one":
             terms.append(Term(xpart, One()))
         else:
-            terms.append(Term(xpart, Ball(float(2 ** int(rng.integers(2, 8))))))
+            terms.append(Term(xpart, Ball(float(2 ** draw(2, 8)))))
     return SeparableSymbol(0.0, n, tuple(terms))
 
 
@@ -387,12 +396,13 @@ def exp_spectral_support(seed: int = 7, trials: int = 500, n_modes: int = 25) ->
     if n_modes < 3:
         raise ValueError(f"n_modes must be >= 3, the fewest modes a trial draws, got {n_modes}")
     rng = np.random.default_rng(seed)
+    draw = integer_draw(rng)
     failures = 0
     strict = 0
     for trial in range(trials):
         n = 2 if trial % 4 == 3 else 1
         a = random_symbol(n, rng)
-        u = random_band_limited(n, int(rng.integers(3, n_modes + 1)), 200, rng)
+        u = random_band_limited(n, draw(3, n_modes + 1), 200, rng)
         try:
             au, xi_set = apply_with_support(a, u)
         except AssertionError:
@@ -448,6 +458,7 @@ def exp_composite(
     _need_distinct("f", f)
     _need_distinct("s_list", s_list)
     _need_distinct("p_list", p_list)
+    _need_lp_exponents("p_list", p_list)
     if not all(delta > 0.0 for delta in delta_list):
         raise ValueError(f"every delta must be > 0, got {list(delta_list)}")
     if len(set(delta_list)) < 2:
@@ -597,15 +608,16 @@ def exp_product(
     if len(m_range) != 2 or not 0 <= m_range[0] < m_range[1]:
         raise ValueError(f"m_range must be two ints with 0 <= m_lo < m_hi, got {list(m_range)}")
     rng = np.random.default_rng(seed)
+    draw = integer_draw(rng)
     profiles = [f.profile for f in default_families()]
     worst_stab = 0.0
     worst_assoc = 0.0
     all_passed = True
     rows = []
     for trial in range(trials):
-        u = random_band_limited(1, int(rng.integers(2, 8)), 16, rng)
-        v = random_band_limited(1, int(rng.integers(2, 8)), 16, rng)
-        f = random_band_limited(1, int(rng.integers(2, 6)), 16, rng)
+        u = random_band_limited(1, draw(2, 8), 16, rng)
+        v = random_band_limited(1, draw(2, 8), 16, rng)
+        f = random_band_limited(1, draw(2, 6), 16, rng)
         diag, limit = pi_product(u, v, profiles, m_range)
         stab = rel_coeff_diff(limit, pointwise_mul(u, v))
         worst_stab = max(worst_stab, stab)

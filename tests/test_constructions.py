@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from torspec.constructions import (
     bandwidth,
     harmonic_ratio,
     harmonic_ratio_bracket,
+    integer_draw,
     lacunary_field,
     random_band_limited,
     vanishing_family,
@@ -184,3 +186,120 @@ def test_zero_plus_standard_normal_is_numpy_normal():
         draw, normal = ours.standard_normal, theirs.normal
         got = [(0.0 + draw()).hex() for _ in range(10**5)]
         assert got == [normal().hex() for _ in range(10**5)], seed
+
+
+BIT_GENERATORS = (np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64,
+                  np.random.PCG64DXSM)
+# 1 draws nothing, 3 * 2^30 + 1 rejects about a quarter of its words, 2^32 is
+# numpy's plain next_uint32 and 2^32 + 5 goes to rng.integers itself.
+SPANS = (1, 2, 17, 401, 3 * 2**30 + 1, 2**32, 2**32 + 5)
+
+
+def _plain(state):
+    """A bit_generator.state with every array as a list, so == compares it."""
+    if isinstance(state, dict):
+        return {key: _plain(value) for key, value in state.items()}
+    return state.tolist() if isinstance(state, np.ndarray) else state
+
+
+def _pcg64_about_to_give(word: int) -> np.random.Generator:
+    """A PCG64 generator whose next next_uint32 is word: the output of state
+    word (high half 0, so no rotation), stepped back once."""
+    bit_generator = np.random.PCG64()
+    bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": word, "inc": 1},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    bit_generator.advance(-1)
+    return np.random.Generator(bit_generator)
+
+
+def test_integer_draw_rejects_exactly_below_the_threshold():
+    # A random word lands on the threshold once in 2^32 draws, so these
+    # words are built: the low product word is threshold - 1 (rejected),
+    # threshold (kept) and threshold + 1 (kept).
+    for span in (3, 17, 401, 3 * 2**30 + 1):
+        threshold = (2**32 - span) % span
+        for low in (threshold - 1, threshold, threshold + 1):
+            if low < 0:
+                continue
+            word = low * pow(span, -1, 2**32) % 2**32
+            ours, theirs = _pcg64_about_to_give(word), _pcg64_about_to_give(word)
+            assert integer_draw(ours)(0, span) == int(theirs.integers(0, span)), (span, low)
+            assert _plain(ours.bit_generator.state) == _plain(theirs.bit_generator.state)
+
+
+def test_integer_draw_is_numpy_integers_bitwise():
+    # Values and the whole state, has_uint32 and uinteger included, which
+    # the pinned stream hash cannot see, with standard_normal draws between.
+    for bit_generator in BIT_GENERATORS:
+        for seed in range(3):
+            ours = np.random.Generator(bit_generator(seed))
+            theirs = np.random.Generator(bit_generator(seed))
+            draw = integer_draw(ours)
+            for i in range(3000):
+                lo = (i * 7919) % 1001 - 500
+                hi = lo + SPANS[i % len(SPANS)]
+                got = draw(lo, hi)
+                assert type(got) is int
+                assert got == int(theirs.integers(lo, hi)), (bit_generator, seed, i)
+                if i % 3 == 0:
+                    assert ours.standard_normal() == theirs.standard_normal()
+                if i % 250 == 0:
+                    assert _plain(ours.bit_generator.state) == _plain(theirs.bit_generator.state)
+            assert _plain(ours.bit_generator.state) == _plain(theirs.bit_generator.state)
+
+
+def _counting(rng: np.random.Generator) -> tuple[SimpleNamespace, list]:
+    """rng's integers and bit generator, with every next_uint32 call counted."""
+    ct = rng.bit_generator.ctypes
+    calls = []
+
+    def next_uint32(state):
+        calls.append(1)
+        return ct.next_uint32(state)
+
+    counted = ct._replace(next_uint32=next_uint32)
+    return SimpleNamespace(bit_generator=SimpleNamespace(ctypes=counted), integers=rng.integers), calls
+
+
+def test_integer_draw_rejection_branch_runs():
+    # At 3 * 2^30 + 1 a quarter of the words fall below the threshold
+    # 2^30 - 1, so 4,000 draws take about 5,333 words.
+    span = 3 * 2**30 + 1
+    rng, calls = _counting(np.random.default_rng(5))
+    theirs = np.random.default_rng(5)
+    draw = integer_draw(rng)
+    for _ in range(4000):
+        assert draw(0, span) == int(theirs.integers(0, span))
+    assert 5000 < len(calls) < 5700
+    # A span of 2^32 never rejects and one of 1 draws nothing.
+    rng, calls = _counting(np.random.default_rng(5))
+    draw = integer_draw(rng)
+    for _ in range(100):
+        draw(0, 2**32)
+        draw(7, 8)
+    assert len(calls) == 100
+
+
+def test_integer_draw_bounds():
+    # numpy integer bounds are read as Python ints: an int64 product of a
+    # word and a span of 2^32 would overflow.
+    ours, theirs = np.random.default_rng(3), np.random.default_rng(3)
+    draw = integer_draw(ours)
+    for lo, hi in [(-5, 7), (-(2**31), 2**31), (2**62, 2**62 + 3 * 2**30 + 1), (-(2**63), 2**31)]:
+        lo64, hi64 = np.int64(lo), np.int64(hi)
+        for _ in range(50):
+            got = draw(lo64, hi64)
+            assert type(got) is int
+            assert got == int(theirs.integers(lo64, hi64))
+    assert _plain(ours.bit_generator.state) == _plain(theirs.bit_generator.state)
+    # An empty range raises numpy's own ValueError.
+    for lo, hi in [(5, 5), (5, 3), (0, -(2**40))]:
+        with pytest.raises(ValueError) as ours_error:
+            draw(lo, hi)
+        with pytest.raises(ValueError) as numpy_error:
+            theirs.integers(lo, hi)
+        assert str(ours_error.value) == str(numpy_error.value)

@@ -157,6 +157,26 @@ def test_composite_rejects_k_and_m_before_any_draw(monkeypatch):
     assert called == []
 
 
+def test_p_below_one_rejected_before_any_work(monkeypatch):
+    # The grid quadrature rejected p < 1 only once a field was on the grid:
+    # weierstrass --p-list 0.5 after the first d's block pass, composite
+    # --p-list 2,0.5 after both draws and the Meyer factorisation, and with
+    # a message that named no parameter.
+    called = _fail_on_call(
+        monkeypatch, "weierstrass_field", "block_norms", "random_band_limited",
+        "integer_draw", "sparse_to_dense",
+    )
+    for experiment, p_list in [
+        (exp_weierstrass, (0.5,)),
+        (exp_weierstrass, (1.0, 0.999)),
+        (exp_composite, (2.0, 0.5)),
+        (exp_composite, (-2.0,)),
+    ]:
+        with pytest.raises(ValueError, match=r"p_list needs every p >= 1, got \["):
+            experiment(p_list=p_list)
+    assert called == []
+
+
 def test_repeated_or_unordered_lists_rejected_before_any_work(monkeypatch):
     # A repeated value recorded its assertion ids twice (flip --d 0,0 gave
     # 12 repeats); a reversed sweep compared its last point with its first

@@ -387,6 +387,10 @@ def test_bad_parameter_exits_two(tmp_path):
             ["run", "weierstrass", "--M", "3"],
             ["run", "composite", "--M", "100"],
             ["run", "composite", "--M", "1000"],
+            # Every p of p_list is an L_p exponent, checked before any draw
+            # or grid transform.
+            ["run", "weierstrass", "--p-list", "0.5"],
+            ["run", "composite", "--p-list", "2,0.5"],
         ]
     ):
         out = tmp_path / f"zero{i}"

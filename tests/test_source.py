@@ -1,7 +1,9 @@
 """Source hygiene checks that need no linter: every import is used, every
 private module-level function or class is referenced, only the command
 line and the file formats name a file writer, only DenseField converts
-grid samples, and every name the benchmark binds to still exists."""
+grid samples, every scalar integer draw goes through
+constructions.integer_draw, and every name the benchmark binds to still
+exists."""
 
 import ast
 import importlib.util
@@ -130,6 +132,53 @@ g = fields.DenseField(n, M, samples=raw.reshape((M,) * n).astype(np.complex128))
 ok = DenseField(1, M, np.asarray(exact)) and np.asarray(x, dtype=float) and DenseField(1, M, w)
 """
     assert _converted_dense_samples(ast.parse(text)) == [2, 3, 4, 5, 6, 7]
+
+
+def _scalar_integer_draws(tree: ast.Module) -> list[int]:
+    # Lines that read .integers for anything but a sized call, outside
+    # constructions.integer_draw: a scalar draw there, or a bound
+    # rng.integers kept for later calls, skips the helper.
+    sized = {
+        id(node.func)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and any(k.arg == "size" for k in node.keywords)
+    }
+    helper = {
+        id(sub)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "integer_draw"
+        for sub in ast.walk(node)
+    }
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr == "integers"
+        and id(node) not in sized
+        and id(node) not in helper
+    )
+
+
+def test_scalar_integer_draws_go_through_the_helper():
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        sites = _scalar_integer_draws(ast.parse(path.read_text(), filename=str(path)))
+        if sites:
+            found[path.name] = sites
+    assert found == {}
+
+
+def test_integer_draw_check_sees_a_scalar_draw():
+    text = """
+def integer_draw(rng):
+    integers = rng.integers
+    return lambda lo, hi: int(integers(lo, hi)) or int(rng.integers(lo, hi))
+n = int(rng.integers(1, 5))
+draw = rng.integers
+xi = tuple(int(c) for c in rng.integers(-8, 9, size=n))
+k = self.rng.integers(0, 3)
+"""
+    assert _scalar_integer_draws(ast.parse(text)) == [5, 6, 8]
 
 
 def test_benchmark_bindings_resolve():

@@ -1,7 +1,12 @@
-"""Named lacunary constructions shared by the experiments and tests."""
+"""Named lacunary constructions shared by the experiments and tests, and the
+seeded draws behind their random inputs: integer_draw and normal_sampler run
+numpy's own samplers on the bit generator, bitwise rng.integers and
+rng.standard_normal without numpy's per-call wrapper."""
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from typing import Callable
 
@@ -141,6 +146,34 @@ def integer_draw(rng: np.random.Generator) -> Callable[[int, int], int]:
     return draw
 
 
+@functools.cache
+def _standard_normal():
+    """numpy's own C sampler random_standard_normal(bitgen_t *), the ziggurat
+    behind Generator.standard_normal and Generator.normal, opened from
+    numpy.random._generator as numpy's cffi example opens it.  PyDLL keeps
+    the GIL held during the call.  Looked up on the first draw, not at import.
+    """
+    sample = ctypes.PyDLL(np.random._generator.__file__).random_standard_normal
+    sample.argtypes = [ctypes.c_void_p]
+    sample.restype = ctypes.c_double
+    return sample
+
+
+def normal_sampler(
+    rng: np.random.Generator,
+) -> tuple[Callable[[ctypes.c_void_p], float], ctypes.c_void_p]:
+    """(sample, bg): sample(bg) is bitwise rng.standard_normal() at under half its cost.
+
+    sample is numpy's own C sampler and bg rng's bitgen_t, so the values and
+    the generator state are exactly those rng.standard_normal() leaves, and
+    0.0 + sample(bg) is bitwise rng.normal() (loc + scale * z at loc 0 and
+    scale 1).  bg points into rng's bit generator: the caller keeps rng alive
+    while it draws.  Unlike rng.standard_normal, sample takes no lock: one
+    thread at a time may draw from rng.
+    """
+    return _standard_normal(), rng.bit_generator.ctypes.bit_generator
+
+
 def random_band_limited(
     n: int,
     n_modes: int,
@@ -152,16 +185,17 @@ def random_band_limited(
 
     Frequencies are drawn uniformly from the cube [-window, window]^n, one
     integer_draw per component (the same stream and state as one
-    rng.integers draw of size n); each coefficient part is
-    0.0 + standard_normal(), which is exactly numpy's normal() at loc 0 and
-    scale 1 (loc + scale * z, so -0.0 becomes +0.0).  With hermitian=True
+    rng.integers draw of size n); each coefficient part is 0.0 + sample(bg)
+    of normal_sampler, which is exactly numpy's normal() at loc 0 and scale
+    1 (loc + scale * z, so -0.0 becomes +0.0), drawn by numpy's own C
+    sampler without a Python frame per draw.  With hermitian=True
     the spectrum is symmetrised so the field is real-valued.  n must be 1
     or 2 (DimensionMismatch otherwise).
     """
     if n not in (1, 2):
         raise DimensionMismatch(f"dimension {n} not in {{1, 2}}")
     draw = integer_draw(rng)
-    normal = rng.standard_normal
+    sample, bg = normal_sampler(rng)
     lo, hi = -window, window + 1
     coeffs: dict[Frequency, complex] = {}
     for _ in range(n_modes):
@@ -169,7 +203,7 @@ def random_band_limited(
             xi = (draw(lo, hi),)
         else:
             xi = (draw(lo, hi), draw(lo, hi))
-        coeffs[xi] = complex(0.0 + normal(), 0.0 + normal())
+        coeffs[xi] = complex(0.0 + sample(bg), 0.0 + sample(bg))
     if hermitian:
         sym: dict[Frequency, complex] = {}
         for xi in sorted(coeffs):

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import BadRadii
-from .fields import Frequency, SparseField, freq_abs
+from .fields import Frequency, SparseField, freq_abs, freq_radii
 
 DEFAULT_R = 1.1
 DEFAULT_BIG_R = 2.0
@@ -146,14 +146,16 @@ def telescope_check(profile: CutoffProfile, m: int, samples) -> float:
     is algebraically zero; the return value measures floating cancellation.
     The deviation depends on the radius alone, so it is evaluated once per
     distinct |xi|; a max of non-negative floats does not depend on the order,
-    so this is bitwise the per-sample loop.  An empty sample set is no
-    evidence and raises ValueError, like m < 1.
+    so this is bitwise the per-sample loop.  The samples share one
+    dimension, 1 or 2, and their radii are one freq_radii pass.  An empty
+    sample set is no evidence and raises ValueError, like m < 1.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    radii = {freq_abs(xi) for xi in samples}
-    if not radii:
+    samples = list(samples)
+    if not samples:
         raise ValueError("need at least one sample frequency")
+    radii = set(freq_radii(len(samples[0]), samples))
     worst = 0.0
     for rho in radii:
         total = profile.block_weight(rho, 0)
@@ -177,7 +179,7 @@ def modulate(u: SparseField, m: int, profile: CutoffProfile) -> SparseField:
     Once the plateau covers the spectrum every coefficient is 1.0 * c: equal
     to c, and bitwise c except that a zero part can lose its sign, as
     (-0-1j) comes back as -1j and (1-0j) as (1+0j)."""
-    coeffs = modulated_coeffs(map(freq_abs, u.coeffs), u.coeffs.values(), m, profile)
+    coeffs = modulated_coeffs(freq_radii(u.n, u.coeffs), u.coeffs.values(), m, profile)
     return SparseField(u.n, dict(zip(u.coeffs, coeffs)))
 
 
@@ -193,7 +195,7 @@ def ball_diff(u: SparseField, j: int, k: int, profile: CutoffProfile) -> SparseF
         return SparseField(u.n, {})
     if k < 0:
         return modulate(u, j, profile)
-    radii = [freq_abs(xi) for xi in u.coeffs]
+    radii = freq_radii(u.n, u.coeffs)
     hi, lo = (modulated_coeffs(radii, u.coeffs.values(), i, profile) for i in (j, k))
     return SparseField(u.n, {xi: x - y for xi, x, y in zip(u.coeffs, hi, lo)})
 

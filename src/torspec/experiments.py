@@ -118,6 +118,13 @@ def _need_positive(name: str, count: int) -> None:
         raise ValueError(f"{name} must be >= 1, got {count}")
 
 
+def _need_seed(seed: int) -> None:
+    """Raise ValueError for a negative seed: numpy rejects one only when the
+    generator is built, which may be after other work, and names no parameter."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
 def _need_sweep(name: str, values: tuple) -> None:
     """Raise ValueError unless values strictly increase over two points or more:
     a sweep's verdicts compare its later points with its earlier ones."""
@@ -172,6 +179,7 @@ def _params(args: dict) -> dict:
 def exp_partition_check(m: int = 8, n_samples: int = 10_000, seed: int = 0) -> ExperimentReport:
     """Telescoping partition identity on both default profiles."""
     report = ExperimentReport("partition-check", _params(locals()))
+    _need_seed(seed)
     _need_positive("n_samples", n_samples)
     rng = np.random.default_rng(seed)
     fams = default_families()
@@ -392,6 +400,7 @@ def random_symbol(n: int, rng: np.random.Generator, max_terms: int = 3) -> Separ
 def exp_spectral_support(seed: int = 7, trials: int = 500, n_modes: int = 25) -> ExperimentReport:
     """Random containment trials plus one engineered strict inclusion."""
     report = ExperimentReport("support", _params(locals()))
+    _need_seed(seed)
     _need_positive("trials", trials)
     if n_modes < 3:
         raise ValueError(f"n_modes must be >= 3, the fewest modes a trial draws, got {n_modes}")
@@ -452,6 +461,7 @@ def exp_composite(
 ) -> ExperimentReport:
     """Paraproduct factorisation of F(u) and the continuity probe."""
     report = ExperimentReport("composite", _params(locals()))
+    _need_seed(seed)
     for fname in f:
         if fname not in _COMPOSITE_F:
             raise ValueError(f"unknown composite function {fname!r}")
@@ -535,6 +545,7 @@ def exp_continuity(
     A u is computed once per input for both its exponents.  The exploratory
     member is built first, so its RangeTooLarge comes before any ratio."""
     report = ExperimentReport("continuity", _params(locals()))
+    _need_seed(seed)
     _need_positive("trials", trials)
     _need_sweep("n_list", n_list)
     _need_sweep("j_list", j_list)
@@ -604,6 +615,7 @@ def exp_product(
     of every trial: pi(u, v), pi(f u, v) and pi(u, f v).
     """
     report = ExperimentReport("product", _params(locals()))
+    _need_seed(seed)
     _need_positive("trials", trials)
     if len(m_range) != 2 or not 0 <= m_range[0] < m_range[1]:
         raise ValueError(f"m_range must be two ints with 0 <= m_lo < m_hi, got {list(m_range)}")

@@ -101,6 +101,23 @@ def freq_abs(a: Frequency) -> float:
     return math.sqrt(_square_sum(a))
 
 
+def freq_radii(n: int, keys) -> list[float]:
+    """[freq_abs(xi) for xi in keys], in order, for n-dimensional keys.
+
+    The same floats as freq_abs, by the float operations of _square_sum,
+    built by one comprehension per dimension instead of one call per key
+    (_rank, the modulation steps, pi_product, modulate, ball_diff,
+    telescope_check).  n must be 1 or 2 (DimensionMismatch otherwise).
+    """
+    if n == 1:
+        return [math.sqrt(x * x) for (k,) in keys for x in (float(k),)]
+    if n == 2:
+        return [
+            math.sqrt(x * x + y * y) for k, l in keys for x, y in ((float(k), float(l)),)
+        ]
+    raise DimensionMismatch(f"dimension {n} not in {{1, 2}}")
+
+
 def angled(a: Frequency) -> float:
     """The weight (1 + |xi|^2)^(1/2); |xi|^2 is rounded before the 1 is added."""
     return math.sqrt(1.0 + _square_sum(a))

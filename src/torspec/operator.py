@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .constructions import normal_sampler
 from .cutoffs import CutoffProfile, LPFamily, ball_diff, lp_project, modulate, modulated_coeffs
 from .errors import (
     BudgetExceeded,
@@ -57,6 +58,7 @@ from .fields import (
     _convolve,
     freq_abs,
     freq_add,
+    freq_radii,
     freq_scale,
     lattice_sum,
     sparse_to_dense,
@@ -119,8 +121,12 @@ def check_work(a: SeparableSymbol, u: SparseField, budget: int = DEFAULT_PAIR_BU
 
 
 def _rank(u: SparseField):
-    """u's keys, their radii, the key indices stably sorted by radius, the sorted radii."""
-    radii = [freq_abs(eta) for eta in u.coeffs]
+    """u's keys, their radii, the key indices stably sorted by radius, the sorted radii.
+
+    The radii are one freq_radii pass over the keys: bitwise freq_abs of
+    each, so the ranking is that of the per-key radii.
+    """
+    radii = freq_radii(u.n, u.coeffs)
     order = sorted(range(len(radii)), key=radii.__getitem__)
     return list(u.coeffs), radii, order, [radii[i] for i in order]
 
@@ -195,7 +201,7 @@ def _modulated_steps(a: SeparableSymbol, u: SparseField, rank):
     span: dict[int, tuple] = {}  # id(t) -> (min x-part radius, max x-part or window radius of u)
     for t in a.terms:
         window = ranked[bisect_left(ranked, t.mult.lo) : bisect_right(ranked, t.mult.hi)]
-        xr = [freq_abs(xi) for xi in t.xpart.coeffs]
+        xr = freq_radii(t.xpart.n, t.xpart.coeffs)
         span[id(t)] = (min(xr, default=math.inf), max(xr + window[-1:], default=0.0))
     runs: dict[CutoffProfile, tuple] = {}  # p -> (saturated prefix, x-only sums, full sums)
 
@@ -408,7 +414,7 @@ def pi_product(
     part can lose its sign).  A step convolves both factors' modulated
     coefficients, less exact zeros as in modulate, without building them.
     """
-    parts = [(f.coeffs, [freq_abs(xi) for xi in f.coeffs]) for f in (u, v)]
+    parts = [(f.coeffs, freq_radii(f.n, f.coeffs)) for f in (u, v)]
     top = max((rho for _, rs in parts for rho in rs), default=0.0)
 
     def step(p: CutoffProfile, m: int) -> SparseField:
@@ -683,8 +689,10 @@ def _probe_field(a: SeparableSymbol, J: int, rng) -> SparseField:
     cap = 2.0**J
     coeffs: dict[Frequency, complex] = {}
 
+    sample, bg = normal_sampler(rng)
+
     def put(xi):
-        coeffs[xi] = complex(rng.normal(), rng.normal())
+        coeffs[xi] = complex(0.0 + sample(bg), 0.0 + sample(bg))
 
     for t in a.terms:
         lo, hi = t.mult.lo, t.mult.hi

@@ -3,6 +3,8 @@
 import hashlib
 import json
 import math
+import subprocess
+import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -16,6 +18,7 @@ from torspec.constructions import (
     harmonic_ratio_bracket,
     integer_draw,
     lacunary_field,
+    normal_sampler,
     random_band_limited,
     vanishing_family,
     weierstrass_field,
@@ -303,3 +306,47 @@ def test_integer_draw_bounds():
         with pytest.raises(ValueError) as numpy_error:
             theirs.integers(lo, hi)
         assert str(ours_error.value) == str(numpy_error.value)
+
+
+def test_normal_sampler_is_numpy_standard_normal_bitwise():
+    # Values as float.hex and the whole state, interleaved with the other
+    # draws a seeded input makes: integer_draw, sized normal and uniform.
+    for bit_generator in BIT_GENERATORS:
+        ours = np.random.Generator(bit_generator(0))
+        theirs = np.random.Generator(bit_generator(0))
+        sample, bg = normal_sampler(ours)
+        draw = integer_draw(ours)
+        for i in range(4000):
+            assert sample(bg).hex() == theirs.standard_normal().hex(), (bit_generator, i)
+            if i % 3 == 0:
+                assert draw(-200, 201) == int(theirs.integers(-200, 201))
+            if i % 5 == 1:
+                assert ours.normal(size=2).tolist() == theirs.normal(size=2).tolist()
+            if i % 7 == 2:
+                assert ours.uniform(1.0, 9.0).hex() == theirs.uniform(1.0, 9.0).hex()
+            if i % 11 == 3:
+                assert (0.0 + sample(bg)).hex() == theirs.normal().hex()
+            if i % 500 == 0:
+                assert _plain(ours.bit_generator.state) == _plain(theirs.bit_generator.state)
+        assert _plain(ours.bit_generator.state) == _plain(theirs.bit_generator.state)
+
+
+def test_normal_sampler_is_resolved_on_first_use():
+    # Importing torspec opens no library, so workloads that never draw a
+    # normal pay nothing at set-up; the first seeded field opens it once.
+    script = """
+import ctypes
+opened = []
+real = ctypes.PyDLL
+ctypes.PyDLL = lambda *args, **kwargs: opened.append(args) or real(*args, **kwargs)
+import numpy as np
+import torspec, torspec.cli
+from torspec import constructions
+assert opened == [] and constructions._standard_normal.cache_info().currsize == 0
+torspec.random_band_limited(1, 3, 5, np.random.default_rng(0))
+torspec.random_band_limited(2, 3, 5, np.random.default_rng(1))
+assert len(opened) == 1 and constructions._standard_normal.cache_info().currsize == 1
+"""
+    # conftest puts src/ on PYTHONPATH for subprocesses.
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

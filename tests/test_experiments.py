@@ -208,6 +208,20 @@ def test_repeated_or_unordered_lists_rejected_before_any_work(monkeypatch):
     assert called == []
 
 
+def test_negative_seed_rejected_before_any_work(monkeypatch):
+    # numpy rejected a negative seed only when the generator was built:
+    # continuity's came after a vanishing_family member and an apply per N.
+    called = _fail_on_call(
+        monkeypatch, "default_families", "random_symbol", "random_band_limited",
+        "integer_draw", "vanishing_family", "norm_ratio_probe",
+    )
+    for experiment in (exp_partition_check, exp_spectral_support, exp_composite,
+                       exp_continuity, exp_product):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            experiment(seed=-1)
+    assert called == []
+
+
 def test_product_rejects_a_bad_m_range_before_any_draw(monkeypatch):
     # m_range (0, 0) ran every trial and FAILed all-diagnostics-pass; a
     # third value failed only when pi_product unpacked it.

@@ -19,6 +19,7 @@ from torspec.fields import (
     dense_to_sparse,
     freq_abs,
     freq_add,
+    freq_radii,
     grid_points,
     inner_product,
     pointwise_mul,
@@ -26,7 +27,13 @@ from torspec.fields import (
     sparse_to_dense,
     zero_field,
 )
-from torspec.operator import adjoint_apply_ching, apply, apply_with_support, paradiff_split
+from torspec.operator import (
+    _rank,
+    adjoint_apply_ching,
+    apply,
+    apply_with_support,
+    paradiff_split,
+)
 from torspec.symbols import One, SeparableSymbol, Term, ching_symbol, multiplication_symbol
 
 
@@ -222,6 +229,37 @@ def test_radii_need_one_or_two_components():
             freq_abs(xi)
         with pytest.raises(DimensionMismatch):
             angled(xi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 2).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.tuples(*[component_st] * n), max_size=12))
+    )
+)
+def test_freq_radii_matches_freq_abs(case):
+    # One pass per key list gives the per-key radii bitwise, so _rank sorts
+    # the same radii into the same order.
+    n, keys = case
+    got = freq_radii(n, keys)
+    assert [r.hex() for r in got] == [freq_abs(xi).hex() for xi in keys]
+    u = SparseField(n, {xi: 1.0 for xi in keys})
+    _, radii, order, ranked = _rank(u)
+    per_key = [freq_abs(xi) for xi in u.coeffs]
+    assert [r.hex() for r in radii] == [r.hex() for r in per_key]
+    assert order == sorted(range(len(per_key)), key=per_key.__getitem__)
+    assert ranked == [per_key[i] for i in order]
+
+
+def test_freq_radii_edges_and_dimensions():
+    assert freq_radii(1, []) == [] and freq_radii(2, []) == []
+    for n, keys in ((1, [(x,) for x in _EDGES]), (2, [(x, y) for x in _EDGES for y in _EDGES])):
+        assert [r.hex() for r in freq_radii(n, keys)] == [freq_abs(xi).hex() for xi in keys]
+    for n in (0, 3):
+        with pytest.raises(DimensionMismatch):
+            freq_radii(n, [(1, 2, 3)])
+        with pytest.raises(DimensionMismatch):
+            freq_radii(n, [])
 
 
 def test_apply_output_frequency_cap():

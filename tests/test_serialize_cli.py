@@ -321,7 +321,7 @@ def test_resource_error_exits_three(tmp_path):
         assert main(["run", *argv, "--out", str(tmp_path)]) == 3, argv
 
 
-def test_bad_parameter_exits_two(tmp_path):
+def test_bad_parameter_exits_two(tmp_path, capsys):
     code = main(["run", "weierstrass", "--trials", "5", "--out", str(tmp_path)])
     assert code == 2
     # Zero trials or samples are no evidence: rejected before any work,
@@ -396,6 +396,14 @@ def test_bad_parameter_exits_two(tmp_path):
         out = tmp_path / f"zero{i}"
         assert main([*argv, "--out", str(out)]) == 2, argv
         assert not out.exists(), argv
+    # A negative seed is named: numpy's own rejection said only "expected
+    # non-negative integer", and continuity's came after its plain sweep.
+    capsys.readouterr()
+    for name in ("partition-check", "support", "composite", "continuity", "product"):
+        out = tmp_path / f"seed-{name}"
+        assert main(["run", name, "--seed", "-1", "--out", str(out)]) == 2, name
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err, name
+        assert not out.exists(), name
     # An output root that is a regular file is bad input, for every command.
     root = tmp_path / "root-file"
     root.write_text("keep\n")

@@ -2,7 +2,8 @@
 private module-level function or class is referenced, only the command
 line and the file formats name a file writer, only DenseField converts
 grid samples, every scalar integer draw goes through
-constructions.integer_draw, and every name the benchmark binds to still
+constructions.integer_draw, every scalar normal draw goes through
+constructions.normal_sampler, and every name the benchmark binds to still
 exists."""
 
 import ast
@@ -179,6 +180,45 @@ xi = tuple(int(c) for c in rng.integers(-8, 9, size=n))
 k = self.rng.integers(0, 3)
 """
     assert _scalar_integer_draws(ast.parse(text)) == [5, 6, 8]
+
+
+def _scalar_normal_draws(tree: ast.Module) -> list[int]:
+    # Lines that read .normal or .standard_normal for anything but a sized
+    # call: a scalar draw, or a bound method kept for later calls, skips
+    # numpy's C sampler that constructions.normal_sampler calls directly.
+    sized = {
+        id(node.func)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and any(k.arg == "size" for k in node.keywords)
+    }
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr in ("normal", "standard_normal")
+        and id(node) not in sized
+    )
+
+
+def test_scalar_normal_draws_go_through_the_sampler():
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        sites = _scalar_normal_draws(ast.parse(path.read_text(), filename=str(path)))
+        if sites:
+            found[path.name] = sites
+    assert found == {}
+
+
+def test_normal_draw_check_sees_a_scalar_draw():
+    text = """
+coeffs[xi] = complex(rng.normal(), rng.normal())
+normal = rng.standard_normal
+z = 0.0 + self.rng.standard_normal()
+direction = rng.normal(size=n)
+vec = rng.normal(0.0, 2.0, size=(3, 2)) + rng.standard_normal(size=3)
+w = rng.normal(0.0, 1.0)
+"""
+    assert _scalar_normal_draws(ast.parse(text)) == [2, 2, 3, 4, 7]
 
 
 def test_benchmark_bindings_resolve():

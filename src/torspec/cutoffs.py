@@ -26,6 +26,9 @@ from .fields import Frequency, SparseField, freq_abs, freq_radii
 DEFAULT_R = 1.1
 DEFAULT_BIG_R = 2.0
 
+# 2.0**m, the modulation scale, is a double up to m = 1023 and overflows from 1024.
+MAX_MODULATION_INDEX = 1023
+
 
 def _blend_exp(t: float) -> float:
     # C-infinity falling blend on [0, 1]: 1 at t=0, 0 at t=1.

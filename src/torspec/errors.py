@@ -42,7 +42,8 @@ class FNotVanishingAtZero(TorspecError):
 
 
 class RangeTooLarge(TorspecError):
-    """A dyadic construction would need frequencies beyond the 2^60 cap."""
+    """A dyadic index past its cap: a construction beyond 2^60, a modulation
+    index whose 2^m is no double, or a sample window beyond int64."""
 
 
 class BandwidthViolation(TorspecError):

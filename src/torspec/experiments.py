@@ -24,8 +24,8 @@ from .constructions import (
     vanishing_family,
     weierstrass_field,
 )
-from .cutoffs import default_families, lp_project, telescope_check
-from .errors import TorspecError
+from .cutoffs import MAX_MODULATION_INDEX, default_families, lp_project, telescope_check
+from .errors import RangeTooLarge, TorspecError
 from .fields import (
     DenseField,
     SparseField,
@@ -177,16 +177,30 @@ def _params(args: dict) -> dict:
 
 @_typed_params
 def exp_partition_check(m: int = 8, n_samples: int = 10_000, seed: int = 0) -> ExperimentReport:
-    """Telescoping partition identity on both default profiles."""
+    """Telescoping partition identity on both default profiles.
+
+    Each profile draws its samples from the window |k| <= ceil(R 2^m) + 2; an
+    m whose window leaves int64 for either profile raises RangeTooLarge
+    before any draw.
+    """
     report = ExperimentReport("partition-check", _params(locals()))
     _need_seed(seed)
     _need_positive("n_samples", n_samples)
-    rng = np.random.default_rng(seed)
     fams = default_families()
-    rows = []
+    tops = []
     for fam in fams:
+        # R 2^m is exact while 2^m is a double, and a double below 2^63 is at
+        # most 2^63 - 1024, so the window fits int64 exactly when this holds.
+        scaled = fam.profile.R * 2.0**m if m <= MAX_MODULATION_INDEX else math.inf
+        if not scaled < 2.0**63:
+            raise RangeTooLarge(
+                f"m = {m}: sample window ceil(R 2^m) + 2 leaves int64 at R = {fam.profile.R}"
+            )
+        tops.append(math.ceil(scaled) + 2)
+    rng = np.random.default_rng(seed)
+    rows = []
+    for fam, top in zip(fams, tops):
         prof = fam.profile
-        top = int(math.ceil(prof.R * 2.0**m)) + 2
         samples = [(int(k),) for k in rng.integers(-top, top + 1, size=n_samples)]
         dev = telescope_check(prof, m, samples)
         report.metrics[f"max_deviation[{prof.id}]"] = dev
@@ -619,6 +633,10 @@ def exp_product(
     _need_positive("trials", trials)
     if len(m_range) != 2 or not 0 <= m_range[0] < m_range[1]:
         raise ValueError(f"m_range must be two ints with 0 <= m_lo < m_hi, got {list(m_range)}")
+    if m_range[1] > MAX_MODULATION_INDEX:
+        raise RangeTooLarge(
+            f"m_range {list(m_range)} passes m = {MAX_MODULATION_INDEX}: 2^m is no double"
+        )
     rng = np.random.default_rng(seed)
     draw = integer_draw(rng)
     profiles = [f.profile for f in default_families()]

@@ -10,9 +10,11 @@ lies in its support [lo, hi] (the spectral support rule): _rank sorts the
 radii of u once and each term's window is found by bisection.  One scan of
 the windows gives, per term, the hit modes and their weights; apply sums
 from it, apply_with_support also reads the support bound Xi off the keys of
-that sum; a vanishing-modulation run scans u^m's coefficients over u's one
-ranking, skips the exact zeros and x-parts that modulate to nothing, and
-sums the saturated prefix of its terms once.  Every sum goes through
+that sum.  A vanishing-modulation run evaluates each term's multiplier once
+on its window of u's one ranking (_window_values); its cover pass and every
+step read those values, a step in both modulation orders, skipping exact
+zeros and x-parts that modulate to nothing, and each profile sums the
+saturated prefix of its terms once.  Every sum goes through
 fields.lattice_sum, one (x-part coefficients, etas, weights) part per term.
 Everything else here is built on top of that kernel: frequency-modulated
 approximants and their stabilisation diagnostics, the adjoint of the
@@ -42,12 +44,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constructions import normal_sampler
-from .cutoffs import CutoffProfile, LPFamily, ball_diff, lp_project, modulate, modulated_coeffs
+from .cutoffs import (
+    MAX_MODULATION_INDEX,
+    CutoffProfile,
+    LPFamily,
+    ball_diff,
+    lp_project,
+    modulate,
+    modulated_coeffs,
+)
 from .errors import (
     BudgetExceeded,
     DimensionMismatch,
     DimensionUnsupported,
     FrequencyOutOfRange,
+    RangeTooLarge,
     WindowTooLarge,
 )
 from .fields import (
@@ -131,13 +142,14 @@ def _rank(u: SparseField):
     return list(u.coeffs), radii, order, [radii[i] for i in order]
 
 
-def _support_hits(terms, rank, coeffs: list[complex] | dict[int, complex]):
+def _support_hits(terms, rank, coeffs: list[complex]):
     """Yield the lattice_sum part (t.xpart.coeffs, etas, weights) per term t of
-    the sequence terms (a symbol's sorted terms, or a run of them):
-    etas lists the ranked modes eta (in key order) where coeffs[i] != 0 and
-    m_t(eta) != 0, weights the products m_t(eta) coeffs[i].  m_t is evaluated
-    only where lo <= |eta| <= hi (bisecting the ranked radii) and coeffs[i] != 0,
-    so u's ranking with u^m's coefficients gives u^m's lists, in key order.
+    the sequence terms (a symbol's sorted terms): etas lists the ranked modes
+    eta (in key order) where coeffs[i] != 0 and m_t(eta) != 0, weights the
+    products m_t(eta) coeffs[i].  m_t is evaluated only where
+    lo <= |eta| <= hi (bisecting the ranked radii) and coeffs[i] != 0: the
+    scan of apply and apply_with_support.  A modulation run reads values
+    stored once per run instead (_window_values).
     """
     keys, radii, order, ranked = rank
     whole = range(len(ranked))
@@ -154,6 +166,18 @@ def _support_hits(terms, rank, coeffs: list[complex] | dict[int, complex]):
                 etas.append(keys[i])
                 weights.append(mv * coeffs[i])
         yield t.xpart.coeffs, etas, weights
+
+
+def _window_values(mult, rank) -> list[tuple[int, float]]:
+    """(i, mult.radial(radii[i])) for each mode i of mult's window, in key order,
+    by _support_hits' bisection rule: the multiplier evaluated once on every
+    mode of the window, zero coefficients included."""
+    _, radii, order, ranked = rank
+    lo = bisect_left(ranked, mult.lo)
+    hi = bisect_right(ranked, mult.hi)
+    window = range(len(ranked)) if hi - lo == len(ranked) else sorted(order[lo:hi])
+    radial = mult.radial
+    return [(i, radial(radii[i])) for i in window]
 
 
 def rel_coeff_diff(u: SparseField, v: SparseField) -> float:
@@ -179,12 +203,18 @@ def apply_modulated(
     computed too, over the same one ranking of u, and asserted to agree
     (they are analytically identical); one check_work on u bounds both.
     """
-    return _modulated_steps(a, u, _rank(u))(profile, m)
+    return _modulated_steps(a, u, _rank(u), {})(profile, m)
 
 
-def _modulated_steps(a: SeparableSymbol, u: SparseField, rank):
+def _modulated_steps(a: SeparableSymbol, u: SparseField, rank, values: dict):
     """step(p, m) = a^m(x, D) u^m over u's ranking, for one run in ascending m.
 
+    values maps id(t.mult) to _window_values(t.mult, rank), and a step adds
+    the multipliers it scans that are missing, so each is evaluated once on
+    its window per run.  Both orders read those values: the x-order weight
+    is complex(value) * u^m(eta), the full-order weight
+    Modulated(t.mult, m, p).from_inner(value, rho) * u^(eta) for rho up to
+    that multiplier's hi; each skips exact zeros as _support_hits does.
     A term is saturated at (p, m) when its x-part radii and the radii of u
     in its window have rho / 2^m <= p.r; its modulation keeps its keys and
     lo, so the term stands for itself in a^m's sort and is modulated only
@@ -196,38 +226,55 @@ def _modulated_steps(a: SeparableSymbol, u: SparseField, rank):
     order.  The full-modulation sum stays a dict, checked by rel_coeff_diff's
     rule; a non-finite coefficient in it raises ValueError, as a field would.
     """
-    _, radii, order, ranked = rank
+    keys, radii, order, ranked = rank
     coeffs = list(u.coeffs.values())
-    span: dict[int, tuple] = {}  # id(t) -> (min x-part radius, max x-part or window radius of u)
+    spans = []  # (t, min x-part radius, max x-part or window radius of u)
     for t in a.terms:
         window = ranked[bisect_left(ranked, t.mult.lo) : bisect_right(ranked, t.mult.hi)]
         xr = freq_radii(t.xpart.n, t.xpart.coeffs)
-        span[id(t)] = (min(xr, default=math.inf), max(xr + window[-1:], default=0.0))
+        spans.append((t, min(xr, default=math.inf), max(xr + window[-1:], default=0.0)))
+    originals = {id(t) for t in a.terms}
     runs: dict[CutoffProfile, tuple] = {}  # p -> (saturated prefix, x-only sums, full sums)
 
     def step(p: CutoffProfile, m: int) -> SparseField:
+        scale = 2.0**m
         terms = []
-        for t in a.terms:
-            near, reach = span[id(t)]
-            if reach / 2.0**m <= p.r:
+        for t, near, reach in spans:
+            if reach / scale <= p.r:
                 terms.append(t)
-            elif near / 2.0**m < p.R and len(xp := modulate(t.xpart, m, p)):
+            elif near / scale < p.R and len(xp := modulate(t.xpart, m, p)):
                 terms.append(Term(xp, t.mult))
         x_only = SeparableSymbol(a.d, a.n, tuple(terms))
-        flat = next((i for i, t in enumerate(x_only.terms) if id(t) not in span), len(terms))
+        flat = next((i for i, t in enumerate(x_only.terms) if id(t) not in originals), len(terms))
         held, first, second = runs.get(p, ((), {}, {}))
         if len(held) > flat or any(h is not t for h, t in zip(held, x_only.terms)):
             held, first, second = (), {}, {}
-        live = x_only.terms[len(held) :]
-        live = [Term(modulate(t.xpart, m, p), t.mult) if id(t) in span else t for t in live]
+        live = [
+            (modulate(t.xpart, m, p) if id(t) in originals else t.xpart, t.mult)
+            for t in x_only.terms[len(held) :]
+        ]
         # u^m over the span of the live windows (sorted by lo); raises for m < 0 before check_work.
-        lo, hi = (live[0].mult.lo, max(t.mult.hi for t in live)) if live else (math.inf, 0.0)
+        lo, hi = (live[0][1].lo, max(mult.hi for _, mult in live)) if live else (math.inf, 0.0)
         idx = order[bisect_left(ranked, lo) : bisect_right(ranked, hi)]
-        um = modulated_coeffs([radii[i] for i in idx], [coeffs[i] for i in idx], m, p)
+        um = dict(zip(idx, modulated_coeffs([radii[i] for i in idx], [coeffs[i] for i in idx], m, p)))
         check_work(x_only, u)  # x_only has the x-parts of the full modulation
-        full = [Term(t.xpart, Modulated(t.mult, m, p)) for t in live]
-        x_hits = list(_support_hits(live, rank, dict(zip(idx, um))))
-        f_hits = list(_support_hits(full, rank, coeffs))
+        x_hits, f_hits = [], []
+        for xp, mult in live:
+            if id(mult) not in values:
+                values[id(mult)] = _window_values(mult, rank)
+            full = Modulated(mult, m, p)
+            x_etas, x_weights, f_etas, f_weights = [], [], [], []
+            for i, value in values[id(mult)]:
+                if (c := um[i]) and (mv := complex(value)) != 0.0:
+                    x_etas.append(keys[i])
+                    x_weights.append(mv * c)
+                rho = radii[i]
+                if rho <= full.hi and (c := coeffs[i]):
+                    if (mv := complex(full.from_inner(value, rho))) != 0.0:
+                        f_etas.append(keys[i])
+                        f_weights.append(mv * c)
+            x_hits.append((xp.coeffs, x_etas, x_weights))
+            f_hits.append((xp.coeffs, f_etas, f_weights))
         new = flat - len(held)
         if new:
             first, second = lattice_sum(x_hits[:new], first), lattice_sum(f_hits[:new], second)
@@ -352,13 +399,19 @@ def _modulation_run(
     (or its checks) again.  The sequences are keyed by profile id, so
     fewer than two distinct ids raise ValueError before any step: one
     profile given twice has nothing to be compared with.  So does a range
-    with m_hi < m_lo, which holds no step at all.
+    with m_hi < m_lo, which holds no step at all.  An m_hi past
+    MAX_MODULATION_INDEX, where 2^m is no double, raises RangeTooLarge
+    before any step.
     """
     if len({p.id for p in profiles}) < 2:
         raise ValueError("need at least two distinct profile ids for independence checking")
     m_lo, m_hi = m_range
     if m_hi < m_lo:
         raise ValueError(f"modulation range {m_lo}..{m_hi} is reversed")
+    if m_hi > MAX_MODULATION_INDEX:
+        raise RangeTooLarge(
+            f"modulation range {m_lo}..{m_hi} passes m = {MAX_MODULATION_INDEX}: 2^m is no double"
+        )
     seqs: dict[str, list[SparseField]] = {}
     plateau = None  # the field of the run's first covered step
     for p in profiles:
@@ -383,7 +436,9 @@ def vanishing_limit(
     one step, agree across every supplied profile and were reached once
     every plateau covers the radius that matters: the largest |eta| over the
     modes of u that some term's multiplier hits, and the largest |xi| over
-    those terms' x-parts (one _support_hits pass).  It is the executable
+    those terms' x-parts.  Each multiplier is evaluated once on its window
+    (_window_values), the hits are the modes where u^(eta) != 0 and the value
+    is not 0.0, and every step reads the same values again.  It is the executable
     rendering of membership of u in the operator domain.  A term whose x-part
     radii and radii of u in its window have rho / 2^m <= p.r (modulate's float
     expression) adds the same 1.0 * c products at every later m, so each
@@ -392,10 +447,14 @@ def vanishing_limit(
     covered one (_modulation_run).
     """
     rank = _rank(u)  # shared by the cover pass and every step
-    hits = _support_hits(a.terms, rank, list(u.coeffs.values()))
-    radii = (freq_abs(k) for xc, etas, _ in hits if etas for k in etas + list(xc))
-    cover = max(radii, default=0.0)
-    return _modulation_run(_modulated_steps(a, u, rank), profiles, m_range, cover)
+    radii, coeffs = rank[1], list(u.coeffs.values())
+    values = {id(t.mult): _window_values(t.mult, rank) for t in a.terms}
+    cover = 0.0
+    for t in a.terms:
+        hit = [radii[i] for i, value in values[id(t.mult)] if coeffs[i] and complex(value) != 0.0]
+        if hit:
+            cover = max(cover, *hit, *freq_radii(t.xpart.n, t.xpart.coeffs))
+    return _modulation_run(_modulated_steps(a, u, rank, values), profiles, m_range, cover)
 
 
 def pi_product(

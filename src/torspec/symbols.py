@@ -204,7 +204,12 @@ class Modulated(Multiplier):
         self._bound(self.inner.lo, min(self.inner.hi, self.profile.R * 2.0**self.m))
 
     def radial(self, rho: float) -> float:
-        return self.inner.radial(rho) * self.profile.radial(rho / 2**self.m)
+        return self.from_inner(self.inner.radial(rho), rho)
+
+    def from_inner(self, value: float, rho: float) -> float:
+        """The value at rho given value = inner.radial(rho), so a caller that
+        holds the inner values evaluates the product by this one formula."""
+        return value * self.profile.radial(rho / 2**self.m)
 
     def to_json(self) -> dict:
         return {

@@ -229,7 +229,27 @@ def test_product_rejects_a_bad_m_range_before_any_draw(monkeypatch):
     for m_range in ((0, 0), (3, 2), (-1, 4), (0, 1, 2), (5,)):
         with pytest.raises(ValueError, match="m_range must be two ints with 0 <= m_lo < m_hi"):
             exp_product(m_range=m_range)
+    # 2^m is no double from m = 1024: refused here, not after trial 0's draws.
+    with pytest.raises(RangeTooLarge, match=r"m_range \[0, 1024\] passes m = 1023"):
+        exp_product(m_range=(0, 1024))
     assert called == []
+
+
+def test_product_runs_up_to_the_largest_double_scale():
+    assert exp_product(m_range=(0, 1023), trials=1).passed
+
+
+def test_partition_check_rejects_a_window_past_int64_before_any_draw(monkeypatch):
+    # m = 62 put the window ceil(R 2^m) + 2 past int64 (numpy's "low is out of
+    # bounds"), 1023 took ceil of an infinite R 2^m and 1024 overflowed 2^m.
+    drawn = []
+    monkeypatch.setattr(experiments.np.random, "default_rng", drawn.append)
+    for m in (62, 1023, 1024, 2000):
+        with pytest.raises(RangeTooLarge, match=f"m = {m}: sample window"):
+            exp_partition_check(m=m)
+    assert drawn == []
+    monkeypatch.undo()
+    assert exp_partition_check(m=61, n_samples=10).passed
 
 
 def test_support_experiment_counts():

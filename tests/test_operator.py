@@ -29,6 +29,7 @@ from torspec.errors import (
     DimensionMismatch,
     DimensionUnsupported,
     FrequencyOutOfRange,
+    RangeTooLarge,
     WindowTooLarge,
 )
 from torspec.experiments import random_symbol
@@ -245,12 +246,16 @@ def test_modulation_index_checked_for_a_symbol_with_no_terms(profiles):
 
 
 def _reference_run(a, u, profiles, m_range):
-    # vanishing_limit with every step a fresh apply_modulated: nothing is kept
-    # from one step to the next, and a covered step is computed like any other.
+    # vanishing_limit with every step a fresh apply(a^m, u^m), as modulate and
+    # symbol_modulate build them: nothing is kept from one step to the next,
+    # no multiplier value is stored, and a covered step is computed like any other.
     hits = _support_hits(a.terms, _rank(u), list(u.coeffs.values()))
     radii = (freq_abs(k) for xc, etas, _ in hits if etas for k in etas + list(xc))
     m_lo, m_hi = m_range
-    seqs = {p.id: [apply_modulated(a, u, p, m) for m in range(m_lo, m_hi + 1)] for p in profiles}
+    seqs = {
+        p.id: [apply(symbol_modulate(a, m, p), modulate(u, m, p)) for m in range(m_lo, m_hi + 1)]
+        for p in profiles
+    }
     r = min(p.r for p in profiles)
     return _diagnose(seqs, m_lo, m_hi, max(radii, default=0.0), r), seqs
 
@@ -352,18 +357,25 @@ def test_vanishing_limit_modulates_each_x_part_once_per_profile(profiles, monkey
 def test_vanishing_limit_scans_each_term_while_it_is_live(profiles, monkeypatch):
     # A step scans only the terms after its saturated prefix that pruning has
     # not emptied, so the window scans grow with terms + steps, not with
-    # terms x steps as when every step scans every term in both orders.
+    # terms x steps as when every step scans every term in both orders.  The
+    # cover pass fills one window per term; a step reads a scanned term's
+    # stored window once for both orders, under the one Modulated it builds.
     import torspec.operator as op
 
     scanned = []
-    scan = op._support_hits
+    fill = op._window_values
 
-    def counted(a, rank, coeffs):
-        for hit in scan(a, rank, coeffs):
-            scanned.append(hit[0])
-            yield hit
+    def counted(mult, rank):
+        scanned.append(mult)
+        return fill(mult, rank)
 
-    monkeypatch.setattr(op, "_support_hits", counted)
+    class Scanned(Modulated):
+        def __post_init__(self):
+            super().__post_init__()
+            scanned.extend([self.inner] * 2)  # one read per order
+
+    monkeypatch.setattr(op, "_window_values", counted)
+    monkeypatch.setattr(op, "Modulated", Scanned)
     vN, _, j_hi = vanishing_family(5, 0.0, (1,))
     _, a = ching_symbol(0.0, (1,), 5, j_hi)
     for m_hi in (12, 27):
@@ -371,6 +383,32 @@ def test_vanishing_limit_scans_each_term_while_it_is_live(profiles, monkeypatch)
         vanishing_limit(a, vN, profiles, (0, m_hi))
         scans, terms, steps, orders = len(scanned), len(a.terms), m_hi + 1, 2
         assert scans <= terms + orders * len(profiles) * (terms + steps)
+
+
+def test_vanishing_limit_evaluates_each_multiplier_once_per_window_mode(profiles, monkeypatch):
+    # The cover pass evaluates every term's multiplier on its window once,
+    # and every step reads those values in both orders: the Corona values
+    # number the window sizes, and no Modulated multiplier is evaluated.
+    calls = {"corona": 0, "modulated": 0}
+    corona, modulated = Corona.radial, Modulated.radial
+
+    def corona_radial(self, rho):
+        calls["corona"] += 1
+        return corona(self, rho)
+
+    def modulated_radial(self, rho):
+        calls["modulated"] += 1
+        return modulated(self, rho)
+
+    vN, _, j_hi = vanishing_family(5, 0.0, (1,))
+    _, a = ching_symbol(0.0, (1,), 5, j_hi)
+    radii = sorted(freq_abs(xi) for xi in vN.spectrum())
+    windows = sum(sum(t.mult.lo <= rho <= t.mult.hi for rho in radii) for t in a.terms)
+    monkeypatch.setattr(Corona, "radial", corona_radial)
+    monkeypatch.setattr(Modulated, "radial", modulated_radial)
+    assert vanishing_limit(a, vN, profiles, (0, 27)).passed
+    assert calls == {"corona": windows, "modulated": 0}
+    assert windows == 63
 
 
 def test_modulation_step_builds_one_field(profiles, monkeypatch):
@@ -415,7 +453,7 @@ def test_non_finite_full_modulation_sum_raises(profiles, monkeypatch, bad):
     import torspec.operator as op
 
     class Blown(Modulated):
-        def radial(self, rho):
+        def from_inner(self, value, rho):
             return bad
 
     vN, _, j_hi = vanishing_family(5, 0.0, (1,))
@@ -1075,6 +1113,13 @@ def test_pi_product_raises_range_errors_before_step_errors(profiles):
         with pytest.raises(ValueError) as err:
             pi_product(u, w, run_profiles, m_range)
         assert type(err.value) is ValueError
+    # A range whose 2^m_hi is no double is a resource limit, also raised first.
+    steps = []
+    with pytest.raises(RangeTooLarge, match=r"modulation range 0\.\.1024 passes m = 1023"):
+        pi_product(u, w, profiles, (0, 1024))
+    with pytest.raises(RangeTooLarge):
+        _modulation_run(lambda q, m: steps.append(m), profiles, (1000, 1100), 0.0)
+    assert steps == []
 
 
 @st.composite

@@ -314,8 +314,12 @@ def test_bad_config_value_exits_two_writing_nothing(tmp_path):
 def test_resource_error_exits_three(tmp_path):
     code = main(["run", "unclosable", "--n-list", "5,8", "--out", str(tmp_path)])
     assert code == 3
-    # A dyadic index too large for a float.
-    assert main(["run", "partition-check", "--m", "2000", "--out", str(tmp_path)]) == 3
+    # A dyadic index too large for a float, or for an int64 sample window.
+    for m in ("62", "1023", "1024", "2000"):
+        assert main(["run", "partition-check", "--m", m, "--out", str(tmp_path)]) == 3, m
+    # A modulation range whose 2^m_hi is no double.
+    assert main(["run", "product", "--m-range", "0,1100", "--out", str(tmp_path)]) == 3
+    assert not any(tmp_path.iterdir())
     # A power-of-two grid too small for the top block is a grid band.
     for argv in (["weierstrass", "--M", "64", "--J", "6"], ["composite", "--M", "64", "--K", "7"]):
         assert main(["run", *argv, "--out", str(tmp_path)]) == 3, argv

@@ -5,7 +5,8 @@ unparsable inputs (JSON nested too deeply too) or an unwritable output root,
 3 resource errors (budgets, ranges, frequency caps, a dyadic index too large
 for a float).  main maps errors to codes through one table, the same for
 every command.  Each experiment parameter is a config key and a run flag,
-read from the signatures in REGISTRY.  A flag value is read by _parse_value
+read from the signatures in REGISTRY; a flag must be given in full, never
+abbreviated, as a config key must.  A flag value is read by _parse_value
 exactly as the config value of the same key is, and both are typed only by
 serialize.typed_param, before any work.  run and suite write every file
 atomically, and only once the last experiment has returned and every text
@@ -261,23 +262,29 @@ def _add_param_flags(parser: argparse.ArgumentParser, names) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="torspec", description=__doc__)
+    parser = argparse.ArgumentParser(prog="torspec", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run one named experiment")
+    p_run = sub.add_parser("run", help="run one named experiment", allow_abbrev=False)
     p_run.add_argument("name", help=f"one of: {', '.join(REGISTRY)}")
     _add_common(p_run)
     _add_param_flags(p_run, _param_names(REGISTRY))
 
-    p_suite = sub.add_parser("suite", help="run every experiment at default parameters")
+    p_suite = sub.add_parser(
+        "suite", help="run every experiment at default parameters", allow_abbrev=False
+    )
     _add_common(p_suite)
 
-    p_part = sub.add_parser("partition-check", help="shortcut for `run partition-check`")
+    p_part = sub.add_parser(
+        "partition-check", help="shortcut for `run partition-check`", allow_abbrev=False
+    )
     _add_common(p_part)
     p_part.set_defaults(name="partition-check")
     _add_param_flags(p_part, _params("partition-check"))
 
-    p_apply = sub.add_parser("apply", help="apply a serialized symbol to a field")
+    p_apply = sub.add_parser(
+        "apply", help="apply a serialized symbol to a field", allow_abbrev=False
+    )
     _add_common(p_apply)
     p_apply.add_argument("--symbol", required=True)
     p_apply.add_argument("--field", required=True)

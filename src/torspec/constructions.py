@@ -36,6 +36,19 @@ def ball_carrier(n: int, B: int) -> SparseField:
     return SparseField(n, {xi: c for xi in pts})
 
 
+def ball_size(n: int, B: int, stop: int) -> int:
+    """The mode count of ball_carrier(n, B), without building it: 2B + 1 in
+    1-d; in 2-d a sum of row lengths that ends at the first row past stop."""
+    if n == 1:
+        return 2 * B + 1
+    size = 0
+    for k in range(-B, B + 1):
+        size += 2 * math.isqrt(B * B - k * k) + 1
+        if size > stop:
+            break
+    return size
+
+
 def _dyadic_sum(
     theta: Frequency, j_lo: int, j_hi: int, weight: Callable[[int], float], v: SparseField
 ) -> SparseField:

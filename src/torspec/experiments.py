@@ -16,6 +16,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .constructions import (
+    MAX_DYADIC,
+    ball_size,
     harmonic_ratio,
     harmonic_ratio_bracket,
     integer_draw,
@@ -25,8 +27,9 @@ from .constructions import (
     weierstrass_field,
 )
 from .cutoffs import MAX_MODULATION_INDEX, default_families, lp_project, telescope_check
-from .errors import RangeTooLarge, TorspecError
+from .errors import BudgetExceeded, FrequencyOutOfRange, RangeTooLarge, TorspecError
 from .fields import (
+    DEFAULT_PAIR_BUDGET,
     DenseField,
     SparseField,
     check_grid_size,
@@ -180,12 +183,13 @@ def exp_partition_check(m: int = 8, n_samples: int = 10_000, seed: int = 0) -> E
     """Telescoping partition identity on both default profiles.
 
     Each profile draws its samples from the window |k| <= ceil(R 2^m) + 2; an
-    m whose window leaves int64 for either profile raises RangeTooLarge
-    before any draw.
+    m < 1, which telescopes no block, raises ValueError and an m whose window
+    leaves int64 for either profile raises RangeTooLarge, both before any draw.
     """
     report = ExperimentReport("partition-check", _params(locals()))
     _need_seed(seed)
     _need_positive("n_samples", n_samples)
+    _need_positive("m", m)
     fams = default_families()
     tops = []
     for fam in fams:
@@ -473,7 +477,11 @@ def exp_composite(
     p_list=(2.0, 4.0),
     delta_list=(1e-1, 1e-2, 1e-3, 1e-4),
 ) -> ExperimentReport:
-    """Paraproduct factorisation of F(u) and the continuity probe."""
+    """Paraproduct factorisation of F(u) and the continuity probe.
+
+    The draws take frequencies up to 2^(K-1), which must stay below the
+    grid's M/2: a larger K raises FrequencyOutOfRange before any draw.
+    """
     report = ExperimentReport("composite", _params(locals()))
     _need_seed(seed)
     for fname in f:
@@ -489,6 +497,8 @@ def exp_composite(
         raise ValueError(f"delta_list needs two distinct values, got {list(delta_list)}")
     _need_positive("K", K)
     check_grid_size(M)
+    if K >= M.bit_length() - 1:  # 2^(K-1) >= M/2, by exponents: K may be huge
+        raise FrequencyOutOfRange(f"need 2^(K-1) < M/2, got K={K}, M={M}")
     rng = np.random.default_rng(seed)
     fam = default_families()[0]
     window = 2 ** (K - 1)
@@ -557,7 +567,11 @@ def exp_continuity(
     """Unboundedness along the vanishing family vs twisted-diagonal boundedness.
 
     A u is computed once per input for both its exponents.  The exploratory
-    member is built first, so its RangeTooLarge comes before any ratio."""
+    member, the smallest, is built first, so its ValueError (N < 5) or
+    RangeTooLarge (N^2 past MAX_DYADIC) comes before any other work; then,
+    before any other member is built, an n_list member N past MAX_DYADIC
+    raises RangeTooLarge and one whose apply would pass the pair budget
+    raises BudgetExceeded (_vanishing_work)."""
     report = ExperimentReport("continuity", _params(locals()))
     _need_seed(seed)
     _need_positive("trials", trials)
@@ -566,6 +580,15 @@ def exp_continuity(
     _need_chi_at_theta(theta)
     rows = []
     v_zero, _, j_zero = vanishing_family(min(n_list), d, theta)
+    for N in n_list:
+        if N > MAX_DYADIC:
+            raise RangeTooLarge(f"n_list member N = {N} > {MAX_DYADIC}: its dyadic range is empty")
+        work = _vanishing_work(N, len(theta))
+        if work > DEFAULT_PAIR_BUDGET:
+            raise BudgetExceeded(
+                f"n_list member N = {N} needs at least {work} coefficient products,"
+                f" over budget {DEFAULT_PAIR_BUDGET}"
+            )
 
     # (i) plain lacunary direction: ratios along the vanishing family.
     ratios_s0 = []
@@ -614,6 +637,19 @@ def exp_continuity(
 
     report.tables["continuity.csv"] = (["family", "param", "s", "ratio"], rows)
     return report
+
+
+def _vanishing_work(N: int, n: int) -> int:
+    """apply's pair count for continuity's member N >= 5 in dimension n, without
+    building the member or its symbol.
+
+    vanishing_family(N, d, theta, allow_truncation=True) holds T = min(N^2,
+    MAX_DYADIC) - N + 1 disjoint shifts of its carrier's C modes, and
+    ching_symbol(d, theta, N, min(N^2, MAX_DYADIC)) T one-mode x-parts, so
+    the count is T * T * C.  A 2-d C stops at its first row past the budget.
+    """
+    T = min(N * N, MAX_DYADIC) - N + 1
+    return T * T * ball_size(n, max(1, 2**N // 20), DEFAULT_PAIR_BUDGET // (T * T))
 
 
 # -- 8. generalised product -----------------------------------------------------------------

@@ -7,16 +7,18 @@ The action of a separable symbol on a sparse field is the exact finite sum
 iterated in sorted (term, xi, eta) order so results are reproducible.  A
 term's multiplier is evaluated only on the modes of u whose radius |eta|
 lies in its support [lo, hi] (the spectral support rule): _rank sorts the
-radii of u once and each term's window is found by bisection.  One scan of
-the windows gives, per term, the hit modes and their weights; apply sums
-from it, apply_with_support also reads the support bound Xi off the keys of
-that sum.  A vanishing-modulation run evaluates each term's multiplier once
-on its window of u's one ranking (_window_values); its cover pass and every
-step read those values, a step in both modulation orders, skipping exact
-zeros and x-parts that modulate to nothing, and each profile sums the
-saturated prefix of its terms once.  Every sum goes through
-fields.lattice_sum, one (x-part coefficients, etas, weights) part per term.
-Everything else here is built on top of that kernel: frequency-modulated
+radii of u once and each term's window is found by bisection, in two
+places.  _support_hits scans the windows for apply, which sums its hit
+modes and weights, and for apply_with_support, which also reads the
+support bound Xi off the keys of that sum.  A vanishing-modulation run
+(_modulated_steps) builds one table per run: each term's window modes
+with their keys, radii, coefficients and multiplier values.  The run's
+cover radius and every step read that table, a step in both modulation
+orders, skipping zero values, u^m coefficients that underflow to zero and
+x-parts that modulate to nothing, and each profile sums the saturated
+prefix of its terms once.  Every sum goes through fields.lattice_sum, one
+(x-part coefficients, etas, weights) part per term.  Everything else here
+is built on top of that kernel: frequency-modulated
 approximants and their stabilisation diagnostics, the adjoint of the
 lacunary family, spectral kernels, the frequency-support rule, the
 paradifferential three-way split with corona checks, the generalised
@@ -99,7 +101,7 @@ def apply(a: SeparableSymbol, u: SparseField, budget: int = DEFAULT_PAIR_BUDGET)
     bound is built; apply_with_support returns one as well.
     """
     check_work(a, u, budget)
-    return SparseField(u.n, lattice_sum(_support_hits(a.terms, _rank(u), list(u.coeffs.values()))))
+    return SparseField(u.n, lattice_sum(_support_hits(a, u)))
 
 
 def apply_with_support(
@@ -113,7 +115,7 @@ def apply_with_support(
     The output is bitwise apply(a, u), under the same budget.
     """
     check_work(a, u, budget)
-    sums = lattice_sum(_support_hits(a.terms, _rank(u), list(u.coeffs.values())))
+    sums = lattice_sum(_support_hits(a, u))
     au = SparseField(u.n, sums)
     xi_set = set(sums)
     if not au.coeffs.keys() <= xi_set:
@@ -142,18 +144,18 @@ def _rank(u: SparseField):
     return list(u.coeffs), radii, order, [radii[i] for i in order]
 
 
-def _support_hits(terms, rank, coeffs: list[complex]):
+def _support_hits(a: SeparableSymbol, u: SparseField):
     """Yield the lattice_sum part (t.xpart.coeffs, etas, weights) per term t of
-    the sequence terms (a symbol's sorted terms): etas lists the ranked modes
-    eta (in key order) where coeffs[i] != 0 and m_t(eta) != 0, weights the
-    products m_t(eta) coeffs[i].  m_t is evaluated only where
-    lo <= |eta| <= hi (bisecting the ranked radii) and coeffs[i] != 0: the
-    scan of apply and apply_with_support.  A modulation run reads values
-    stored once per run instead (_window_values).
+    a: etas lists the modes eta of u (in key order) where m_t(eta) != 0,
+    weights the products m_t(eta) u^(eta).  m_t is evaluated only where
+    lo <= |eta| <= hi, by bisecting u's ranked radii: the scan of apply and
+    apply_with_support.  A modulation run keeps its own window table
+    (_modulated_steps).
     """
-    keys, radii, order, ranked = rank
+    keys, radii, order, ranked = _rank(u)
+    coeffs = list(u.coeffs.values())
     whole = range(len(ranked))
-    for t in terms:
+    for t in a.terms:
         lo = bisect_left(ranked, t.mult.lo)
         hi = bisect_right(ranked, t.mult.hi)
         window = whole if hi - lo == len(ranked) else sorted(order[lo:hi])
@@ -161,23 +163,11 @@ def _support_hits(terms, rank, coeffs: list[complex]):
         etas = []
         weights = []
         for i in window:
-            mv = complex(radial(radii[i])) if coeffs[i] else 0.0
+            mv = complex(radial(radii[i]))
             if mv != 0.0:
                 etas.append(keys[i])
                 weights.append(mv * coeffs[i])
         yield t.xpart.coeffs, etas, weights
-
-
-def _window_values(mult, rank) -> list[tuple[int, float]]:
-    """(i, mult.radial(radii[i])) for each mode i of mult's window, in key order,
-    by _support_hits' bisection rule: the multiplier evaluated once on every
-    mode of the window, zero coefficients included."""
-    _, radii, order, ranked = rank
-    lo = bisect_left(ranked, mult.lo)
-    hi = bisect_right(ranked, mult.hi)
-    window = range(len(ranked)) if hi - lo == len(ranked) else sorted(order[lo:hi])
-    radial = mult.radial
-    return [(i, radial(radii[i])) for i in window]
 
 
 def rel_coeff_diff(u: SparseField, v: SparseField) -> float:
@@ -200,21 +190,25 @@ def apply_modulated(
     """a^m(x, D) u^m, bitwise apply(symbol_modulate(a, m), modulate(u, m)).
 
     One step of a fresh vanishing_limit run: a^m (1 x psi_m) applied to u is
-    computed too, over the same one ranking of u, and asserted to agree
-    (they are analytically identical); one check_work on u bounds both.
+    computed too, from the same window table, and asserted to agree (they
+    are analytically identical); one check_work on u bounds both.
     """
-    return _modulated_steps(a, u, _rank(u), {})(profile, m)
+    return _modulated_steps(a, u)[0](profile, m)
 
 
-def _modulated_steps(a: SeparableSymbol, u: SparseField, rank, values: dict):
-    """step(p, m) = a^m(x, D) u^m over u's ranking, for one run in ascending m.
+def _modulated_steps(a: SeparableSymbol, u: SparseField):
+    """(step, cover) for one modulation run: step(p, m) = a^m(x, D) u^m, called in ascending m.
 
-    values maps id(t.mult) to _window_values(t.mult, rank), and a step adds
-    the multipliers it scans that are missing, so each is evaluated once on
-    its window per run.  Both orders read those values: the x-order weight
-    is complex(value) * u^m(eta), the full-order weight
-    Modulated(t.mult, m, p).from_inner(value, rho) * u^(eta) for rho up to
-    that multiplier's hi; each skips exact zeros as _support_hits does.
+    u is ranked once and each term's window bisected once, into one table:
+    per multiplier, the keys, radii and coefficients of the modes of u with
+    lo <= |eta| <= hi, in key order, and the multiplier's value at each.
+    cover, the radius the run must reach, is the largest |eta| where some
+    multiplier's value is not 0.0 and |xi| over those terms' x-parts.  A
+    step reads only the table: each term it scans modulates its window's
+    coefficients, and the x-order weight is complex(value) * u^m(eta),
+    skipping a u^m(eta) that underflows to an exact zero, the full-order
+    weight Modulated(t.mult, m, p).from_inner(value, rho) * u^(eta) for rho
+    up to that multiplier's hi; both skip a zero value.
     A term is saturated at (p, m) when its x-part radii and the radii of u
     in its window have rho / 2^m <= p.r; its modulation keeps its keys and
     lo, so the term stands for itself in a^m's sort and is modulated only
@@ -226,17 +220,30 @@ def _modulated_steps(a: SeparableSymbol, u: SparseField, rank, values: dict):
     order.  The full-modulation sum stays a dict, checked by rel_coeff_diff's
     rule; a non-finite coefficient in it raises ValueError, as a field would.
     """
-    keys, radii, order, ranked = rank
+    keys, radii, order, ranked = _rank(u)
     coeffs = list(u.coeffs.values())
+    whole = range(len(ranked))
+    windows = {}  # id(t.mult) -> (keys, radii, coefficients, t.mult.radial values)
     spans = []  # (t, min x-part radius, max x-part or window radius of u)
+    cover = 0.0
     for t in a.terms:
-        window = ranked[bisect_left(ranked, t.mult.lo) : bisect_right(ranked, t.mult.hi)]
+        lo = bisect_left(ranked, t.mult.lo)
+        hi = bisect_right(ranked, t.mult.hi)
+        window = whole if hi - lo == len(ranked) else sorted(order[lo:hi])
+        rs = [radii[i] for i in window]
+        values = list(map(t.mult.radial, rs))
+        windows[id(t.mult)] = ([keys[i] for i in window], rs, [coeffs[i] for i in window], values)
         xr = freq_radii(t.xpart.n, t.xpart.coeffs)
-        spans.append((t, min(xr, default=math.inf), max(xr + window[-1:], default=0.0)))
+        spans.append((t, min(xr, default=math.inf), max(xr + rs, default=0.0)))
+        hit = [rho for rho, value in zip(rs, values) if value != 0.0]
+        if hit:
+            cover = max(cover, *hit, *xr)
     originals = {id(t) for t in a.terms}
     runs: dict[CutoffProfile, tuple] = {}  # p -> (saturated prefix, x-only sums, full sums)
 
     def step(p: CutoffProfile, m: int) -> SparseField:
+        if m < 0:  # with no term scanned, nothing else would check it
+            raise ValueError("modulation index must be >= 0")
         scale = 2.0**m
         terms = []
         for t, near, reach in spans:
@@ -249,30 +256,20 @@ def _modulated_steps(a: SeparableSymbol, u: SparseField, rank, values: dict):
         held, first, second = runs.get(p, ((), {}, {}))
         if len(held) > flat or any(h is not t for h, t in zip(held, x_only.terms)):
             held, first, second = (), {}, {}
-        live = [
-            (modulate(t.xpart, m, p) if id(t) in originals else t.xpart, t.mult)
-            for t in x_only.terms[len(held) :]
-        ]
-        # u^m over the span of the live windows (sorted by lo); raises for m < 0 before check_work.
-        lo, hi = (live[0][1].lo, max(mult.hi for _, mult in live)) if live else (math.inf, 0.0)
-        idx = order[bisect_left(ranked, lo) : bisect_right(ranked, hi)]
-        um = dict(zip(idx, modulated_coeffs([radii[i] for i in idx], [coeffs[i] for i in idx], m, p)))
         check_work(x_only, u)  # x_only has the x-parts of the full modulation
         x_hits, f_hits = [], []
-        for xp, mult in live:
-            if id(mult) not in values:
-                values[id(mult)] = _window_values(mult, rank)
-            full = Modulated(mult, m, p)
+        for t in x_only.terms[len(held) :]:
+            xp = modulate(t.xpart, m, p) if id(t) in originals else t.xpart
+            ks, rs, cs, values = windows[id(t.mult)]
+            full = Modulated(t.mult, m, p)
             x_etas, x_weights, f_etas, f_weights = [], [], [], []
-            for i, value in values[id(mult)]:
-                if (c := um[i]) and (mv := complex(value)) != 0.0:
-                    x_etas.append(keys[i])
-                    x_weights.append(mv * c)
-                rho = radii[i]
-                if rho <= full.hi and (c := coeffs[i]):
-                    if (mv := complex(full.from_inner(value, rho))) != 0.0:
-                        f_etas.append(keys[i])
-                        f_weights.append(mv * c)
+            for key, rho, c, cm, value in zip(ks, rs, cs, modulated_coeffs(rs, cs, m, p), values):
+                if cm and (mv := complex(value)) != 0.0:
+                    x_etas.append(key)
+                    x_weights.append(mv * cm)
+                if rho <= full.hi and (mv := complex(full.from_inner(value, rho))) != 0.0:
+                    f_etas.append(key)
+                    f_weights.append(mv * c)
             x_hits.append((xp.coeffs, x_etas, x_weights))
             f_hits.append((xp.coeffs, f_etas, f_weights))
         new = flat - len(held)
@@ -287,7 +284,7 @@ def _modulated_steps(a: SeparableSymbol, u: SparseField, rank, values: dict):
             raise AssertionError("modulation-order equivalence violated beyond rounding")
         return first
 
-    return step
+    return step, cover
 
 
 @dataclass
@@ -436,25 +433,18 @@ def vanishing_limit(
     one step, agree across every supplied profile and were reached once
     every plateau covers the radius that matters: the largest |eta| over the
     modes of u that some term's multiplier hits, and the largest |xi| over
-    those terms' x-parts.  Each multiplier is evaluated once on its window
-    (_window_values), the hits are the modes where u^(eta) != 0 and the value
-    is not 0.0, and every step reads the same values again.  It is the executable
-    rendering of membership of u in the operator domain.  A term whose x-part
-    radii and radii of u in its window have rho / 2^m <= p.r (modulate's float
+    those terms' x-parts.  Each multiplier is evaluated once on its window,
+    into the run's one window table (_modulated_steps), which gives that
+    radius and which every step reads.  It is the executable rendering of
+    membership of u in the operator domain.  A term whose x-part radii and
+    radii of u in its window have rho / 2^m <= p.r (modulate's float
     expression) adds the same 1.0 * c products at every later m, so each
     profile's run sums that saturated prefix of the sorted terms once; once
     the plateau covers the radius that matters, every step is the first
     covered one (_modulation_run).
     """
-    rank = _rank(u)  # shared by the cover pass and every step
-    radii, coeffs = rank[1], list(u.coeffs.values())
-    values = {id(t.mult): _window_values(t.mult, rank) for t in a.terms}
-    cover = 0.0
-    for t in a.terms:
-        hit = [radii[i] for i, value in values[id(t.mult)] if coeffs[i] and complex(value) != 0.0]
-        if hit:
-            cover = max(cover, *hit, *freq_radii(t.xpart.n, t.xpart.coeffs))
-    return _modulation_run(_modulated_steps(a, u, rank, values), profiles, m_range, cover)
+    step, cover = _modulated_steps(a, u)
+    return _modulation_run(step, profiles, m_range, cover)
 
 
 def pi_product(

@@ -10,11 +10,12 @@ import pytest
 
 from torspec import experiments
 from torspec.cli import main
-from torspec.constructions import random_band_limited
-from torspec.errors import RangeTooLarge, TorspecError
+from torspec.constructions import random_band_limited, vanishing_family
+from torspec.errors import BudgetExceeded, FrequencyOutOfRange, RangeTooLarge, TorspecError
 from torspec.experiments import (
     REGISTRY,
     ExperimentReport,
+    _vanishing_work,
     exp_composite,
     exp_continuity,
     exp_partition_check,
@@ -24,8 +25,9 @@ from torspec.experiments import (
     exp_wavefront_flip,
     exp_weierstrass,
 )
-from torspec.fields import DenseField, sparse_to_dense
+from torspec.fields import DEFAULT_PAIR_BUDGET, DenseField, sparse_to_dense
 from torspec.norms import bessel_potential, lp_norm
+from torspec.symbols import ching_symbol
 
 
 def test_registry_holds_the_eight_experiments():
@@ -154,6 +156,11 @@ def test_composite_rejects_k_and_m_before_any_draw(monkeypatch):
     for M in (100, 1000, 2**12 + 2):
         with pytest.raises(ValueError, match=f"grid size {M} is not a power of two"):
             exp_composite(M=M)
+    # A draw at 2^(K-1) = M/2 is off the grid: K = 12 passed at seed 11 and
+    # failed after both draws at seed 39; K = 10^30 must not build 2^(K-1).
+    for K, M in ((12, 4096), (13, 4096), (4, 16), (10**30, 4096)):
+        with pytest.raises(FrequencyOutOfRange, match=rf"2\^\(K-1\) < M/2, got K={K}, M={M}"):
+            exp_composite(seed=11, K=K, M=M)
     assert called == []
 
 
@@ -250,6 +257,60 @@ def test_partition_check_rejects_a_window_past_int64_before_any_draw(monkeypatch
     assert drawn == []
     monkeypatch.undo()
     assert exp_partition_check(m=61, n_samples=10).passed
+
+
+def test_partition_check_rejects_m_below_one_before_any_draw(monkeypatch):
+    # telescope_check refused m = 0 only after the first profile's draws:
+    # --m 0 --n-samples 2000000 spent 0.5 s and 159 MiB before it exited 2.
+    drawn = []
+    monkeypatch.setattr(experiments.np.random, "default_rng", drawn.append)
+    for m in (0, -1, -2000):
+        with pytest.raises(ValueError, match=f"m must be >= 1, got {m}"):
+            exp_partition_check(m=m, n_samples=2_000_000)
+    assert drawn == []
+
+
+def test_continuity_work_is_the_pair_count_of_the_built_member():
+    # Each member's apply counts T one-mode x-parts times T shifts of the
+    # carrier: the count without building must be that of the built member.
+    for theta in ((1,), (1, 0)):
+        for N in (5, 6, 7, 8):
+            vN, _, j_hi = vanishing_family(N, 0.0, theta, allow_truncation=True)
+            _, a = ching_symbol(0.0, theta, N, j_hi)
+            work = sum(len(t.xpart) for t in a.terms) * len(vN)
+            assert _vanishing_work(N, len(theta)) == work, (theta, N)
+    # The largest members apply takes, and the first it refuses.
+    assert _vanishing_work(15, 1) <= DEFAULT_PAIR_BUDGET < _vanishing_work(16, 1)
+    assert _vanishing_work(9, 2) <= DEFAULT_PAIR_BUDGET < _vanishing_work(10, 2)
+
+
+def test_continuity_refuses_an_oversized_member_before_building_it(monkeypatch):
+    # apply refused n_list 5,17 only after building the N = 17 member (1.0 s,
+    # 161 MiB); past N = 60 the carrier alone has about 2^N / 10 modes.  Only
+    # the exploratory member, the smallest, is built before the refusal.
+    built = []
+    family = experiments.vanishing_family
+
+    def recorded(N, *args, **kwargs):
+        built.append(N)
+        return family(N, *args, **kwargs)
+
+    called = _fail_on_call(monkeypatch, "apply", "norm_ratio_probe")
+    monkeypatch.setattr(experiments, "vanishing_family", recorded)
+    cases = [
+        ((1,), (5, 16), BudgetExceeded, "N = 16 needs at least 13269825 "),
+        ((1,), (5, 17), BudgetExceeded, "N = 17 needs at least 25375152 "),
+        ((1, 0), (5, 10), BudgetExceeded, "N = 10 needs at least "),
+        ((1,), (5, 61), RangeTooLarge, "N = 61 > 60"),
+        ((1, 0), (5, 10**30), RangeTooLarge, f"N = {10**30} > 60"),
+    ]
+    for theta, n_list, error, message in cases:
+        with pytest.raises(error, match=f"n_list member {message}"):
+            exp_continuity(theta=theta, n_list=n_list)
+    assert built == [5] * len(cases) and called == []
+    # A member below 5 is still bad input (2), whatever the others' size.
+    with pytest.raises(ValueError, match="needs N >= 5"):
+        exp_continuity(n_list=(-3000, 5, 17))
 
 
 def test_support_experiment_counts():

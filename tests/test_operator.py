@@ -22,7 +22,6 @@ from torspec.cutoffs import (
     default_families,
     lp_project,
     modulate,
-    modulated_coeffs,
 )
 from torspec.errors import (
     BudgetExceeded,
@@ -50,7 +49,6 @@ from torspec.operator import (
     _diagnose,
     _diff_norm,
     _modulation_run,
-    _rank,
     _support_hits,
     adjoint_apply_ching,
     apply,
@@ -200,22 +198,15 @@ def _modulated_case(draw):
 @settings(max_examples=150, deadline=None)
 @given(_modulated_case())
 def test_apply_modulated_is_apply_of_the_modulations_bitwise(case):
-    # apply_modulated scans u's ranking with u^m's coefficients and skips the
-    # exact zeros: every window must give the hits of the field modulate builds.
+    # apply_modulated scans u's windows with u^m's coefficients and skips the
+    # exact zeros: it must give the apply of the field modulate builds.
     a, u, p, m = case
     x_only, um = symbol_modulate(a, m, p), modulate(u, m, p)
-
-    def hexed(hits):
-        return [(etas, [(w.real.hex(), w.imag.hex()) for w in ws]) for _, etas, ws in hits]
-
-    rank = _rank(u)
-    got = _support_hits(x_only.terms, rank, modulated_coeffs(rank[1], u.coeffs.values(), m, p))
-    assert hexed(got) == hexed(_support_hits(x_only.terms, _rank(um), list(um.coeffs.values())))
     assert _hexed(apply_modulated(a, u, p, m)) == _hexed(apply(x_only, um))
 
 
 def test_vanishing_limit_ranks_u_once(profiles, monkeypatch):
-    # The cover pass and all 2 x 13 steps share one ranking of u.
+    # The window table and all 2 x 13 steps share one ranking of u.
     import torspec.operator as op
 
     ranked = []
@@ -249,7 +240,7 @@ def _reference_run(a, u, profiles, m_range):
     # vanishing_limit with every step a fresh apply(a^m, u^m), as modulate and
     # symbol_modulate build them: nothing is kept from one step to the next,
     # no multiplier value is stored, and a covered step is computed like any other.
-    hits = _support_hits(a.terms, _rank(u), list(u.coeffs.values()))
+    hits = _support_hits(a, u)
     radii = (freq_abs(k) for xc, etas, _ in hits if etas for k in etas + list(xc))
     m_lo, m_hi = m_range
     seqs = {
@@ -358,23 +349,24 @@ def test_vanishing_limit_scans_each_term_while_it_is_live(profiles, monkeypatch)
     # A step scans only the terms after its saturated prefix that pruning has
     # not emptied, so the window scans grow with terms + steps, not with
     # terms x steps as when every step scans every term in both orders.  The
-    # cover pass fills one window per term; a step reads a scanned term's
-    # stored window once for both orders, under the one Modulated it builds.
+    # window table fills one window per term, bisecting its lower end once; a
+    # step reads a scanned term's stored window once for both orders, under
+    # the one Modulated it builds.
     import torspec.operator as op
 
     scanned = []
-    fill = op._window_values
+    fill = op.bisect_left
 
-    def counted(mult, rank):
-        scanned.append(mult)
-        return fill(mult, rank)
+    def counted(ranked, lo):
+        scanned.append(lo)
+        return fill(ranked, lo)
 
     class Scanned(Modulated):
         def __post_init__(self):
             super().__post_init__()
             scanned.extend([self.inner] * 2)  # one read per order
 
-    monkeypatch.setattr(op, "_window_values", counted)
+    monkeypatch.setattr(op, "bisect_left", counted)
     monkeypatch.setattr(op, "Modulated", Scanned)
     vN, _, j_hi = vanishing_family(5, 0.0, (1,))
     _, a = ching_symbol(0.0, (1,), 5, j_hi)
@@ -386,7 +378,7 @@ def test_vanishing_limit_scans_each_term_while_it_is_live(profiles, monkeypatch)
 
 
 def test_vanishing_limit_evaluates_each_multiplier_once_per_window_mode(profiles, monkeypatch):
-    # The cover pass evaluates every term's multiplier on its window once,
+    # The window table holds every term's multiplier on its window once,
     # and every step reads those values in both orders: the Corona values
     # number the window sizes, and no Modulated multiplier is evaluated.
     calls = {"corona": 0, "modulated": 0}
@@ -427,13 +419,13 @@ def test_modulation_step_builds_one_field(profiles, monkeypatch):
         post_init(self)
 
     def counted_steps(*args):
-        step = steps(*args)
+        step, cover = steps(*args)
 
         def counted(p, m):
             counts["steps"] += 1
             return step(p, m)
 
-        return counted
+        return counted, cover
 
     def counted_modulate(*args):
         counts["modulate"] += 1

@@ -248,6 +248,10 @@ def test_with_2d_flag_is_strict_boolean(tmp_path):
         out = tmp_path / bad
         assert main(["run", "flip", "--with-2d", bad, "--out", str(out)]) == 2, bad
         assert not out.exists(), bad
+    # A flag is its config key in full: flip.wi is no key, so --wi is no flag.
+    out = tmp_path / "wi"
+    assert main(["run", "flip", "--wi", "false", "--d", "0", "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_run_unknown_experiment_exits_two(tmp_path):
@@ -689,6 +693,7 @@ def test_apply_parse_failure_exits_two(tmp_path):
         "negative-modulate": ["--modulate", "-1"],
         "digit-three-modulate": ["--modulate=\u0663"],
         "null-modulate": ["--modulate", "null"],
+        "abbreviated-modulate": ["--mod", "3"],
     }
     for name, flags in flag_sets.items():
         code = apply_code(tmp_path / "a.json", tmp_path / "d3.json", *flags)

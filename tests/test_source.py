@@ -3,7 +3,8 @@ private module-level function or class is referenced, only the command
 line and the file formats name a file writer, only DenseField converts
 grid samples, every scalar integer draw goes through
 constructions.integer_draw, every scalar normal draw goes through
-constructions.normal_sampler, and every name the benchmark binds to still
+constructions.normal_sampler, only _support_hits and _modulated_steps
+bisect in operator.py, and every name the benchmark binds to still
 exists."""
 
 import ast
@@ -219,6 +220,57 @@ vec = rng.normal(0.0, 2.0, size=(3, 2)) + rng.standard_normal(size=3)
 w = rng.normal(0.0, 1.0)
 """
     assert _scalar_normal_draws(ast.parse(text)) == [2, 2, 3, 4, 7]
+
+
+def _bisecting_definitions(tree: ast.Module) -> list[str]:
+    # The module-level definitions that name a bisect_* function, nested
+    # functions counted in theirs, and "<module>" for a name outside any.
+    def bisects(node: ast.AST) -> bool:
+        return any(
+            (isinstance(sub, ast.Name) and sub.id.startswith("bisect"))
+            or (isinstance(sub, ast.Attribute) and sub.attr.startswith("bisect"))
+            for sub in ast.walk(node)
+        )
+
+    return sorted(
+        {
+            getattr(node, "name", "<module>")
+            for node in tree.body
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) and bisects(node)
+        }
+    )
+
+
+def test_only_the_window_scans_bisect():
+    # A term's window is bisected in two places: the scan of apply and
+    # apply_with_support, and the window table of a modulation run.
+    path = PACKAGE / "operator.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _bisecting_definitions(tree) == ["_modulated_steps", "_support_hits"]
+
+
+def test_bisection_check_sees_a_bisection_elsewhere():
+    text = """
+import bisect
+from bisect import bisect_left, bisect_right
+
+def _support_hits(ranked, lo):
+    return bisect_left(ranked, lo)
+
+def _window_values(ranked, hi):
+    def inner():
+        return bisect_right(ranked, hi)
+    return inner()
+
+class Table:
+    def find(self, ranked, lo):
+        return bisect.bisect_left(ranked, lo)
+
+find = bisect_left
+"""
+    assert _bisecting_definitions(ast.parse(text)) == [
+        "<module>", "Table", "_support_hits", "_window_values"
+    ]
 
 
 def test_benchmark_bindings_resolve():

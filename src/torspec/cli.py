@@ -3,14 +3,15 @@
 Exit codes: 0 all assertions pass, 1 assertion failure, 2 bad flags,
 unparsable inputs (JSON nested too deeply too) or an unwritable output root,
 3 resource errors (budgets, ranges, frequency caps, a dyadic index too large
-for a float).  main maps errors to codes through one table, the same for
-every command.  Each experiment parameter is a config key and a run flag,
-read from the signatures in REGISTRY; a flag must be given in full, never
-abbreviated, as a config key must.  A flag value is read by _parse_value
-exactly as the config value of the same key is, and both are typed only by
-serialize.typed_param, before any work.  run and suite write every file
-atomically, and only once the last experiment has returned and every text
-is ready, so a run that fails writes nothing.  The output root comes from
+for a float, memory).  main maps errors to codes through one table, the same
+for every command.  Each experiment parameter is a config key and a run
+flag, read from the signatures in REGISTRY; a flag must be given in full,
+never abbreviated, as a config key must.  A flag value is read by
+_parse_value exactly as the config value of the same key is, and both are
+typed only by serialize.typed_param and then checked by the rule of their
+name (experiments._RULES), before any work.  run and suite write every file
+atomically, and only once the last experiment has returned and every text is
+ready, so a run that fails writes nothing.  The output root comes from
 --out, the config file, or the TORSPEC_OUT environment variable, in that
 order of precedence; each that is given must be a nonempty string.
 """
@@ -312,7 +313,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     except (OSError, ValueError, KeyError, RecursionError) as exc:
         return _error(2, exc)
-    except (TorspecError, OverflowError) as exc:  # budgets, caps, ranges
+    except (TorspecError, OverflowError, MemoryError) as exc:  # budgets, caps, ranges, memory
         return _error(3, exc)
 
 

@@ -14,9 +14,7 @@ import numpy as np
 
 from .errors import BandwidthViolation, DimensionMismatch, RangeTooLarge
 from .fields import Frequency, SparseField, delta_field, freq_abs, freq_scale, shifted
-from .symbols import pow2
-
-MAX_DYADIC = 60
+from .symbols import MAX_DYADIC, pow2
 
 
 def bandwidth(u: SparseField) -> float:

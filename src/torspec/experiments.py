@@ -16,7 +16,6 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .constructions import (
-    MAX_DYADIC,
     ball_size,
     harmonic_ratio,
     harmonic_ratio_bracket,
@@ -50,6 +49,7 @@ from .operator import (
 )
 from .serialize import typed_param
 from .symbols import (
+    MAX_DYADIC,
     Ball,
     Corona,
     One,
@@ -115,49 +115,65 @@ class ExperimentReport:
         }
 
 
-def _need_positive(name: str, count: int) -> None:
-    """Raise ValueError unless count >= 1: zero trials, samples or blocks are no evidence."""
-    if count < 1:
-        raise ValueError(f"{name} must be >= 1, got {count}")
+def _need(test, text: str):
+    """A rule: raise ValueError "<name> <text>, got <value>" unless test(value)."""
+
+    def rule(name: str, value) -> None:
+        if not test(value):
+            got = list(value) if isinstance(value, tuple) else value
+            raise ValueError(f"{name} {text}, got {got}")
+
+    return rule
 
 
-def _need_seed(seed: int) -> None:
-    """Raise ValueError for a negative seed: numpy rejects one only when the
-    generator is built, which may be after other work, and names no parameter."""
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+_AT_LEAST_ONE = _need(lambda v: v >= 1, "must be >= 1")  # zero trials or blocks prove nothing
+# A sweep's verdicts compare its later points with its earlier ones.
+_SWEEP = _need(
+    lambda v: len(v) >= 2 and all(a < b for a, b in zip(v, v[1:])),
+    "needs two or more strictly increasing values",
+)
+# Each list value names its own assertions and metrics; a d that is one order is no list.
+_DISTINCT = _need(lambda v: not isinstance(v, tuple) or len(set(v)) == len(v), "repeats a value")
 
-
-def _need_sweep(name: str, values: tuple) -> None:
-    """Raise ValueError unless values strictly increase over two points or more:
-    a sweep's verdicts compare its later points with its earlier ones."""
-    if len(values) < 2 or any(b <= a for a, b in zip(values, values[1:])):
-        raise ValueError(f"{name} needs two or more strictly increasing values, got {list(values)}")
-
-
-def _need_distinct(name: str, values: tuple) -> None:
-    """Raise ValueError if a value repeats: each value names its own assertions
-    and metrics, so a repeat records the same id twice."""
-    if len(set(values)) < len(values):
-        raise ValueError(f"{name} repeats a value, got {list(values)}")
-
-
-def _need_lp_exponents(name: str, values: tuple) -> None:
-    """Raise ValueError unless every value is an L_p exponent p >= 1: the grid
-    quadrature rejects a smaller p only once a field is on the grid."""
-    if not all(p >= 1 for p in values):
-        raise ValueError(f"{name} needs every p >= 1, got {list(values)}")
-
-
-def _need_chi_at_theta(theta: tuple) -> None:
-    """Raise ValueError when the default chi vanishes at |theta|: the symbol then
-    annihilates the vanishing family or lacunary field, so verdicts lack evidence."""
-    if RadialBump().radial(freq_abs(theta)) == 0.0:
-        raise ValueError(f"chi vanishes at |theta| for theta = {list(theta)}")
+# One rule per parameter name, the same in every experiment that takes the
+# name; _typed_params applies it to each given argument once typed_param has,
+# so bad input is refused before any work.  Checks relating two parameters
+# and resource limits (exit 3) stay in the experiments.
+_RULES = {
+    "seed": (_need(lambda v: v >= 0, "must be >= 0"),),  # numpy's own check names no parameter
+    "trials": (_AT_LEAST_ONE,),
+    "n_samples": (_AT_LEAST_ONE,),
+    "m": (_AT_LEAST_ONE,),
+    "J": (_AT_LEAST_ONE,),
+    "K": (_AT_LEAST_ONE,),
+    "Q": (_need(lambda v: v >= 2, "must be >= 2 quadrature nodes"),),
+    "n_modes": (_need(lambda v: v >= 3, "must be >= 3, the fewest modes a trial draws"),),
+    "M": (lambda name, M: check_grid_size(M, f"{name}: grid size"),),
+    "n_list": (_SWEEP,),
+    "j_list": (_SWEEP,),
+    "d": (_DISTINCT,),
+    "s_list": (_DISTINCT,),
+    # The grid quadrature rejects a p < 1 only once a field is on the grid.
+    "p_list": (_DISTINCT, _need(lambda v: all(p >= 1 for p in v), "needs every p >= 1")),
+    "f": (_need(lambda v: set(v) <= _COMPOSITE_F.keys(), "names an unknown function"), _DISTINCT),
+    # A Lipschitz spread over one delta is 1 by construction.
+    "delta_list": (
+        _need(lambda v: all(delta > 0.0 for delta in v), "needs every delta > 0"),
+        _need(lambda v: len(set(v)) >= 2, "needs two distinct values"),
+    ),
+    # Where chi vanishes the symbol annihilates the vanishing family or lacunary field.
+    "theta": (
+        _need(lambda v: RadialBump().radial(freq_abs(v)) != 0.0, "needs chi nonzero at |theta|"),
+    ),
+    "m_range": (
+        _need(lambda v: len(v) == 2 and 0 <= v[0] < v[1], "must be two ints with 0 <= m_lo < m_hi"),
+    ),
+}
 
 
 def _typed_params(fn):
-    """fn with every argument passed through typed_param first."""
+    """fn with each given argument, in signature order, passed through
+    typed_param and then through the _RULES of its name."""
     sig = inspect.signature(fn)
 
     @functools.wraps(fn)
@@ -165,6 +181,8 @@ def _typed_params(fn):
         given = sig.bind(*args, **kwargs).arguments
         for key, value in given.items():
             given[key] = typed_param(value, sig.parameters[key].default, f"{fn.__name__} {key}")
+            for rule in _RULES.get(key, ()):
+                rule(key, given[key])
         return fn(**given)
 
     return run
@@ -183,13 +201,10 @@ def exp_partition_check(m: int = 8, n_samples: int = 10_000, seed: int = 0) -> E
     """Telescoping partition identity on both default profiles.
 
     Each profile draws its samples from the window |k| <= ceil(R 2^m) + 2; an
-    m < 1, which telescopes no block, raises ValueError and an m whose window
-    leaves int64 for either profile raises RangeTooLarge, both before any draw.
+    m whose window leaves int64 for either profile raises RangeTooLarge
+    before any draw.
     """
     report = ExperimentReport("partition-check", _params(locals()))
-    _need_seed(seed)
-    _need_positive("n_samples", n_samples)
-    _need_positive("m", m)
     fams = default_families()
     tops = []
     for fam in fams:
@@ -244,8 +259,6 @@ def exp_unclosable(
 ) -> ExperimentReport:
     """The vanishing family: exact harmonic-ratio output and shrinking norms."""
     report = ExperimentReport("unclosable", _params(locals()))
-    _need_sweep("n_list", n_list)
-    _need_chi_at_theta(theta)
     norms = []
     rows = []
     N0 = min(n_list)
@@ -308,8 +321,6 @@ def exp_wavefront_flip(
 ) -> ExperimentReport:
     """Flip of the lacunary direction and the cross-direction generalisation."""
     report = ExperimentReport("flip", _params(locals()))
-    _need_distinct("d", d)
-    _need_chi_at_theta(theta)
     rows = []
 
     def run_case(tag, n, theta_n, shift_dir, d_val):
@@ -351,11 +362,6 @@ def exp_weierstrass(
 ) -> ExperimentReport:
     """Second microlocalisation and unit block norms of the lacunary sum."""
     report = ExperimentReport("weierstrass", _params(locals()))
-    _need_distinct("d", d)
-    _need_distinct("p_list", p_list)
-    _need_lp_exponents("p_list", p_list)
-    _need_positive("J", J)
-    check_grid_size(M)
     if not 2 ** (J + 1) < M // 2:
         raise TorspecError(f"need 2^(J+1) < M/2, got J={J}, M={M}")
     fam = default_families()[0]
@@ -418,10 +424,6 @@ def random_symbol(n: int, rng: np.random.Generator, max_terms: int = 3) -> Separ
 def exp_spectral_support(seed: int = 7, trials: int = 500, n_modes: int = 25) -> ExperimentReport:
     """Random containment trials plus one engineered strict inclusion."""
     report = ExperimentReport("support", _params(locals()))
-    _need_seed(seed)
-    _need_positive("trials", trials)
-    if n_modes < 3:
-        raise ValueError(f"n_modes must be >= 3, the fewest modes a trial draws, got {n_modes}")
     rng = np.random.default_rng(seed)
     draw = integer_draw(rng)
     failures = 0
@@ -483,20 +485,6 @@ def exp_composite(
     grid's M/2: a larger K raises FrequencyOutOfRange before any draw.
     """
     report = ExperimentReport("composite", _params(locals()))
-    _need_seed(seed)
-    for fname in f:
-        if fname not in _COMPOSITE_F:
-            raise ValueError(f"unknown composite function {fname!r}")
-    _need_distinct("f", f)
-    _need_distinct("s_list", s_list)
-    _need_distinct("p_list", p_list)
-    _need_lp_exponents("p_list", p_list)
-    if not all(delta > 0.0 for delta in delta_list):
-        raise ValueError(f"every delta must be > 0, got {list(delta_list)}")
-    if len(set(delta_list)) < 2:
-        raise ValueError(f"delta_list needs two distinct values, got {list(delta_list)}")
-    _need_positive("K", K)
-    check_grid_size(M)
     if K >= M.bit_length() - 1:  # 2^(K-1) >= M/2, by exponents: K may be huge
         raise FrequencyOutOfRange(f"need 2^(K-1) < M/2, got K={K}, M={M}")
     rng = np.random.default_rng(seed)
@@ -573,11 +561,6 @@ def exp_continuity(
     raises RangeTooLarge and one whose apply would pass the pair budget
     raises BudgetExceeded (_vanishing_work)."""
     report = ExperimentReport("continuity", _params(locals()))
-    _need_seed(seed)
-    _need_positive("trials", trials)
-    _need_sweep("n_list", n_list)
-    _need_sweep("j_list", j_list)
-    _need_chi_at_theta(theta)
     rows = []
     v_zero, _, j_zero = vanishing_family(min(n_list), d, theta)
     for N in n_list:
@@ -665,10 +648,6 @@ def exp_product(
     of every trial: pi(u, v), pi(f u, v) and pi(u, f v).
     """
     report = ExperimentReport("product", _params(locals()))
-    _need_seed(seed)
-    _need_positive("trials", trials)
-    if len(m_range) != 2 or not 0 <= m_range[0] < m_range[1]:
-        raise ValueError(f"m_range must be two ints with 0 <= m_lo < m_hi, got {list(m_range)}")
     if m_range[1] > MAX_MODULATION_INDEX:
         raise RangeTooLarge(
             f"m_range {list(m_range)} passes m = {MAX_MODULATION_INDEX}: 2^m is no double"

@@ -280,10 +280,10 @@ def inner_product(u: SparseField, v: SparseField) -> complex:
 # -- dense grid realization ---------------------------------------------------
 
 
-def check_grid_size(M: int) -> None:
-    """Raise ValueError unless the grid size M is a power of two >= 2."""
+def check_grid_size(M: int, what: str = "grid size") -> None:
+    """Raise ValueError "<what> M is not ..." unless the grid size M is a power of two >= 2."""
     if M < 2 or M & (M - 1):
-        raise ValueError(f"grid size {M} is not a power of two >= 2")
+        raise ValueError(f"{what} {M} is not a power of two >= 2")
 
 
 @dataclass(frozen=True)

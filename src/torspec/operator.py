@@ -191,7 +191,8 @@ def apply_modulated(
 
     One step of a fresh vanishing_limit run: a^m (1 x psi_m) applied to u is
     computed too, from the same window table, and asserted to agree (they
-    are analytically identical); one check_work on u bounds both.
+    are analytically identical); check_work(a, u) bounds both, before any
+    table is built.
     """
     return _modulated_steps(a, u)[0](profile, m)
 
@@ -199,7 +200,10 @@ def apply_modulated(
 def _modulated_steps(a: SeparableSymbol, u: SparseField):
     """(step, cover) for one modulation run: step(p, m) = a^m(x, D) u^m, called in ascending m.
 
-    u is ranked once and each term's window bisected once, into one table:
+    check_work(a, u) comes first and bounds every step: each step's x-parts
+    are a's own or subsets of them, so a run whose input is over budget is
+    refused even if every step would fit.  Then u is ranked once and each
+    term's window bisected once, into one table:
     per multiplier, the keys, radii and coefficients of the modes of u with
     lo <= |eta| <= hi, in key order, and the multiplier's value at each.
     cover, the radius the run must reach, is the largest |eta| where some
@@ -220,6 +224,7 @@ def _modulated_steps(a: SeparableSymbol, u: SparseField):
     order.  The full-modulation sum stays a dict, checked by rel_coeff_diff's
     rule; a non-finite coefficient in it raises ValueError, as a field would.
     """
+    check_work(a, u)
     keys, radii, order, ranked = _rank(u)
     coeffs = list(u.coeffs.values())
     whole = range(len(ranked))
@@ -256,7 +261,6 @@ def _modulated_steps(a: SeparableSymbol, u: SparseField):
         held, first, second = runs.get(p, ((), {}, {}))
         if len(held) > flat or any(h is not t for h, t in zip(held, x_only.terms)):
             held, first, second = (), {}, {}
-        check_work(x_only, u)  # x_only has the x-parts of the full modulation
         x_hits, f_hits = [], []
         for t in x_only.terms[len(held) :]:
             xp = modulate(t.xpart, m, p) if id(t) in originals else t.xpart

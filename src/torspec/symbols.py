@@ -41,6 +41,8 @@ from .fields import (
 
 # 2^(j*d) stays a normal double for |j*d| up to ~1020; keep a wide margin.
 DYADIC_EXP_CAP = 900.0
+# The largest dyadic index a lacunary construction or symbol takes.
+MAX_DYADIC = 60
 
 
 def pow2(e: float) -> float:
@@ -295,8 +297,8 @@ def ching_symbol(
     theta = tuple(int(c) for c in theta)
     if all(c == 0 for c in theta):
         raise ZeroDirection("theta must be a nonzero lattice vector")
-    if not (1 <= j_lo <= j_hi <= 60):
-        raise BadRange(f"need 1 <= j_lo <= j_hi <= 60, got [{j_lo}, {j_hi}]")
+    if not (1 <= j_lo <= j_hi <= MAX_DYADIC):
+        raise BadRange(f"need 1 <= j_lo <= j_hi <= {MAX_DYADIC}, got [{j_lo}, {j_hi}]")
     if chi is None:
         chi = RadialBump()
     pow2(abs(d) * j_hi)  # fail early on coefficient under/overflow

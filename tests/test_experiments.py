@@ -1,8 +1,10 @@
 """Experiment reports: verdicts, determinism, artifact schemas."""
 
 import hashlib
+import inspect
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -226,6 +228,60 @@ def test_negative_seed_rejected_before_any_work(monkeypatch):
                        exp_continuity, exp_product):
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             experiment(seed=-1)
+    assert called == []
+
+
+# One flag text per _RULES name that breaks the name's rule.  A d that is a
+# single order is no list, so "0.5,0.5" is a type error there, also exit 2.
+_BAD_FLAG = {
+    "seed": "-1",
+    "trials": "0",
+    "n_samples": "0",
+    "m": "0",
+    "J": "0",
+    "K": "0",
+    "Q": "1",
+    "n_modes": "2",
+    "M": "100",
+    "n_list": "7,6,5",
+    "j_list": "10,10",
+    "d": "0.5,0.5",
+    "s_list": "1,1",
+    "p_list": "2,0.5",
+    "f": "nope",
+    "delta_list": "0.1",
+    "theta": "2",
+    "m_range": "3,2",
+}
+
+
+def test_every_rule_refuses_its_bad_flag_before_any_work(tmp_path, monkeypatch, capsys):
+    signatures = {name: inspect.signature(fn).parameters for name, fn in REGISTRY.items()}
+    taken = {key for params in signatures.values() for key in params}
+    assert set(experiments._RULES) <= taken
+    assert set(experiments._RULES) == set(_BAD_FLAG)
+    for params in signatures.values():
+        for key, param in params.items():
+            for rule in experiments._RULES.get(key, ()):
+                rule(key, param.default)
+    constructions = [
+        name for name, value in vars(experiments).items()
+        if inspect.isfunction(value) and value.__module__ == "torspec.constructions"
+    ]
+    assert "random_band_limited" in constructions and "vanishing_family" in constructions
+    called = _fail_on_call(monkeypatch, *constructions)
+    monkeypatch.setattr(experiments.np.random, "default_rng", called.append)
+    capsys.readouterr()
+    for key, bad in _BAD_FLAG.items():
+        for exp, params in signatures.items():
+            if key not in params:
+                continue
+            out = tmp_path / f"{exp}-{key}"
+            flag = "--" + key.replace("_", "-")
+            assert main(["run", exp, flag, bad, "--out", str(out)]) == 2, (exp, key)
+            err = capsys.readouterr().err
+            assert re.match(rf"torspec: ValueError: (exp_\w+ )?{key}\b", err), (exp, key, err)
+            assert not out.exists(), (exp, key)
     assert called == []
 
 

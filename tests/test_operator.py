@@ -236,6 +236,23 @@ def test_modulation_index_checked_for_a_symbol_with_no_terms(profiles):
     assert len(apply_modulated(empty, u, profiles[0], 0)) == 0
 
 
+def test_modulation_run_checks_its_budget_before_the_window_table(profiles, monkeypatch):
+    # 5,000 one-mode terms on a 2,001-mode u is 10,005,000 pairs: the run
+    # used to fill every term's window (2.8 s, 343 MiB) before its first
+    # step refused it.  The input is refused even at m = 0, where every
+    # x-part but one modulates to nothing and the step alone would fit.
+    evaluated = []
+    monkeypatch.setattr(One, "radial", lambda self, rho: evaluated.append(rho))
+    a = SeparableSymbol(0.0, 1, tuple(Term(delta_field((k,)), One()) for k in range(5000)))
+    u = SparseField(1, {(k,): 1.0 for k in range(-1000, 1001)})
+    for m in (20, 0):
+        with pytest.raises(BudgetExceeded):
+            apply_modulated(a, u, profiles[0], m)
+    with pytest.raises(BudgetExceeded):
+        vanishing_limit(a, u, profiles, (0, 20))
+    assert evaluated == []
+
+
 def _reference_run(a, u, profiles, m_range):
     # vanishing_limit with every step a fresh apply(a^m, u^m), as modulate and
     # symbol_modulate build them: nothing is kept from one step to the next,

@@ -329,6 +329,22 @@ def test_resource_error_exits_three(tmp_path):
         assert main(["run", *argv, "--out", str(tmp_path)]) == 3, argv
 
 
+def test_memory_error_exits_three(tmp_path, monkeypatch, capsys):
+    # numpy's allocation failure (weierstrass --M 2^40 under a memory limit,
+    # in block_norms) is a resource limit, not a failed assertion (1).
+    import torspec.experiments as experiments
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 8.00 TiB")
+
+    monkeypatch.setattr(experiments, "block_norms", out_of_memory)
+    out = tmp_path / "runs"
+    argv = ["run", "weierstrass", "--d", "0.5", "--J", "4", "--M", "128", "--out", str(out)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == "torspec: MemoryError: Unable to allocate 8.00 TiB\n"
+    assert not out.exists()
+
+
 def test_bad_parameter_exits_two(tmp_path, capsys):
     code = main(["run", "weierstrass", "--trials", "5", "--out", str(tmp_path)])
     assert code == 2

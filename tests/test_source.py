@@ -4,8 +4,8 @@ line and the file formats name a file writer, only DenseField converts
 grid samples, every scalar integer draw goes through
 constructions.integer_draw, every scalar normal draw goes through
 constructions.normal_sampler, only _support_hits and _modulated_steps
-bisect in operator.py, and every name the benchmark binds to still
-exists."""
+bisect in operator.py, every experiment applies the parameter rules and
+every name the benchmark binds to still exists."""
 
 import ast
 import importlib.util
@@ -270,6 +270,69 @@ find = bisect_left
 """
     assert _bisecting_definitions(ast.parse(text)) == [
         "<module>", "Table", "_support_hits", "_window_values"
+    ]
+
+
+def _experiments_outside_the_rules(tree: ast.Module) -> list[str]:
+    # An exp_* function without @_typed_params skips the parameter rules, and
+    # REGISTRY must list each exp_* function once and nothing else.
+    defined = {
+        node.name: [ast.unparse(dec) for dec in node.decorator_list]
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("exp_")
+    }
+    registry = next(
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["REGISTRY"]
+    )
+    listed = [ast.unparse(value) for value in registry.values]
+    problems = [
+        f"{name}: no @_typed_params" for name, dec in defined.items() if "_typed_params" not in dec
+    ]
+    problems += [f"{name}: not in REGISTRY" for name in defined if name not in listed]
+    problems += [
+        f"REGISTRY lists {name}"
+        for name in sorted(set(listed))
+        if listed.count(name) > 1 or name not in defined
+    ]
+    return sorted(problems)
+
+
+def test_every_experiment_applies_the_parameter_rules():
+    path = PACKAGE / "experiments.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _experiments_outside_the_rules(tree) == []
+
+
+def test_rules_check_sees_an_experiment_that_skips_them():
+    text = """
+@_typed_params
+def exp_ok(seed: int = 0):
+    pass
+
+def exp_bare(seed: int = 0):
+    pass
+
+@functools.cache
+def exp_other():
+    pass
+
+@_typed_params
+def exp_unlisted():
+    pass
+
+def helper():
+    pass
+
+REGISTRY = {"ok": exp_ok, "bare": exp_bare, "other": exp_other, "again": exp_ok, "h": helper}
+"""
+    assert _experiments_outside_the_rules(ast.parse(text)) == [
+        "REGISTRY lists exp_ok",
+        "REGISTRY lists helper",
+        "exp_bare: no @_typed_params",
+        "exp_other: no @_typed_params",
+        "exp_unlisted: not in REGISTRY",
     ]
 
 

@@ -2,8 +2,8 @@
 
 Exit codes: 0 all assertions pass, 1 assertion failure, 2 bad flags,
 unparsable inputs (JSON nested too deeply too) or an unwritable output root,
-3 resource errors (budgets, ranges, frequency caps, a dyadic index too large
-for a float, memory).  main maps errors to codes through one table, the same
+3 resource errors (budgets, ranges, frequency caps, a scale index j or m
+past 1023, memory).  main maps errors to codes through one table, the same
 for every command.  Each experiment parameter is a config key and a run
 flag, read from the signatures in REGISTRY; a flag must be given in full,
 never abbreviated, as a config key must.  A flag value is read by
@@ -32,6 +32,7 @@ from pathlib import Path
 from .cutoffs import CutoffProfile, default_families
 from .errors import TorspecError
 from .experiments import REGISTRY, ExperimentReport
+from .fields import check_scale_index
 from .operator import apply_with_support, check_work
 from .serialize import (
     atomic_write_text,
@@ -228,12 +229,12 @@ def run_apply(args, cfg: RunConfig) -> int:
     """Apply the symbol, or with --modulate its full modulation, to the field.
 
     Xi is the support bound of the symbol actually applied; the pair budget
-    counts the input symbol either way.  A negative --modulate is rejected
-    before any input is read.
+    counts the input symbol either way.  A --modulate outside 0..1023 is
+    rejected by check_scale_index before any input is read.
     """
     # An absent --modulate sets no attribute, so a given null is no absent flag.
-    if hasattr(args, "modulate") and typed_param(args.modulate, 0, "--modulate") < 0:
-        raise ValueError(f"--modulate must be >= 0, got {args.modulate}")
+    if hasattr(args, "modulate"):
+        check_scale_index(typed_param(args.modulate, 0, "--modulate"), "--modulate")
     symbol = load_symbol(args.symbol)
     field_in = load_sparse(args.field)
     if hasattr(args, "modulate"):

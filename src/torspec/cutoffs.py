@@ -21,13 +21,10 @@ import math
 from dataclasses import dataclass
 
 from .errors import BadRadii
-from .fields import Frequency, SparseField, freq_abs, freq_radii
+from .fields import Frequency, SparseField, check_scale_index, freq_abs, freq_radii
 
 DEFAULT_R = 1.1
 DEFAULT_BIG_R = 2.0
-
-# 2.0**m, the modulation scale, is a double up to m = 1023 and overflows from 1024.
-MAX_MODULATION_INDEX = 1023
 
 
 def _blend_exp(t: float) -> float:
@@ -170,10 +167,9 @@ def telescope_check(profile: CutoffProfile, m: int, samples) -> float:
 
 def modulated_coeffs(radii, coeffs, m: int, profile: CutoffProfile) -> list[complex]:
     """psi(2^{-m} rho) * c for each rho, c of radii and coeffs, exact zeros kept."""
-    if m < 0:
-        raise ValueError("modulation index must be >= 0")
+    check_scale_index(m, "m")
     radial = profile.radial
-    scale = 2.0**m  # overflows at m >= 1024 without building the integer 2^m
+    scale = 2.0**m
     return [radial(rho / scale) * c for rho, c in zip(radii, coeffs)]
 
 

@@ -25,13 +25,15 @@ from .constructions import (
     vanishing_family,
     weierstrass_field,
 )
-from .cutoffs import MAX_MODULATION_INDEX, default_families, lp_project, telescope_check
+from .cutoffs import default_families, lp_project, telescope_check
 from .errors import BudgetExceeded, FrequencyOutOfRange, RangeTooLarge, TorspecError
 from .fields import (
     DEFAULT_PAIR_BUDGET,
+    MAX_MODULATION_INDEX,
     DenseField,
     SparseField,
     check_grid_size,
+    check_scale_index,
     delta_field,
     freq_abs,
     freq_scale,
@@ -144,6 +146,7 @@ _RULES = {
     "trials": (_AT_LEAST_ONE,),
     "n_samples": (_AT_LEAST_ONE,),
     "m": (_AT_LEAST_ONE,),
+    "j0": (_AT_LEAST_ONE,),
     "J": (_AT_LEAST_ONE,),
     "K": (_AT_LEAST_ONE,),
     "Q": (_need(lambda v: v >= 2, "must be >= 2 quadrature nodes"),),
@@ -648,10 +651,7 @@ def exp_product(
     of every trial: pi(u, v), pi(f u, v) and pi(u, f v).
     """
     report = ExperimentReport("product", _params(locals()))
-    if m_range[1] > MAX_MODULATION_INDEX:
-        raise RangeTooLarge(
-            f"m_range {list(m_range)} passes m = {MAX_MODULATION_INDEX}: 2^m is no double"
-        )
+    check_scale_index(m_range[1], "m", f"m_range {list(m_range)}")
     rng = np.random.default_rng(seed)
     draw = integer_draw(rng)
     profiles = [f.profile for f in default_families()]

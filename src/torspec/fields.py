@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetExceeded, DimensionMismatch, FrequencyOutOfRange
+from .errors import BudgetExceeded, DimensionMismatch, FrequencyOutOfRange, RangeTooLarge
 
 Frequency = tuple[int, ...]
 
@@ -35,6 +35,9 @@ FREQ_CAP = 1 << 62
 
 # Pair budget of the exact sparse products (apply, pointwise_mul).
 DEFAULT_PAIR_BUDGET = 10_000_000
+
+# A scale 2.0**k is a double up to k = 1023 and overflows from 1024.
+MAX_MODULATION_INDEX = 1023
 
 
 def check_frequency(xi: Frequency, n: int) -> Frequency:
@@ -47,6 +50,16 @@ def check_frequency(xi: Frequency, n: int) -> Frequency:
         if abs(int(c)) >= FREQ_CAP:
             raise FrequencyOutOfRange(f"|{c}| >= 2^62")
     return tuple(int(c) for c in xi)
+
+
+def check_scale_index(k: int, name: str, lead: str = "") -> None:
+    """Raise ValueError for k < 0 and RangeTooLarge for k > 1023, so the scale 2^k is a
+    double >= 1; each message names the index, and a lead replaces "<name> = <k>"."""
+    if k < 0:
+        raise ValueError(f"{name} must be >= 0, got {k}")
+    if k > MAX_MODULATION_INDEX:
+        lead = lead or f"{name} = {k}"
+        raise RangeTooLarge(f"{lead} passes {name} = {MAX_MODULATION_INDEX}: 2^{k} is no double")
 
 
 def freq_add(a: Frequency, b: Frequency) -> Frequency:

@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from .cutoffs import LPFamily, lp_project
-from .errors import EmptySpectrum
+from .errors import EmptySpectrum, RangeTooLarge
 from .fields import (
     DenseField,
     SparseField,
@@ -51,13 +51,17 @@ def lp_norm(g: DenseField, p: float) -> float:
 
 
 def _lp_of_moduli(mods: np.ndarray, p: float) -> float:
-    """lp_norm of a grid field from its moduli |g| on the (M,)*n grid."""
+    """lp_norm of a grid field from its moduli |g| on the (M,)*n grid; a finite
+    p whose sum of |g|^p is no double raises RangeTooLarge."""
     if math.isinf(p):
         return float(mods.max(initial=0.0))
     if p < 1:
         raise ValueError("p must be >= 1")
     weight = 1.0 / float(mods.size)
-    return float((weight * np.sum(mods**p)) ** (1.0 / p))
+    norm = float((weight * np.sum(mods**p)) ** (1.0 / p))
+    if not norm < math.inf:
+        raise RangeTooLarge(f"L_{p} norm overflows: the largest modulus is {mods.max()}")
+    return norm
 
 
 def hsp_norm(u: SparseField, s: float, p: float, M: int) -> float:
@@ -73,7 +77,8 @@ def bessel_potential(g: DenseField, s_values) -> list[DenseField]:
     """The grid fields <D>^s g (spectrally truncated at M/2), one per s of s_values.
 
     One forward FFT of g serves every s; each weighted spectrum belongs to
-    this call and is inverted in place.  An empty s_values raises ValueError.
+    this call and is inverted in place.  An empty s_values raises ValueError,
+    and an s whose potential is not finite on the grid RangeTooLarge.
     """
     if not s_values:
         raise ValueError("bessel_potential needs at least one exponent s")
@@ -83,7 +88,10 @@ def bessel_potential(g: DenseField, s_values) -> list[DenseField]:
     out = []
     for s in s_values:
         weighted = spec * base ** (0.5 * s)
-        out.append(DenseField(g.n, g.M, np.fft.ifftn(weighted, out=weighted)))
+        pot = np.fft.ifftn(weighted, out=weighted)
+        if not np.isfinite(pot).all():
+            raise RangeTooLarge(f"<D>^s g is not finite at s = {s} on the M = {g.M} grid")
+        out.append(DenseField(g.n, g.M, pot))
     return out
 
 

@@ -47,7 +47,6 @@ import numpy as np
 
 from .constructions import normal_sampler
 from .cutoffs import (
-    MAX_MODULATION_INDEX,
     CutoffProfile,
     LPFamily,
     ball_diff,
@@ -60,7 +59,6 @@ from .errors import (
     DimensionMismatch,
     DimensionUnsupported,
     FrequencyOutOfRange,
-    RangeTooLarge,
     WindowTooLarge,
 )
 from .fields import (
@@ -69,6 +67,7 @@ from .fields import (
     Frequency,
     SparseField,
     _convolve,
+    check_scale_index,
     freq_abs,
     freq_add,
     freq_radii,
@@ -247,8 +246,7 @@ def _modulated_steps(a: SeparableSymbol, u: SparseField):
     runs: dict[CutoffProfile, tuple] = {}  # p -> (saturated prefix, x-only sums, full sums)
 
     def step(p: CutoffProfile, m: int) -> SparseField:
-        if m < 0:  # with no term scanned, nothing else would check it
-            raise ValueError("modulation index must be >= 0")
+        check_scale_index(m, "m")  # with no term scanned, nothing else would check it
         scale = 2.0**m
         terms = []
         for t, near, reach in spans:
@@ -400,19 +398,17 @@ def _modulation_run(
     (or its checks) again.  The sequences are keyed by profile id, so
     fewer than two distinct ids raise ValueError before any step: one
     profile given twice has nothing to be compared with.  So does a range
-    with m_hi < m_lo, which holds no step at all.  An m_hi past
-    MAX_MODULATION_INDEX, where 2^m is no double, raises RangeTooLarge
-    before any step.
+    with m_hi < m_lo, which holds no step at all.  Both ends pass
+    check_scale_index before any step: an m_lo below 0 raises ValueError,
+    an m_hi past 1023, where 2^m is no double, RangeTooLarge.
     """
     if len({p.id for p in profiles}) < 2:
         raise ValueError("need at least two distinct profile ids for independence checking")
     m_lo, m_hi = m_range
     if m_hi < m_lo:
         raise ValueError(f"modulation range {m_lo}..{m_hi} is reversed")
-    if m_hi > MAX_MODULATION_INDEX:
-        raise RangeTooLarge(
-            f"modulation range {m_lo}..{m_hi} passes m = {MAX_MODULATION_INDEX}: 2^m is no double"
-        )
+    for m in (m_lo, m_hi):
+        check_scale_index(m, "m", f"modulation range {m_lo}..{m_hi}")
     seqs: dict[str, list[SparseField]] = {}
     plateau = None  # the field of the run's first covered step
     for p in profiles:

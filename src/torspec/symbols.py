@@ -34,6 +34,7 @@ from .fields import (
     Frequency,
     SparseField,
     angled,
+    check_scale_index,
     freq_abs,
     freq_scale,
     grid_frequencies,
@@ -121,24 +122,15 @@ class One(Multiplier):
         return {"kind": "one"}
 
 
-def _need_dyadic_index(j: int) -> None:
-    """Raise ValueError unless j >= 0, the index of a dyadic scale 2^j >= 1
-    (below j = -1074, 2^j is 0.0 and radial would divide by it)."""
-    if j < 0:
-        raise ValueError(f"dyadic index j must be >= 0, got {j}")
-
-
 @dataclass(frozen=True)
 class Corona(Multiplier):
-    """Lacunary corona chi(2^-j eta), j >= 0, supported in 2^j [chi.lo, chi.hi]."""
+    """Lacunary corona chi(2^-j eta), 0 <= j <= 1023, supported in 2^j [chi.lo, chi.hi]."""
 
     chi: RadialBump
     j: int
 
     def __post_init__(self):
-        _need_dyadic_index(self.j)
-        # 2.0**j, here and in Block and Modulated, overflows at j >= 1024
-        # without building the integer 2^j from an index read from a file.
+        check_scale_index(self.j, "j")
         scale = 2.0**self.j
         self._bound(self.chi.lo * scale, self.chi.hi * scale)
 
@@ -161,7 +153,7 @@ class Block(Multiplier):
     j: int
 
     def __post_init__(self):
-        _need_dyadic_index(self.j)
+        check_scale_index(self.j, "j")
         if self.j == 0:
             self._bound(0.0, self.profile.R)
         else:
@@ -194,15 +186,14 @@ class Ball(Multiplier):
 
 @dataclass(frozen=True)
 class Modulated(Multiplier):
-    """inner(eta) psi(2^-m eta), m >= 0: the eta side of the full modulation a^m (1 x psi_m)."""
+    """inner(eta) psi(2^-m eta), 0 <= m <= 1023: the eta side of a^m (1 x psi_m)."""
 
     inner: Multiplier
     m: int
     profile: CutoffProfile
 
     def __post_init__(self):
-        if self.m < 0:
-            raise ValueError("modulation index must be >= 0")
+        check_scale_index(self.m, "m")
         self._bound(self.inner.lo, min(self.inner.hi, self.profile.R * 2.0**self.m))
 
     def radial(self, rho: float) -> float:

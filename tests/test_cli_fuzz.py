@@ -172,8 +172,15 @@ def test_fuzz_symbol_file(text):
 
 @FUZZ
 @given(st.sampled_from(_SYMBOL_PATHS), json_values)
-# An index too large for a float must overflow at once, without building the
-# integer 2^j; one below -1074 must not reach a division by 2^j = 0.0.
+# An index too large for a float must be refused at once, without building
+# the integer 2^j; one below -1074 must not reach a division by 2^j = 0.0.
+# 1023 is the largest index whose 2^j is a double.
+@example(("terms", _TERM["corona"], "mult", "j"), 1023)
+@example(("terms", _TERM["corona"], "mult", "j"), 1024)
+@example(("terms", _TERM["block"], "mult", "j"), 1023)
+@example(("terms", _TERM["block"], "mult", "j"), 1024)
+@example(("terms", _TERM["modulated"], "mult", "m"), 1023)
+@example(("terms", _TERM["modulated"], "mult", "m"), 1024)
 @example(("terms", _TERM["corona"], "mult", "j"), 5000)
 @example(("terms", _TERM["block"], "mult", "j"), 2**40)
 @example(("terms", _TERM["modulated"], "mult", "m"), 2**40)
@@ -267,6 +274,7 @@ def test_double_dash_flag_value():
 
 @FUZZ
 @given(texts)
+@example("1024")  # the first index whose 2^m is no double
 @example("2000")
 @example("--")  # argparse passes [] past the type function
 @example("null")  # a given null is no absent flag

@@ -238,6 +238,7 @@ _BAD_FLAG = {
     "trials": "0",
     "n_samples": "0",
     "m": "0",
+    "j0": "0",
     "J": "0",
     "K": "0",
     "Q": "1",

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from torspec.constructions import lacunary_field, vanishing_family, weierstrass_field
 from torspec.cutoffs import lp_project
-from torspec.errors import EmptySpectrum
+from torspec.errors import EmptySpectrum, RangeTooLarge
 from torspec.fields import (
     DenseField,
     SparseField,
@@ -292,6 +292,23 @@ def test_bessel_potential_split_matches_one_pass_bitwise():
                 ref = lp_norm(DenseField(u.n, M, want), p).hex()
                 assert lp_norm(field, p).hex() == ref
                 assert hsp_norm_dense(g, s, p).hex() == ref
+
+
+def test_an_exponent_too_large_for_the_grid_is_refused_where_it_overflows():
+    # <xi>^s at the top frequency 4 of an M = 8 grid is 17^(s/2): a double
+    # for s = 400, infinite for s = 600, where the inverse FFT gave nan.
+    g = sparse_to_dense(SparseField(1, {(3,): 1.0, (-4,): 0.5}), 8)
+    (pot,) = bessel_potential(g, (400.0,))
+    with pytest.raises(RangeTooLarge, match=r"not finite at s = 600.0 on the M = 8 grid"):
+        bessel_potential(g, (400.0, 600.0))
+    # Finite moduli whose p-th powers overflow: the norm was inf, which no
+    # report can hold.
+    top = float(np.abs(pot.samples).max())
+    assert lp_norm(pot, math.inf) == top
+    with pytest.raises(RangeTooLarge, match=r"L_2.0 norm overflows: the largest modulus is"):
+        lp_norm(pot, 2.0)
+    with pytest.raises(RangeTooLarge, match=r"L_4.0 norm overflows"):
+        _lp_of_moduli(np.abs(pot.samples), 4.0)
 
 
 def test_dense_passes_hold_only_their_own_grids(fam):

@@ -323,6 +323,10 @@ def test_resource_error_exits_three(tmp_path):
         assert main(["run", "partition-check", "--m", m, "--out", str(tmp_path)]) == 3, m
     # A modulation range whose 2^m_hi is no double.
     assert main(["run", "product", "--m-range", "0,1100", "--out", str(tmp_path)]) == 3
+    # A Sobolev exponent whose L_2 sum (s = 80) or potential (s = 300 at
+    # M = 2^16) is no double.
+    for argv in (["--s-list", "80,90"], ["--s-list", "300,301", "--M", "65536", "--K", "12"]):
+        assert main(["run", "composite", *argv, "--out", str(tmp_path)]) == 3, argv
     assert not any(tmp_path.iterdir())
     # A power-of-two grid too small for the top block is a grid band.
     for argv in (["weierstrass", "--M", "64", "--J", "6"], ["composite", "--M", "64", "--K", "7"]):
@@ -406,6 +410,8 @@ def test_bad_parameter_exits_two(tmp_path, capsys):
             # sum, and K = 0 a window of 1/2, so u and w are constants.
             ["run", "weierstrass", "--J", "0"],
             ["run", "composite", "--K", "0"],
+            # flip's lacunary sums start at j0, which is >= 1 as J is.
+            ["run", "flip", "--j0", "0"],
             # A grid size is a power of two >= 2, checked before the range
             # checks and before any draw.
             ["run", "weierstrass", "--M", "3"],
@@ -457,12 +463,12 @@ def test_unknown_composite_function_exits_two(tmp_path):
     assert not out.exists()
 
 
-# s = 1e300 overflows the Bessel potential on purpose.
+# s = 1e300 overflows the Bessel potential on purpose (RangeTooLarge, exit 3).
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_failed_run_writes_nothing(tmp_path):
     # Files are written only once the last experiment has returned, so a
-    # value check inside an experiment, an unknown function, a resource
-    # limit, or a metric that strict JSON cannot record leaves no output root.
+    # value check inside an experiment, an unknown function or a resource
+    # limit leaves no output root.
     cases = {
         "support.trials = 0": ("suite", 2),
         "support.n_modes = 2": ("suite", 2),
@@ -473,7 +479,7 @@ def test_failed_run_writes_nothing(tmp_path):
         "weierstrass.J = 0": ("run weierstrass", 2),
         "composite.K = 0": ("suite", 2),
         "composite.M = 48": ("run composite", 2),
-        "composite.s_list = 1e300": ("run composite", 2),
+        "composite.s_list = 1e300": ("run composite", 3),
         "continuity.j_list = [40, 30, 20, 10]": ("suite", 2),
         "unclosable.n_list = [5, 5, 6]": ("run unclosable", 2),
         "flip.d = [0, 0]": ("suite", 2),

@@ -4,8 +4,9 @@ line and the file formats name a file writer, only DenseField converts
 grid samples, every scalar integer draw goes through
 constructions.integer_draw, every scalar normal draw goes through
 constructions.normal_sampler, only _support_hits and _modulated_steps
-bisect in operator.py, every experiment applies the parameter rules and
-every name the benchmark binds to still exists."""
+bisect in operator.py, every experiment applies the parameter rules, only
+fields.check_scale_index and the partition-check window read the scale-index
+cap, and every name the benchmark binds to still exists."""
 
 import ast
 import importlib.util
@@ -333,6 +334,76 @@ REGISTRY = {"ok": exp_ok, "bare": exp_bare, "other": exp_other, "again": exp_ok,
         "exp_bare: no @_typed_params",
         "exp_other: no @_typed_params",
         "exp_unlisted: not in REGISTRY",
+    ]
+
+
+def _cap_readers(trees: dict[str, ast.Module]) -> list[str]:
+    # The module-level definitions that read the scale-index cap, by name or
+    # as the literal 1023 or 1024, "<module>" for a read outside any; the
+    # cap's own assignment and imports of it are no reads.
+    def reads(node: ast.AST) -> bool:
+        return any(
+            (isinstance(sub, ast.Name) and sub.id == "MAX_MODULATION_INDEX")
+            or (isinstance(sub, ast.Attribute) and sub.attr == "MAX_MODULATION_INDEX")
+            or (isinstance(sub, ast.Constant) and type(sub.value) is int
+                and sub.value in (1023, 1024))
+            for sub in ast.walk(node)
+        )
+
+    def defines(node: ast.AST) -> bool:
+        return isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == [
+            "MAX_MODULATION_INDEX"
+        ]
+
+    return sorted(
+        f"{module}.{getattr(node, 'name', '<module>')}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) and not defines(node) and reads(node)
+    )
+
+
+def test_only_the_scale_index_rule_reads_the_cap():
+    # check_scale_index is the rule; partition-check's int64 sample window is
+    # another limit, which only skips its 2^m past the cap.
+    trees = {
+        path.stem: ast.parse(path.read_text(), filename=str(path))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert _cap_readers(trees) == ["experiments.exp_partition_check", "fields.check_scale_index"]
+
+
+def test_cap_check_sees_a_copied_cap():
+    fields = """
+MAX_MODULATION_INDEX = 1023
+
+def check_scale_index(k, name):
+    if k > MAX_MODULATION_INDEX:
+        raise ValueError(name)
+"""
+    copies = """
+from . import fields
+from .fields import MAX_MODULATION_INDEX
+
+CAP = MAX_MODULATION_INDEX
+
+def step(m):
+    if m > 1023:
+        raise ValueError("m")
+
+class Run:
+    def check(self, m):
+        return m <= fields.MAX_MODULATION_INDEX
+
+def scale(m):
+    return 2.0**m if m < 1024 else None
+
+def fine(m, flag=True):
+    return 2.0**m
+"""
+    trees = {"fields": ast.parse(fields), "copies": ast.parse(copies)}
+    assert _cap_readers(trees) == [
+        "copies.<module>", "copies.Run", "copies.scale", "copies.step", "fields.check_scale_index"
     ]
 
 

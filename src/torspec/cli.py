@@ -122,8 +122,7 @@ def load_config(path: str | None) -> RunConfig:
                 typed_param(value, False, f"{path}:{line_no}: {key}")
                 cfg.emit_plots = value
             elif key.startswith("profile."):
-                if not isinstance(value, dict):
-                    raise ValueError(f"{path}:{line_no}: {key} must be a JSON object")
+                typed_param(value, {}, f"{path}:{line_no}: {key}")
                 cfg.profiles[key.split(".", 1)[1]] = profile_from_json({"kind": "exp", **value})
             else:
                 exp, _, param = key.partition(".")

@@ -13,7 +13,15 @@ from typing import Callable
 import numpy as np
 
 from .errors import BandwidthViolation, DimensionMismatch, RangeTooLarge
-from .fields import Frequency, SparseField, delta_field, freq_abs, freq_scale, shifted
+from .fields import (
+    Frequency,
+    SparseField,
+    check_dimension,
+    delta_field,
+    freq_abs,
+    freq_scale,
+    shifted,
+)
 from .symbols import MAX_DYADIC, pow2
 
 
@@ -203,8 +211,7 @@ def random_band_limited(
     the spectrum is symmetrised so the field is real-valued.  n must be 1
     or 2 (DimensionMismatch otherwise).
     """
-    if n not in (1, 2):
-        raise DimensionMismatch(f"dimension {n} not in {{1, 2}}")
+    check_dimension(n)
     draw = integer_draw(rng)
     sample, bg = normal_sampler(rng)
     lo, hi = -window, window + 1

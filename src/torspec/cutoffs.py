@@ -118,7 +118,8 @@ class LPFamily:
             )
 
     def block_multiplier(self, j: int, xi: Frequency) -> float:
-        """Phi_j(xi)."""
+        """Phi_j(xi), for j that passes check_scale_index (0 <= j <= 1023)."""
+        check_scale_index(j, "j")
         return self.profile.block_weight(freq_abs(xi), j)
 
     def top_block(self, u: SparseField) -> int:
@@ -148,10 +149,11 @@ def telescope_check(profile: CutoffProfile, m: int, samples) -> float:
     distinct |xi|; a max of non-negative floats does not depend on the order,
     so this is bitwise the per-sample loop.  The samples share one
     dimension, 1 or 2, and their radii are one freq_radii pass.  An empty
-    sample set is no evidence and raises ValueError, like m < 1.
+    sample set is no evidence and raises ValueError, like m < 1 (m > 1023: RangeTooLarge).
     """
     if m < 1:
         raise ValueError("m must be >= 1")
+    check_scale_index(m, "m")
     samples = list(samples)
     if not samples:
         raise ValueError("need at least one sample frequency")

@@ -52,6 +52,12 @@ def check_frequency(xi: Frequency, n: int) -> Frequency:
     return tuple(int(c) for c in xi)
 
 
+def check_dimension(n: int) -> None:
+    """Raise DimensionMismatch unless n is 1 or 2, the dimensions of every field here."""
+    if n not in (1, 2):
+        raise DimensionMismatch(f"dimension {n} not in {{1, 2}}")
+
+
 def check_scale_index(k: int, name: str, lead: str = "") -> None:
     """Raise ValueError for k < 0 and RangeTooLarge for k > 1023, so the scale 2^k is a
     double >= 1; each message names the index, and a lead replaces "<name> = <k>"."""
@@ -122,13 +128,10 @@ def freq_radii(n: int, keys) -> list[float]:
     (_rank, the modulation steps, pi_product, modulate, ball_diff,
     telescope_check).  n must be 1 or 2 (DimensionMismatch otherwise).
     """
+    check_dimension(n)
     if n == 1:
         return [math.sqrt(x * x) for (k,) in keys for x in (float(k),)]
-    if n == 2:
-        return [
-            math.sqrt(x * x + y * y) for k, l in keys for x, y in ((float(k), float(l)),)
-        ]
-    raise DimensionMismatch(f"dimension {n} not in {{1, 2}}")
+    return [math.sqrt(x * x + y * y) for k, l in keys for x, y in ((float(k), float(l)),)]
 
 
 def angled(a: Frequency) -> float:
@@ -156,8 +159,7 @@ class SparseField:
     tau: float = 0.0
 
     def __post_init__(self):
-        if self.n not in (1, 2):
-            raise DimensionMismatch(f"dimension {self.n} not in {{1, 2}}")
+        check_dimension(self.n)
         if not self.tau >= 0:  # a NaN tau would drop every coefficient
             raise ValueError(f"prune threshold must be >= 0, got {self.tau!r}")
         n = self.n
@@ -308,8 +310,7 @@ class DenseField:
     samples: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.n not in (1, 2):
-            raise DimensionMismatch(f"dimension {self.n} not in {{1, 2}}")
+        check_dimension(self.n)
         check_grid_size(self.M)
         arr = np.ascontiguousarray(self.samples, dtype=np.complex128)
         if arr.shape != (self.M,) * self.n:

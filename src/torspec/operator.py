@@ -6,13 +6,13 @@ The action of a separable symbol on a sparse field is the exact finite sum
 
 iterated in sorted (term, xi, eta) order so results are reproducible.  A
 term's multiplier is evaluated only on the modes of u whose radius |eta|
-lies in its support [lo, hi] (the spectral support rule): _rank sorts the
-radii of u once and each term's window is found by bisection, in two
-places.  _support_hits scans the windows for apply, which sums its hit
-modes and weights, and for apply_with_support, which also reads the
-support bound Xi off the keys of that sum.  A vanishing-modulation run
-(_modulated_steps) builds one table per run: each term's window modes
-with their keys, radii, coefficients and multiplier values.  The run's
+lies in its support [lo, hi] (the spectral support rule): _windows ranks
+the radii of u once (_rank) and yields each term's window modes, found by
+Multiplier.window, the one bisection of that window.  _support_hits scans
+the windows for apply, which sums its hit modes and weights, and for
+apply_with_support, which also reads the support bound Xi off the keys of
+that sum.  A vanishing-modulation run (_modulated_steps) builds one table
+per run from the same windows, with each term's multiplier values.  The run's
 cover radius and every step read that table, a step in both modulation
 orders, skipping zero values, u^m coefficients that underflow to zero and
 x-parts that modulate to nothing, and each profile sums the saturated
@@ -40,7 +40,6 @@ rule for u^j - u^k (lp_project is its block case j - k = 1).
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -143,29 +142,35 @@ def _rank(u: SparseField):
     return list(u.coeffs), radii, order, [radii[i] for i in order]
 
 
+def _windows(a: SeparableSymbol, u: SparseField):
+    """Yield (t, keys, radii, coeffs) per term t of a, in order: the modes eta of u
+    with lo <= |eta| <= hi for t's multiplier, in key order, by t.mult.window on
+    u's radii ranked once.  A window that covers all of u yields u's own lists."""
+    keys, radii, order, ranked = _rank(u)
+    coeffs = list(u.coeffs.values())
+    for t in a.terms:
+        i, j = t.mult.window(ranked)
+        if j - i == len(ranked):
+            yield t, keys, radii, coeffs
+        else:
+            w = sorted(order[i:j])
+            yield t, [keys[k] for k in w], [radii[k] for k in w], [coeffs[k] for k in w]
+
+
 def _support_hits(a: SeparableSymbol, u: SparseField):
     """Yield the lattice_sum part (t.xpart.coeffs, etas, weights) per term t of
     a: etas lists the modes eta of u (in key order) where m_t(eta) != 0,
-    weights the products m_t(eta) u^(eta).  m_t is evaluated only where
-    lo <= |eta| <= hi, by bisecting u's ranked radii: the scan of apply and
-    apply_with_support.  A modulation run keeps its own window table
-    (_modulated_steps).
+    weights the products m_t(eta) u^(eta).  m_t is evaluated only on t's
+    window (_windows): the scan of apply and apply_with_support.
     """
-    keys, radii, order, ranked = _rank(u)
-    coeffs = list(u.coeffs.values())
-    whole = range(len(ranked))
-    for t in a.terms:
-        lo = bisect_left(ranked, t.mult.lo)
-        hi = bisect_right(ranked, t.mult.hi)
-        window = whole if hi - lo == len(ranked) else sorted(order[lo:hi])
+    for t, keys, radii, coeffs in _windows(a, u):
         radial = t.mult.radial
-        etas = []
-        weights = []
-        for i in window:
-            mv = complex(radial(radii[i]))
+        etas, weights = [], []
+        for key, rho, c in zip(keys, radii, coeffs):
+            mv = complex(radial(rho))
             if mv != 0.0:
-                etas.append(keys[i])
-                weights.append(mv * coeffs[i])
+                etas.append(key)
+                weights.append(mv * c)
         yield t.xpart.coeffs, etas, weights
 
 
@@ -201,10 +206,8 @@ def _modulated_steps(a: SeparableSymbol, u: SparseField):
 
     check_work(a, u) comes first and bounds every step: each step's x-parts
     are a's own or subsets of them, so a run whose input is over budget is
-    refused even if every step would fit.  Then u is ranked once and each
-    term's window bisected once, into one table:
-    per multiplier, the keys, radii and coefficients of the modes of u with
-    lo <= |eta| <= hi, in key order, and the multiplier's value at each.
+    refused even if every step would fit.  Then one table row per term
+    holds its window (_windows) and its multiplier's value at each mode.
     cover, the radius the run must reach, is the largest |eta| where some
     multiplier's value is not 0.0 and |xi| over those terms' x-parts.  A
     step reads only the table: each term it scans modulates its window's
@@ -216,53 +219,44 @@ def _modulated_steps(a: SeparableSymbol, u: SparseField):
     in its window have rho / 2^m <= p.r; its modulation keeps its keys and
     lo, so the term stands for itself in a^m's sort and is modulated only
     when a step scans it.  An x-part with every rho / 2^m >= p.R modulates
-    to nothing and is skipped.  Per profile a step keeps both orders' sums
-    over the saturated prefix of its sorted terms while it leads (pruning
-    can reorder terms sharing a lo) and scans only the terms after it, so
-    per key the sums keep their order.  The scanned terms are already in a^m's
-    order.  The full-modulation sum stays a dict, checked by rel_coeff_diff's
+    to nothing and is skipped.  A step sorts its (term, table, saturated)
+    rows by Term.sort_key, stably, which is the order of a^m's terms.  Per
+    profile it keeps both orders' sums over the saturated prefix of its
+    rows while it leads (pruning can reorder terms sharing a lo) and scans
+    only the rows after it, so per key the sums keep their order.  The
+    full-modulation sum stays a dict, checked by rel_coeff_diff's
     rule; a non-finite coefficient in it raises ValueError, as a field would.
     """
     check_work(a, u)
-    keys, radii, order, ranked = _rank(u)
-    coeffs = list(u.coeffs.values())
-    whole = range(len(ranked))
-    windows = {}  # id(t.mult) -> (keys, radii, coefficients, t.mult.radial values)
-    spans = []  # (t, min x-part radius, max x-part or window radius of u)
+    rows = []  # (t, min x-part radius, max x-part or window radius of u, window table)
     cover = 0.0
-    for t in a.terms:
-        lo = bisect_left(ranked, t.mult.lo)
-        hi = bisect_right(ranked, t.mult.hi)
-        window = whole if hi - lo == len(ranked) else sorted(order[lo:hi])
-        rs = [radii[i] for i in window]
+    for t, ks, rs, cs in _windows(a, u):
         values = list(map(t.mult.radial, rs))
-        windows[id(t.mult)] = ([keys[i] for i in window], rs, [coeffs[i] for i in window], values)
         xr = freq_radii(t.xpart.n, t.xpart.coeffs)
-        spans.append((t, min(xr, default=math.inf), max(xr + rs, default=0.0)))
+        near, reach = min(xr, default=math.inf), max(xr + rs, default=0.0)
+        rows.append((t, near, reach, (ks, rs, cs, values)))
         hit = [rho for rho, value in zip(rs, values) if value != 0.0]
         if hit:
             cover = max(cover, *hit, *xr)
-    originals = {id(t) for t in a.terms}
     runs: dict[CutoffProfile, tuple] = {}  # p -> (saturated prefix, x-only sums, full sums)
 
     def step(p: CutoffProfile, m: int) -> SparseField:
         check_scale_index(m, "m")  # with no term scanned, nothing else would check it
         scale = 2.0**m
-        terms = []
-        for t, near, reach in spans:
+        terms = []  # (term of a^m, its window table, saturated), sorted as a^m's terms
+        for t, near, reach, table in rows:
             if reach / scale <= p.r:
-                terms.append(t)
+                terms.append((t, table, True))
             elif near / scale < p.R and len(xp := modulate(t.xpart, m, p)):
-                terms.append(Term(xp, t.mult))
-        x_only = SeparableSymbol(a.d, a.n, tuple(terms))
-        flat = next((i for i, t in enumerate(x_only.terms) if id(t) not in originals), len(terms))
+                terms.append((Term(xp, t.mult), table, False))
+        terms.sort(key=lambda row: row[0].sort_key())
+        flat = next((i for i, row in enumerate(terms) if not row[2]), len(terms))
         held, first, second = runs.get(p, ((), {}, {}))
-        if len(held) > flat or any(h is not t for h, t in zip(held, x_only.terms)):
+        if len(held) > flat or any(h is not row[0] for h, row in zip(held, terms)):
             held, first, second = (), {}, {}
         x_hits, f_hits = [], []
-        for t in x_only.terms[len(held) :]:
-            xp = modulate(t.xpart, m, p) if id(t) in originals else t.xpart
-            ks, rs, cs, values = windows[id(t.mult)]
+        for t, (ks, rs, cs, values), saturated in terms[len(held) :]:
+            xp = modulate(t.xpart, m, p) if saturated else t.xpart
             full = Modulated(t.mult, m, p)
             x_etas, x_weights, f_etas, f_weights = [], [], [], []
             for key, rho, c, cm, value in zip(ks, rs, cs, modulated_coeffs(rs, cs, m, p), values):
@@ -277,7 +271,7 @@ def _modulated_steps(a: SeparableSymbol, u: SparseField):
         new = flat - len(held)
         if new:
             first, second = lattice_sum(x_hits[:new], first), lattice_sum(f_hits[:new], second)
-        runs[p] = (x_only.terms[:flat], first, second)
+        runs[p] = ([row[0] for row in terms[:flat]], first, second)
         first = SparseField(u.n, lattice_sum(x_hits[new:], first))
         second = lattice_sum(f_hits[new:], second)
         if not all(abs(c) < math.inf for c in second.values()):  # as building it would

@@ -7,8 +7,8 @@ multiplier's own to_json() and read back by a lookup on its "kind".  The
 support radii are not stored: they are derived from the multiplier when it
 is rebuilt.  Malformed input raises ValueError (KeyError for a missing
 key): a value of the wrong JSON type is never cast, truncated or dropped.
-typed_param, the one rule for a value from outside, checks every integer,
-number and kind string a loader reads, and every config value and flag.
+typed_param, the one rule for a value from outside, checks every value and
+shape a loader reads, and every config value and flag.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import DenseField, SparseField, check_grid_size
+from .fields import DenseField, SparseField, check_dimension, check_grid_size
 from .symbols import (
     Ball,
     Block,
@@ -72,10 +72,11 @@ def typed_param(value, default, what: str):
     A bool comes only from a bool, an int never from a float or a bool, a
     float from an int or float of magnitude at most sys.float_info.max (so
     never NaN, an infinity or an int too large for a float; returned as a
-    float), a str from a nonempty str; a tuple default takes one such
-    element or a nonempty list or tuple of them, each checked and cast, and
-    returns a tuple (an empty one would run the experiment on no case at
-    all).  Anything else raises ValueError.
+    float), a str from a nonempty str, a dict or list (a JSON object or
+    array, contents unchecked) from its own type; a tuple default takes one
+    such element or a nonempty list or tuple of them, each checked and
+    cast, and returns a tuple (an empty one would run the experiment on no
+    case at all).  Anything else raises ValueError.
     """
     if isinstance(default, tuple):
         items = value if isinstance(value, (list, tuple)) else [value]
@@ -96,12 +97,6 @@ def typed_param(value, default, what: str):
 # -- sparse fields ---------------------------------------------------------------
 
 
-def _typed(value, kind: type, what: str):
-    if not isinstance(value, kind):
-        raise ValueError(f"{what} must be a JSON {kind.__name__}, got {value!r}")
-    return value
-
-
 def sparse_to_json(u: SparseField) -> dict:
     return {
         "n": u.n,
@@ -120,12 +115,11 @@ def sparse_from_json(obj: dict) -> SparseField:
     frequency and a non-numeric or non-finite "re"/"im" (also one too large
     for a float).
     """
-    n = typed_param(_typed(obj, dict, "sparse field")["n"], 0, "field 'n'")
-    if n not in (1, 2):
-        raise ValueError(f"dimension {n} not in {{1, 2}}")
+    n = typed_param(typed_param(obj, {}, "sparse field")["n"], 0, "field 'n'")
+    check_dimension(n)
     coeffs = {}
-    for entry in _typed(obj["coeffs"], list, "coeffs"):
-        xi = _typed(_typed(entry, dict, "coefficient entry")["xi"], list, "xi")
+    for entry in typed_param(obj["coeffs"], [], "coeffs"):
+        xi = typed_param(typed_param(entry, {}, "coefficient entry")["xi"], [], "xi")
         if len(xi) != n:
             raise ValueError(f"frequency {xi!r} does not have {n} components")
         xi = tuple(typed_param(k, 0, "frequency component") for k in xi)
@@ -165,10 +159,9 @@ def load_dense(base: Path | str) -> DenseField:
     """
     base = Path(base)
     with open(base.with_suffix(".json")) as handle:
-        meta = _typed(json.load(handle), dict, "dense sidecar")
+        meta = typed_param(json.load(handle), {}, "dense sidecar")
     n, M = (typed_param(meta[k], 0, f"field {k!r}") for k in ("n", "M"))
-    if n not in (1, 2):
-        raise ValueError(f"dimension {n} not in {{1, 2}}")
+    check_dimension(n)
     check_grid_size(M)
     size = base.with_suffix(".c64").stat().st_size
     if size != 8 * M**n:
@@ -181,7 +174,7 @@ def load_dense(base: Path | str) -> DenseField:
 
 
 def _bump(obj: dict) -> RadialBump:
-    _typed(obj, dict, "chi")
+    typed_param(obj, {}, "chi")
     return RadialBump(
         *(typed_param(obj[k], 0.0, f"field {k!r}") for k in ("lo", "hi", "plo", "phi")),
         typed_param(obj["kind"], "exp", "chi kind"),
@@ -191,7 +184,7 @@ def _bump(obj: dict) -> RadialBump:
 
 def profile_from_json(obj: dict) -> CutoffProfile:
     """A cutoff profile from exactly the keys "r", "R" (numbers) and "kind" (a string)."""
-    extra = _typed(obj, dict, "profile").keys() - {"r", "R", "kind"}
+    extra = typed_param(obj, {}, "profile").keys() - {"r", "R", "kind"}
     if extra:
         raise ValueError(f"unknown profile keys {sorted(extra)}")
     return CutoffProfile(
@@ -214,7 +207,7 @@ _MULT_FROM_JSON = {
 
 
 def mult_from_json(obj: dict) -> Multiplier:
-    kind = _typed(obj, dict, "multiplier")["kind"]
+    kind = typed_param(obj, {}, "multiplier")["kind"]
     if not isinstance(kind, str) or kind not in _MULT_FROM_JSON:
         raise ValueError(f"unknown multiplier kind {kind!r}")
     return _MULT_FROM_JSON[kind](obj)
@@ -234,12 +227,11 @@ def symbol_from_json(obj: dict) -> SeparableSymbol:
     number, a dimension "n" other than the integers 1 and 2, an x-part of
     another dimension, and a radius, bump or profile value of the wrong type.
     """
-    n = typed_param(_typed(obj, dict, "symbol")["n"], 0, "field 'n'")
-    if n not in (1, 2):
-        raise ValueError(f"dimension {n} not in {{1, 2}}")
+    n = typed_param(typed_param(obj, {}, "symbol")["n"], 0, "field 'n'")
+    check_dimension(n)
     terms = []
-    for entry in _typed(obj["terms"], list, "terms"):
-        xpart = sparse_from_json(_typed(entry, dict, "term")["xpart"])
+    for entry in typed_param(obj["terms"], [], "terms"):
+        xpart = sparse_from_json(typed_param(entry, {}, "term")["xpart"])
         if xpart.n != n:
             raise ValueError(f"x-part of dimension {xpart.n} in a symbol of dimension {n}")
         terms.append(Term(xpart, mult_from_json(entry["mult"])))

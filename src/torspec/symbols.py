@@ -16,6 +16,7 @@ checks) decidable.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, field
 from typing import Callable
 
@@ -106,6 +107,10 @@ class Multiplier:
     def _bound(self, lo: float, hi: float) -> None:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
+
+    def window(self, ranked) -> tuple[int, int]:
+        """(i, j): ranked[i:j] holds the lo <= rho <= hi of the ascending radii ranked."""
+        return bisect_left(ranked, self.lo), bisect_right(ranked, self.hi)
 
 
 @dataclass(frozen=True)
@@ -606,14 +611,13 @@ def check_vanishes_at_zero(F: Callable[[float], float]) -> None:
 def _radial_on_grid(mult: Block, M: int, n: int) -> np.ndarray:
     """mult.radial at every |xi| of the FFT grid.
 
-    The profile is evaluated once per unique radius inside the closed
-    support window [mult.lo, mult.hi]; outside it the weight is the exact
+    The profile is evaluated once per unique radius in mult.window, the
+    closed support [mult.lo, mult.hi]; outside it the weight is the exact
     0.0 that block_weight returns there.
     """
     rho = grid_frequencies(M, n)
     uniq, inverse = np.unique(rho.ravel(), return_inverse=True)
-    lo = int(np.searchsorted(uniq, mult.lo, side="left"))
-    hi = int(np.searchsorted(uniq, mult.hi, side="right"))
+    lo, hi = mult.window(uniq)
     vals = np.zeros(len(uniq))
     vals[lo:hi] = [mult.radial(float(r)) for r in uniq[lo:hi]]
     return vals[inverse].reshape(rho.shape)

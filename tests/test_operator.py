@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from torspec.constructions import (
@@ -50,6 +50,7 @@ from torspec.operator import (
     _diff_norm,
     _modulation_run,
     _support_hits,
+    _windows,
     adjoint_apply_ching,
     apply,
     apply_modulated,
@@ -366,13 +367,14 @@ def test_vanishing_limit_scans_each_term_while_it_is_live(profiles, monkeypatch)
     # A step scans only the terms after its saturated prefix that pruning has
     # not emptied, so the window scans grow with terms + steps, not with
     # terms x steps as when every step scans every term in both orders.  The
-    # window table fills one window per term, bisecting its lower end once; a
-    # step reads a scanned term's stored window once for both orders, under
-    # the one Modulated it builds.
+    # window table fills one window per term, Multiplier.window bisecting its
+    # lower end once; a step reads a scanned term's stored window once for
+    # both orders, under the one Modulated it builds.
     import torspec.operator as op
+    import torspec.symbols as sy
 
     scanned = []
-    fill = op.bisect_left
+    fill = sy.bisect_left
 
     def counted(ranked, lo):
         scanned.append(lo)
@@ -383,7 +385,7 @@ def test_vanishing_limit_scans_each_term_while_it_is_live(profiles, monkeypatch)
             super().__post_init__()
             scanned.extend([self.inner] * 2)  # one read per order
 
-    monkeypatch.setattr(op, "bisect_left", counted)
+    monkeypatch.setattr(sy, "bisect_left", counted)
     monkeypatch.setattr(op, "Modulated", Scanned)
     vN, _, j_hi = vanishing_family(5, 0.0, (1,))
     _, a = ching_symbol(0.0, (1,), 5, j_hi)
@@ -864,6 +866,54 @@ def test_windowed_apply_matches_per_pair_loop_bitwise(case):
     au, xi_set = apply_with_support(a, u)
     assert _hexed(au) == _hexed(got)
     assert xi_set == _support_by_pairs(a, u)
+
+
+@st.composite
+def _mult_and_ranked(draw):
+    # Radii from the multiplier's own ends, repeated, their neighbouring
+    # doubles and anything in between; hi = inf is never a radius.
+    mult = draw(_MULTS)
+    ends = [r for r in (mult.lo, mult.hi) if math.isfinite(r)]
+    near = [math.nextafter(r, d) for r in ends for d in (0.0, math.inf) if r > 0.0 or d > 0.0]
+    top = max(ends) * 2.0 + 1.0
+    radius = st.one_of(st.sampled_from(ends + near), st.floats(0.0, top))
+    return mult, sorted(draw(st.lists(radius, max_size=12)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mult_and_ranked())
+@example((One(), []))
+@example((One(), [0.0, 0.0, 3.0]))
+@example((Ball(2.0), [0.0, 2.0, 2.0, 2.0, 3.0]))
+@example((Block(_PROFILE, 0), [0.0, 0.0, 2.0, 2.0, 2.5]))
+@example((Corona(_CHI, 2), [4.0, 4.0, 7.0, 10.0, 10.0]))
+@example((Modulated(Corona(_CHI, 3), 0, _PROFILE), [2.0, 8.0, 8.0]))
+def test_multiplier_window_is_the_closed_filter(case):
+    # window(ranked) = (i, j): ranked[:i] below lo, ranked[j:] above hi, so
+    # ranked[i:j] is exactly the radii with lo <= rho <= hi, for a list and
+    # for the numpy array of _radial_on_grid alike (empty when lo > hi, as
+    # for a Modulated multiplier whose inner lo passes its cap).
+    mult, ranked = case
+    inside = [rho for rho in ranked if mult.lo <= rho <= mult.hi]
+    i, j = mult.window(ranked)
+    assert (i, j) == (sum(rho < mult.lo for rho in ranked), sum(rho <= mult.hi for rho in ranked))
+    assert ranked[i:j] == inside
+    assert mult.window(np.array(ranked, dtype=float)) == (i, j)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_symbol_and_field())
+def test_windows_are_the_closed_filter_of_u_in_key_order(case):
+    # Per term, in order: u's modes with lo <= |eta| <= hi in key order, their
+    # radii and coefficients.  The boundary modes sit exactly on integer ends,
+    # so a window open at either end drops one of them.
+    a, u = case
+    rows = list(_windows(a, u))
+    assert [t for t, *_ in rows] == list(a.terms)
+    for t, keys, radii, coeffs in rows:
+        want = [(xi, c) for xi, c in u.items() if t.mult.lo <= freq_abs(xi) <= t.mult.hi]
+        assert list(zip(keys, coeffs)) == want
+        assert [rho.hex() for rho in radii] == [freq_abs(xi).hex() for xi in keys]
 
 
 # -- paradifferential splitting ---------------------------------------------------------------

@@ -13,7 +13,7 @@ import pytest
 
 from torspec import cli
 from torspec.cli import main
-from torspec.cutoffs import ball_diff, default_families, lp_project, modulate
+from torspec.cutoffs import ball_diff, default_families, lp_project, modulate, telescope_check
 from torspec.errors import RangeTooLarge
 from torspec.experiments import exp_product
 from torspec.fields import SparseField, freq_abs, pointwise_mul
@@ -98,6 +98,12 @@ _ENTRIES = {
         "m",
         lambda k: (lambda d, lim: (d.passed, lim.coeffs))(*pi_product(U, V, PROFILES, _span(k))),
         lambda: (True, pointwise_mul(U, V).coeffs),
+    ),
+    # Phi_j(3) and the telescoping deviation at 3 stop changing once the
+    # plateau covers 3, long before j or m = 1023.
+    "block_multiplier": ("j", lambda k: FAM.block_multiplier(k, (3,)), lambda: 0.0),
+    "telescope_check": (
+        "m", lambda k: telescope_check(P, k, [(3,)]), lambda: telescope_check(P, 8, [(3,)])
     ),
     "exp_product": (
         "m_range", lambda k: exp_product(m_range=_span(k), trials=1).passed, lambda: True

@@ -3,8 +3,8 @@ private module-level function or class is referenced, only the command
 line and the file formats name a file writer, only DenseField converts
 grid samples, every scalar integer draw goes through
 constructions.integer_draw, every scalar normal draw goes through
-constructions.normal_sampler, only _support_hits and _modulated_steps
-bisect in operator.py, every experiment applies the parameter rules, only
+constructions.normal_sampler, only Multiplier.window bisects a support
+window, every experiment applies the parameter rules, only
 fields.check_scale_index and the partition-check window read the scale-index
 cap, and every name the benchmark binds to still exists."""
 
@@ -223,31 +223,45 @@ w = rng.normal(0.0, 1.0)
     assert _scalar_normal_draws(ast.parse(text)) == [2, 2, 3, 4, 7]
 
 
-def _bisecting_definitions(tree: ast.Module) -> list[str]:
-    # The module-level definitions that name a bisect_* function, nested
-    # functions counted in theirs, and "<module>" for a name outside any.
+def _bisecting_definitions(trees: dict[str, ast.Module]) -> list[str]:
+    # "<module>.<definition>" for each module-level definition that names a
+    # bisect_* function or searchsorted, nested functions counted in theirs,
+    # a method as "<Class>.<method>", and "<module>" for a name outside any.
     def bisects(node: ast.AST) -> bool:
         return any(
-            (isinstance(sub, ast.Name) and sub.id.startswith("bisect"))
-            or (isinstance(sub, ast.Attribute) and sub.attr.startswith("bisect"))
+            isinstance(name, str) and (name.startswith("bisect") or name == "searchsorted")
             for sub in ast.walk(node)
+            for name in (getattr(sub, "id", None), getattr(sub, "attr", None))
         )
+
+    def definitions(tree: ast.Module):
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    name = getattr(item, "name", None)
+                    yield item, node.name if name is None else f"{node.name}.{name}"
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                yield node, getattr(node, "name", "<module>")
 
     return sorted(
         {
-            getattr(node, "name", "<module>")
-            for node in tree.body
-            if not isinstance(node, (ast.Import, ast.ImportFrom)) and bisects(node)
+            f"{module}.{name}"
+            for module, tree in trees.items()
+            for node, name in definitions(tree)
+            if bisects(node)
         }
     )
 
 
 def test_only_the_window_scans_bisect():
-    # A term's window is bisected in two places: the scan of apply and
-    # apply_with_support, and the window table of a modulation run.
-    path = PACKAGE / "operator.py"
-    tree = ast.parse(path.read_text(), filename=str(path))
-    assert _bisecting_definitions(tree) == ["_modulated_steps", "_support_hits"]
+    # A term's support window lo <= |eta| <= hi is bisected in one place,
+    # Multiplier.window: the sparse scans of apply, apply_with_support and a
+    # modulation run's table, and the dense grid's unique radii, all call it.
+    trees = {
+        path.stem: ast.parse(path.read_text(), filename=str(path))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert _bisecting_definitions(trees) == ["symbols.Multiplier.window"]
 
 
 def test_bisection_check_sees_a_bisection_elsewhere():
@@ -264,13 +278,33 @@ def _window_values(ranked, hi):
     return inner()
 
 class Table:
+    find_lo = bisect_left
+
     def find(self, ranked, lo):
         return bisect.bisect_left(ranked, lo)
 
+    def fine(self, ranked):
+        return len(ranked)
+
 find = bisect_left
 """
-    assert _bisecting_definitions(ast.parse(text)) == [
-        "<module>", "Table", "_support_hits", "_window_values"
+    dense = """
+import numpy as np
+
+def _radial_on_grid(uniq, lo):
+    return int(np.searchsorted(uniq, lo, side="left"))
+
+def fine(uniq):
+    return np.unique(uniq)
+"""
+    trees = {"scans": ast.parse(text), "dense": ast.parse(dense)}
+    assert _bisecting_definitions(trees) == [
+        "dense._radial_on_grid",
+        "scans.<module>",
+        "scans.Table",
+        "scans.Table.find",
+        "scans._support_hits",
+        "scans._window_values",
     ]
 
 

@@ -1,14 +1,14 @@
 """Named lacunary constructions shared by the experiments and tests, and the
-seeded draws behind their random inputs: integer_draw and normal_sampler run
-numpy's own samplers on the bit generator, bitwise rng.integers and
-rng.standard_normal without numpy's per-call wrapper."""
+seeded draws behind their random inputs: integer_draw, span_draws and
+normal_sampler run numpy's own samplers on the bit generator, bitwise
+rng.integers and rng.standard_normal without numpy's per-call wrapper."""
 
 from __future__ import annotations
 
 import ctypes
 import functools
 import math
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -16,6 +16,7 @@ from .errors import BandwidthViolation, DimensionMismatch, RangeTooLarge
 from .fields import (
     Frequency,
     SparseField,
+    _derived_field,
     check_dimension,
     delta_field,
     freq_abs,
@@ -165,6 +166,35 @@ def integer_draw(rng: np.random.Generator) -> Callable[[int, int], int]:
     return draw
 
 
+def span_draws(rng: np.random.Generator, lo: int, hi: int) -> Iterator[int]:
+    """Endless draws, each bitwise integer_draw(rng)(lo, hi), with the bounds fixed once.
+
+    For a span hi - lo in (1, 2^32] the span, numpy's Lemire threshold
+    (2^32 - span) % span and the bit generator's next_uint32 are bound
+    before the first draw, and a draw redraws while the low word of
+    next_uint32 * span is below that threshold.  The threshold is below the
+    span, so this is the rejection integer_draw runs after comparing with
+    the span, with the same values and generator state.  Any other span
+    draws through integer_draw itself.  Nothing is read or drawn before the
+    first next(); the iterator holds rng, whose state next_uint32 advances,
+    and one thread at a time may draw from rng.
+    """
+    lo = int(lo)
+    span = int(hi) - lo
+    if not 1 < span <= 1 << 32:
+        draw = integer_draw(rng)
+        while True:
+            yield draw(lo, hi)
+    ct = rng.bit_generator.ctypes
+    next_uint32, state = ct.next_uint32, ct.state
+    threshold = ((1 << 32) - span) % span
+    while True:
+        m = next_uint32(state) * span
+        while m & 0xFFFFFFFF < threshold:
+            m = next_uint32(state) * span
+        yield lo + (m >> 32)
+
+
 @functools.cache
 def _standard_normal():
     """numpy's own C sampler random_standard_normal(bitgen_t *), the ziggurat
@@ -203,24 +233,21 @@ def random_band_limited(
     """Seeded random trigonometric polynomial with i.i.d. Gaussian coefficients.
 
     Frequencies are drawn uniformly from the cube [-window, window]^n, one
-    integer_draw per component (the same stream and state as one
-    rng.integers draw of size n); each coefficient part is 0.0 + sample(bg)
-    of normal_sampler, which is exactly numpy's normal() at loc 0 and scale
-    1 (loc + scale * z, so -0.0 becomes +0.0), drawn by numpy's own C
-    sampler without a Python frame per draw.  With hermitian=True
-    the spectrum is symmetrised so the field is real-valued.  n must be 1
-    or 2 (DimensionMismatch otherwise).
+    span_draws draw per component, the span fixed once per field (the same
+    stream and state as one rng.integers draw of size n); each coefficient
+    part is 0.0 + sample(bg) of normal_sampler, which is exactly numpy's
+    normal() at loc 0 and scale 1 (loc + scale * z, so -0.0 becomes +0.0),
+    drawn by numpy's own C sampler without a Python frame per draw.  With
+    hermitian=True the spectrum is symmetrised so the field is real-valued.
+    n must be 1 or 2 (DimensionMismatch otherwise).  The keys are plain
+    ints drawn in the window, so the field is a derived build.
     """
     check_dimension(n)
-    draw = integer_draw(rng)
+    draw = span_draws(rng, -window, window + 1).__next__
     sample, bg = normal_sampler(rng)
-    lo, hi = -window, window + 1
     coeffs: dict[Frequency, complex] = {}
     for _ in range(n_modes):
-        if n == 1:
-            xi = (draw(lo, hi),)
-        else:
-            xi = (draw(lo, hi), draw(lo, hi))
+        xi = (draw(),) if n == 1 else (draw(), draw())  # drawn before its coefficient
         coeffs[xi] = complex(0.0 + sample(bg), 0.0 + sample(bg))
     if hermitian:
         sym: dict[Frequency, complex] = {}
@@ -234,4 +261,4 @@ def random_band_limited(
                 sym[xi] = coeffs[xi]
                 sym[neg] = coeffs[xi].conjugate()
         coeffs = sym
-    return SparseField(n, coeffs)
+    return _derived_field(n, coeffs)

@@ -21,7 +21,14 @@ import math
 from dataclasses import dataclass
 
 from .errors import BadRadii
-from .fields import Frequency, SparseField, check_scale_index, freq_abs, freq_radii
+from .fields import (
+    Frequency,
+    SparseField,
+    _derived_field,
+    check_scale_index,
+    freq_abs,
+    freq_radii,
+)
 
 DEFAULT_R = 1.1
 DEFAULT_BIG_R = 2.0
@@ -181,7 +188,7 @@ def modulate(u: SparseField, m: int, profile: CutoffProfile) -> SparseField:
     to c, and bitwise c except that a zero part can lose its sign, as
     (-0-1j) comes back as -1j and (1-0j) as (1+0j)."""
     coeffs = modulated_coeffs(freq_radii(u.n, u.coeffs), u.coeffs.values(), m, profile)
-    return SparseField(u.n, dict(zip(u.coeffs, coeffs)))
+    return _derived_field(u.n, dict(zip(u.coeffs, coeffs)))
 
 
 def ball_diff(u: SparseField, j: int, k: int, profile: CutoffProfile) -> SparseField:
@@ -198,7 +205,7 @@ def ball_diff(u: SparseField, j: int, k: int, profile: CutoffProfile) -> SparseF
         return modulate(u, j, profile)
     radii = freq_radii(u.n, u.coeffs)
     hi, lo = (modulated_coeffs(radii, u.coeffs.values(), i, profile) for i in (j, k))
-    return SparseField(u.n, {xi: x - y for xi, x, y in zip(u.coeffs, hi, lo)})
+    return _derived_field(u.n, {xi: x - y for xi, x, y in zip(u.coeffs, hi, lo)})
 
 
 def lp_project(u: SparseField, j: int, fam: LPFamily) -> SparseField:

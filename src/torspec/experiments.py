@@ -407,6 +407,14 @@ def exp_weierstrass(
 # -- 5. spectral support rule --------------------------------------------------------------
 
 
+# The multipliers of random symbols, indexed by their exponent: the corona
+# chi(2^-j eta) and the ball of radius 2^k.  Multipliers are frozen, so one
+# instance of each serves every symbol.
+_CORONAS = [Corona(RadialBump(), j) for j in range(9)]
+_BALLS = [Ball(float(2**k)) for k in range(8)]
+_ONE = One()
+
+
 def random_symbol(n: int, rng: np.random.Generator, max_terms: int = 3) -> SeparableSymbol:
     """Seeded random separable symbol with structured multipliers."""
     draw = integer_draw(rng)
@@ -415,11 +423,11 @@ def random_symbol(n: int, rng: np.random.Generator, max_terms: int = 3) -> Separ
         xpart = random_band_limited(n, draw(1, 5), 32, rng)
         kind = ("corona", "one", "ball")[draw(0, 3)]  # rng.choice's draw
         if kind == "corona":
-            terms.append(Term(xpart, Corona(RadialBump(), draw(1, 9))))
+            terms.append(Term(xpart, _CORONAS[draw(1, 9)]))
         elif kind == "one":
-            terms.append(Term(xpart, One()))
+            terms.append(Term(xpart, _ONE))
         else:
-            terms.append(Term(xpart, Ball(float(2 ** draw(2, 8)))))
+            terms.append(Term(xpart, _BALLS[draw(2, 8)]))
     return SeparableSymbol(0.0, n, tuple(terms))
 
 

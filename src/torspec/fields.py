@@ -11,7 +11,11 @@ reproducible.  Construction validates every kept frequency: a tuple of n
 plain ints inside the 2^62 cap, which is what every operation here builds,
 is stored as given; any other key goes through check_frequency: numpy
 integers become ints, and bools, floats, a wrong length and a component at
-or past the cap are rejected.
+or past the cap are rejected.  A field whose keys a producer here made
+itself (lattice sums of stored keys, a field's own keys, draws in a window)
+is built by _derived_field, which skips the per-key type and length checks
+that its producer guarantees and checks the cap and finiteness once per
+field, handing anything that fails to the constructor.
 A prune threshold applies only to the field built with it: every operation
 here builds its result with the default, which drops exact zeros only.
 Every sparse product here and in operator sums into xi + eta in lattice_sum.
@@ -149,9 +153,13 @@ class SparseField:
     from this one keeps its small coefficients unless it is built with a
     threshold of its own.  A kept key that is a plain-int n-tuple inside the
     cap skips re-validation; every other key is checked and normalised by
-    check_frequency, so the stored keys are always plain-int tuples and the
-    cap guard on sums such as apply's xi + eta still holds.  Instances are
-    treated as immutable: operations return new fields.
+    check_frequency, so the stored keys are always plain-int tuples.  The
+    fields whose keys the package made itself (lattice sums, modulations,
+    seeded draws) bypass this per-key pass through _derived_field, whose
+    keys are plain-int tuples by construction: its once-per-field check of
+    the sorted ends and the second components keeps the cap guard on sums
+    such as apply's xi + eta, and a field that fails it is built here.
+    Instances are treated as immutable: operations return new fields.
     """
 
     n: int
@@ -235,6 +243,37 @@ class SparseField:
         return complex(math.fsum(acc_re), math.fsum(acc_im))
 
 
+def _derived_field(n: int, coeffs: dict[Frequency, complex]) -> SparseField:
+    """SparseField(n, coeffs) for complex coefficients a producer here keyed by
+    plain-int n-tuples itself: lattice sums of stored keys (apply,
+    apply_with_support, _convolve, the modulation step), a field's own keys
+    (modulate, ball_diff) and draws in a window (random_band_limited).
+
+    The keys are sorted and exact zeros dropped, as the constructor does.
+    The key types are the producer's, so only the 2^62 cap and finiteness
+    are checked, once per field: the sorted ends of the first components,
+    the min and max of the second ones (over every key, kept or not) and
+    one sum of the kept magnitudes.  If a check fails, SparseField(n,
+    coeffs) builds the field, so every error and its message is the
+    constructor's.
+    """
+    keys = sorted(coeffs)
+    kept = {xi: c for xi in keys if (c := coeffs[xi])}
+    if keys and not (
+        -FREQ_CAP < keys[0][0]
+        and keys[-1][0] < FREQ_CAP
+        and sum(map(abs, kept.values())) < math.inf
+    ):
+        return SparseField(n, coeffs)
+    if n == 2 and keys:  # two passes, not a list: a big sum's peak memory stays put
+        y = operator.itemgetter(1)
+        if not (-FREQ_CAP < min(map(y, keys)) and max(map(y, keys)) < FREQ_CAP):
+            return SparseField(n, coeffs)
+    u = object.__new__(SparseField)
+    u.__dict__.update(n=n, coeffs=kept, tau=0.0)  # frozen: set as __post_init__ would leave it
+    return u
+
+
 def zero_field(n: int) -> SparseField:
     return SparseField(n, {})
 
@@ -262,7 +301,7 @@ def _convolve(n: int, a: dict, nb: int, b: dict, budget: int = DEFAULT_PAIR_BUDG
         raise DimensionMismatch("cannot multiply fields of different dimension")
     if len(a) * len(b) > budget:
         raise BudgetExceeded(f"{len(a)} * {len(b)} coefficient pairs exceed {budget}")
-    return SparseField(n, lattice_sum([(a, list(b), list(b.values()))]))
+    return _derived_field(n, lattice_sum([(a, list(b), list(b.values()))]))
 
 
 def lattice_sum(parts, start=()) -> dict[Frequency, complex]:
@@ -271,12 +310,13 @@ def lattice_sum(parts, start=()) -> dict[Frequency, complex]:
     part per term in operator, one per product in _convolve.  A key starts
     from 0.0 + c * w, not c * w, which fixes the sign of a zero part."""
     out: dict[Frequency, complex] = dict(start)
+    get = out.get
     for coeffs, etas, weights in parts:
         if not etas:
             continue
         for xi, c in coeffs.items():
             for zeta, w in zip(shifted(xi, etas), weights):
-                out[zeta] = out.get(zeta, 0.0) + c * w
+                out[zeta] = get(zeta, 0.0) + c * w
     return out
 
 

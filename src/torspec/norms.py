@@ -51,14 +51,24 @@ def lp_norm(g: DenseField, p: float) -> float:
 
 
 def _lp_of_moduli(mods: np.ndarray, p: float) -> float:
-    """lp_norm of a grid field from its moduli |g| on the (M,)*n grid; a finite
-    p whose sum of |g|^p is no double raises RangeTooLarge."""
+    """lp_norm of a grid field from its moduli |g| on the (M,)*n grid.
+
+    A finite p sums |g|^p as it is; only when that sum is no double is it
+    taken again over |g| / top, top the largest modulus, and the root scaled
+    back by top, so every norm the plain sum gives keeps its bits.  A norm
+    that is still no double (a non-finite modulus) raises RangeTooLarge.
+    """
     if math.isinf(p):
         return float(mods.max(initial=0.0))
     if p < 1:
         raise ValueError("p must be >= 1")
     weight = 1.0 / float(mods.size)
-    norm = float((weight * np.sum(mods**p)) ** (1.0 / p))
+    with np.errstate(over="ignore"):  # an overflowing sum is redone scaled
+        norm = float((weight * np.sum(mods**p)) ** (1.0 / p))
+    if not norm < math.inf:
+        top = float(mods.max())
+        if 0.0 < top < math.inf:
+            norm = top * float((weight * np.sum((mods / top) ** p)) ** (1.0 / p))
     if not norm < math.inf:
         raise RangeTooLarge(f"L_{p} norm overflows: the largest modulus is {mods.max()}")
     return norm

@@ -66,6 +66,7 @@ from .fields import (
     Frequency,
     SparseField,
     _convolve,
+    _derived_field,
     check_scale_index,
     freq_abs,
     freq_add,
@@ -99,7 +100,7 @@ def apply(a: SeparableSymbol, u: SparseField, budget: int = DEFAULT_PAIR_BUDGET)
     bound is built; apply_with_support returns one as well.
     """
     check_work(a, u, budget)
-    return SparseField(u.n, lattice_sum(_support_hits(a, u)))
+    return _derived_field(u.n, lattice_sum(_support_hits(a, u)))
 
 
 def apply_with_support(
@@ -114,7 +115,7 @@ def apply_with_support(
     """
     check_work(a, u, budget)
     sums = lattice_sum(_support_hits(a, u))
-    au = SparseField(u.n, sums)
+    au = _derived_field(u.n, sums)
     xi_set = set(sums)
     if not au.coeffs.keys() <= xi_set:
         raise AssertionError("spectral support rule violated")
@@ -152,6 +153,8 @@ def _windows(a: SeparableSymbol, u: SparseField):
         i, j = t.mult.window(ranked)
         if j - i == len(ranked):
             yield t, keys, radii, coeffs
+        elif i == j:
+            yield t, [], [], []
         else:
             w = sorted(order[i:j])
             yield t, [keys[k] for k in w], [radii[k] for k in w], [coeffs[k] for k in w]
@@ -164,14 +167,11 @@ def _support_hits(a: SeparableSymbol, u: SparseField):
     window (_windows): the scan of apply and apply_with_support.
     """
     for t, keys, radii, coeffs in _windows(a, u):
-        radial = t.mult.radial
-        etas, weights = [], []
-        for key, rho, c in zip(keys, radii, coeffs):
-            mv = complex(radial(rho))
-            if mv != 0.0:
-                etas.append(key)
-                weights.append(mv * c)
-        yield t.xpart.coeffs, etas, weights
+        values = list(map(t.mult.radial, radii))
+        if 0.0 in values:  # a zero value, of either sign, is no hit
+            hit = [i for i, value in enumerate(values) if value != 0.0]
+            keys, values, coeffs = ([f[i] for i in hit] for f in (keys, values, coeffs))
+        yield t.xpart.coeffs, keys, [complex(value) * c for value, c in zip(values, coeffs)]
 
 
 def rel_coeff_diff(u: SparseField, v: SparseField) -> float:
@@ -272,7 +272,7 @@ def _modulated_steps(a: SeparableSymbol, u: SparseField):
         if new:
             first, second = lattice_sum(x_hits[:new], first), lattice_sum(f_hits[:new], second)
         runs[p] = ([row[0] for row in terms[:flat]], first, second)
-        first = SparseField(u.n, lattice_sum(x_hits[new:], first))
+        first = _derived_field(u.n, lattice_sum(x_hits[new:], first))
         second = lattice_sum(f_hits[new:], second)
         if not all(abs(c) < math.inf for c in second.values()):  # as building it would
             raise ValueError("non-finite coefficient in the full-modulation sum")

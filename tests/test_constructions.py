@@ -20,6 +20,7 @@ from torspec.constructions import (
     lacunary_field,
     normal_sampler,
     random_band_limited,
+    span_draws,
     vanishing_family,
     weierstrass_field,
 )
@@ -285,6 +286,56 @@ def test_integer_draw_rejection_branch_runs():
         draw(0, 2**32)
         draw(7, 8)
     assert len(calls) == 100
+
+
+def test_span_draws_are_numpy_integers_bitwise():
+    # A field fixes its span once; drawn as random_band_limited draws a 2-d
+    # field, key components and then normal_sampler's two coefficient parts,
+    # the values and the final state are rng.integers' and rng.normal's own.
+    # 65 and 401 are spans of fields here, 3 * 2^30 + 1 rejects, 2^32 never
+    # does, and 1 and 2^32 + 5 go through integer_draw.
+    for bit_generator in BIT_GENERATORS:
+        for span in (1, 2, 65, 401, 3 * 2**30 + 1, 2**32, 2**32 + 5):
+            ours = np.random.Generator(bit_generator(11))
+            theirs = np.random.Generator(bit_generator(11))
+            lo = -(span // 2)
+            draw = span_draws(ours, lo, lo + span).__next__
+            sample, bg = normal_sampler(ours)
+            for i in range(400):
+                got = (draw(), draw())
+                assert all(type(k) is int for k in got)
+                want = (int(theirs.integers(lo, lo + span)), int(theirs.integers(lo, lo + span)))
+                assert got == want, (bit_generator, span, i)
+                for _ in range(2):
+                    assert (0.0 + sample(bg)).hex() == theirs.normal().hex()
+            assert _plain(ours.bit_generator.state) == _plain(theirs.bit_generator.state)
+
+
+def test_span_draws_rejection_and_fallbacks():
+    # The threshold is the rejection integer_draw runs: at 3 * 2^30 + 1 about
+    # a quarter of the words are redrawn.  2^32 takes one word a draw and a
+    # span of 1 none; an empty range raises numpy's ValueError at the first
+    # draw, not before.
+    span = 3 * 2**30 + 1
+    rng, calls = _counting(np.random.default_rng(5))
+    theirs = np.random.default_rng(5)
+    draws = span_draws(rng, 0, span)
+    for _ in range(4000):
+        assert next(draws) == int(theirs.integers(0, span))
+    assert 5000 < len(calls) < 5700
+    for lo, hi, words in [(0, 2**32, 100), (7, 8, 0)]:
+        rng, calls = _counting(np.random.default_rng(5))
+        draws = span_draws(rng, lo, hi)
+        assert [next(draws) for _ in range(100)] == [
+            int(v) for v in np.random.default_rng(5).integers(lo, hi, size=100)
+        ]
+        assert len(calls) == words
+    empty = span_draws(np.random.default_rng(5), 5, 5)
+    with pytest.raises(ValueError) as ours_error:
+        next(empty)
+    with pytest.raises(ValueError) as numpy_error:
+        np.random.default_rng(5).integers(5, 5)
+    assert str(ours_error.value) == str(numpy_error.value)
 
 
 def test_integer_draw_bounds():

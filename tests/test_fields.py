@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from torspec.constructions import lacunary_field
@@ -13,6 +13,7 @@ from torspec.errors import BudgetExceeded, DimensionMismatch, FrequencyOutOfRang
 from torspec.fields import (
     DenseField,
     SparseField,
+    _derived_field,
     angled,
     check_frequency,
     delta_field,
@@ -190,6 +191,69 @@ def test_plain_int_fast_path_matches_checked_construction(n, coeffs):
         assert all(type(k) is int for xi in got for k in xi)
         for (xi, c), d in zip(got.items(), ref.values()):
             assert (c.real.hex(), c.imag.hex()) == (d.real.hex(), d.imag.hex()), xi
+
+
+def _build(build):
+    """(n, tau and the items with each coefficient as float.hex), or the error
+    type and message, of the field build() makes."""
+    try:
+        u = build()
+    except Exception as exc:  # the class and the message are what must match
+        return None, (type(exc), str(exc))
+    items = [(xi, c.real.hex(), c.imag.hex()) for xi, c in u.coeffs.items()]
+    return (u.n, u.tau, items), None
+
+
+# Lattice sums of in-cap components: 2^61 + 2^61 = 2^62 and 2^62 - 1 + 1
+# reach the cap from inside it, as xi + eta does in apply.
+_SUM_EDGE = (0, 1, -1, 2**61, -(2**61), 2**62 - 1, -(2**62 - 1))
+_summand_st = st.one_of(st.sampled_from(_SUM_EDGE), st.integers(-40, 40))
+_derived_value_st = st.one_of(
+    st.sampled_from(
+        (
+            1.0 + 0j,
+            -2.5 + 0.5j,
+            1e-300j,
+            0j,
+            complex(-0.0, 0.0),
+            complex(0.0, -0.0),
+            complex(-0.0, -0.0),
+            complex(math.nan, 0.0),
+            complex(0.0, -math.inf),
+            complex(1e308, 1e308),  # finite parts, infinite magnitude
+        )
+    ),
+    st.complex_numbers(max_magnitude=1e300),
+)
+
+
+@st.composite
+def _derived_input(draw):
+    """n and a coefficient dict keyed by lattice sums xi + eta of plain-int
+    n-tuples inside the cap, the keys a producer hands the derived build."""
+    n = draw(st.sampled_from((1, 2)))
+    pairs = draw(st.lists(st.tuples(*[st.tuples(*[_summand_st] * n)] * 2), max_size=8))
+    return n, {shifted(xi, [eta])[0]: draw(_derived_value_st) for xi, eta in pairs}
+
+
+@settings(max_examples=500, deadline=None)
+@given(_derived_input())
+@example((1, {(2,): complex(math.nan, 0.0), (1,): 1.0 + 0j}))
+@example((2, {(0, 1): 1.0 + 0j, (3, -4): complex(0.0, math.inf)}))
+@example((1, {(5,): 0j, (-7,): complex(-0.0, -0.0), (1,): 1.0 + 0j}))
+@example((2, {(1, 2): complex(-0.0, 0.0)}))
+@example((1, {shifted((2**61,), [(2**61,)])[0]: 1.0 + 0j, (0,): 2.0 + 0j}))
+@example((1, {shifted((-(2**61),), [(-(2**61),)])[0]: 1.0 + 0j}))
+@example((2, {shifted((3, 2**62 - 1), [(-3, 1)])[0]: 1.0 + 0j, (0, 0): 1j}))
+@example((2, {shifted((0, -(2**62 - 1)), [(0, -1)])[0]: 1.0 + 0j, (9, 9): 1j}))
+@example((2, {shifted((2**61, 0), [(2**61, 0)])[0]: 0j, (1, 1): 1.0 + 0j}))
+def test_derived_build_is_the_constructor(case):
+    # The per-field checks of the derived build keep the constructor's
+    # items, their order and bits, and every error type and message: a NaN
+    # or infinite value, exact zeros of either sign, a key at +-2^62.
+    n, coeffs = case
+    got = _build(lambda: _derived_field(n, dict(coeffs)))
+    assert got == _build(lambda: SparseField(n, dict(coeffs)))
 
 
 # Reference forms: math.fsum of the float squares.

@@ -1,6 +1,7 @@
 """Sobolev, L_p, block norms and the directional decay report."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -301,14 +302,42 @@ def test_an_exponent_too_large_for_the_grid_is_refused_where_it_overflows():
     (pot,) = bessel_potential(g, (400.0,))
     with pytest.raises(RangeTooLarge, match=r"not finite at s = 600.0 on the M = 8 grid"):
         bessel_potential(g, (400.0, 600.0))
-    # Finite moduli whose p-th powers overflow: the norm was inf, which no
-    # report can hold.
-    top = float(np.abs(pot.samples).max())
-    assert lp_norm(pot, math.inf) == top
-    with pytest.raises(RangeTooLarge, match=r"L_2.0 norm overflows: the largest modulus is"):
-        lp_norm(pot, 2.0)
-    with pytest.raises(RangeTooLarge, match=r"L_4.0 norm overflows"):
-        _lp_of_moduli(np.abs(pot.samples), 4.0)
+    # Finite moduli whose p-th powers overflow: the plain sum is no double,
+    # but the norm is, and the rescaled sum returns it; checked against the
+    # exact mean of the p-th powers, in Fractions.
+    mods = np.abs(pot.samples)
+    top = float(mods.max())
+    assert top > 1e200 and lp_norm(pot, math.inf) == top
+    for p in (2, 4):
+        mean = sum(Fraction(float(m)) ** p for m in mods) / len(mods)
+        want = top * float(mean / Fraction(top) ** p) ** (1.0 / p)
+        for norm in (lp_norm(pot, float(p)), _lp_of_moduli(mods, float(p))):
+            assert math.isfinite(norm) and abs(norm - want) <= 1e-15 * want, (p, norm, want)
+    # Only a modulus that is no double leaves a norm that is none.
+    blown = DenseField(1, 8, np.full(8, math.inf + 0j))
+    with pytest.raises(RangeTooLarge, match=r"L_2.0 norm overflows: the largest modulus is inf"):
+        lp_norm(blown, 2.0)
+
+
+def test_lp_norm_keeps_the_bits_of_every_plain_sum():
+    # The rescaled sum runs only where the plain one is no double: a norm
+    # the plain sum gives keeps its bits, at tiny, unit and huge moduli.
+    rng = np.random.default_rng(4)
+    for top in (1e-300, 1.0, 1e100):
+        mods = top * rng.random(64)
+        for p in (1.0, 2.0, 3.0):
+            plain = float((np.sum(mods**p) / 64.0) ** (1.0 / p))
+            assert _lp_of_moduli(mods, p).hex() == plain.hex()
+
+
+def test_lp_norm_past_the_plain_sum_is_a_double():
+    # 1e160 squared is no double, so the plain L_2 sum overflowed and the
+    # norm, exactly 1e160 here, was refused as RangeTooLarge.
+    mods = np.full(16, 1e160)
+    assert _lp_of_moduli(mods, 2.0) == 1e160
+    assert _lp_of_moduli(mods, 4.0) == 1e160
+    norm = _lp_of_moduli(np.array([1e160, 0.0]), 2.0)
+    assert abs(norm - 1e160 * math.sqrt(0.5)) <= 1e-15 * norm
 
 
 def test_dense_passes_hold_only_their_own_grids(fam):

@@ -422,6 +422,29 @@ def test_vanishing_limit_evaluates_each_multiplier_once_per_window_mode(profiles
     assert windows == 63
 
 
+def _count_fields(monkeypatch, built: list) -> None:
+    """Append the input coefficient count of every SparseField built to
+    built, through the constructor or the derived build of a producer."""
+    import torspec.constructions as constructions
+    import torspec.cutoffs as cutoffs
+    import torspec.fields as fields
+    import torspec.operator as op
+
+    init, derived = SparseField.__post_init__, fields._derived_field
+
+    def counted_init(self):
+        built.append(len(self.coeffs))
+        init(self)
+
+    def counted_derived(n, coeffs):
+        built.append(len(coeffs))
+        return derived(n, coeffs)
+
+    monkeypatch.setattr(SparseField, "__post_init__", counted_init)
+    for module in (constructions, cutoffs, fields, op):
+        monkeypatch.setattr(module, "_derived_field", counted_derived)
+
+
 def test_modulation_step_builds_one_field(profiles, monkeypatch):
     # A computed step builds its returned field and nothing else besides the
     # x-parts modulate builds: the full-modulation order is compared as a
@@ -430,12 +453,9 @@ def test_modulation_step_builds_one_field(profiles, monkeypatch):
 
     vN, _, j_hi = vanishing_family(5, 0.0, (1,))
     _, a = ching_symbol(0.0, (1,), 5, j_hi)
-    counts = {"fields": 0, "steps": 0, "modulate": 0}
-    post_init, steps, modulate_ = SparseField.__post_init__, op._modulated_steps, op.modulate
-
-    def built(self):
-        counts["fields"] += 1
-        post_init(self)
+    counts = {"steps": 0, "modulate": 0}
+    built = []
+    steps, modulate_ = op._modulated_steps, op.modulate
 
     def counted_steps(*args):
         step, cover = steps(*args)
@@ -450,10 +470,11 @@ def test_modulation_step_builds_one_field(profiles, monkeypatch):
         counts["modulate"] += 1
         return modulate_(*args)
 
-    monkeypatch.setattr(SparseField, "__post_init__", built)
+    _count_fields(monkeypatch, built)
     monkeypatch.setattr(op, "_modulated_steps", counted_steps)
     monkeypatch.setattr(op, "modulate", counted_modulate)
     vanishing_limit(a, vN, profiles, (0, 12))
+    counts["fields"] = len(built)
     assert counts == {"fields": 42, "steps": 26, "modulate": 16}  # 42 = 26 + 16
 
 
@@ -1148,13 +1169,7 @@ def test_pi_product_builds_one_field_per_computed_step(profiles, monkeypatch):
     u = SparseField(1, {(0,): 1.0, (40,): 1.0, (-7,): 0.5j})
     v = SparseField(1, {(0,): 1.0, (33,): 1.0})
     built = []
-    init = SparseField.__post_init__
-
-    def counted(self):
-        built.append(len(self.coeffs))
-        init(self)
-
-    monkeypatch.setattr(SparseField, "__post_init__", counted)
+    _count_fields(monkeypatch, built)
     diag, _ = pi_product(u, v, profiles, (0, 9))
     uncovered = sum(40.0 / float(2**m) > p.r for p in profiles for m in range(10))
     assert diag.passed

@@ -323,14 +323,25 @@ def test_resource_error_exits_three(tmp_path):
         assert main(["run", "partition-check", "--m", m, "--out", str(tmp_path)]) == 3, m
     # A modulation range whose 2^m_hi is no double.
     assert main(["run", "product", "--m-range", "0,1100", "--out", str(tmp_path)]) == 3
-    # A Sobolev exponent whose L_2 sum (s = 80) or potential (s = 300 at
-    # M = 2^16) is no double.
-    for argv in (["--s-list", "80,90"], ["--s-list", "300,301", "--M", "65536", "--K", "12"]):
-        assert main(["run", "composite", *argv, "--out", str(tmp_path)]) == 3, argv
+    # A Sobolev exponent whose potential (s = 300 at M = 2^16) is no double.
+    argv = ["--s-list", "300,301", "--M", "65536", "--K", "12"]
+    assert main(["run", "composite", *argv, "--out", str(tmp_path)]) == 3
     assert not any(tmp_path.iterdir())
     # A power-of-two grid too small for the top block is a grid band.
     for argv in (["weierstrass", "--M", "64", "--J", "6"], ["composite", "--M", "64", "--K", "7"]):
         assert main(["run", *argv, "--out", str(tmp_path)]) == 3, argv
+
+
+def test_composite_reports_norms_whose_plain_lp_sum_overflows(tmp_path):
+    # At s = 80 and 90 the largest modulus is near 1e248: its square is no
+    # double, but the L_2 and L_4 norms are, so the run reports them and its
+    # verdicts instead of stopping as a resource error (exit 3).
+    assert main(["run", "composite", "--s-list", "80,90", "--out", str(tmp_path)]) == 1
+    report = json.loads((tmp_path / "composite" / "report.json").read_text())
+    norms = {k: v for k, v in report["metrics"].items() if k.startswith("hsp[")}
+    assert len(norms) == 8 and all(1e240 < v < math.inf for v in norms.values())
+    failed = {a["id"].split("[")[0] for a in report["assertions"] if not a["pass"]}
+    assert failed == {"lipschitz-bounded"}
 
 
 def test_memory_error_exits_three(tmp_path, monkeypatch, capsys):

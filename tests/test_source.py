@@ -4,9 +4,10 @@ line and the file formats name a file writer, only DenseField converts
 grid samples, every scalar integer draw goes through
 constructions.integer_draw, every scalar normal draw goes through
 constructions.normal_sampler, only Multiplier.window bisects a support
-window, every experiment applies the parameter rules, only
-fields.check_scale_index and the partition-check window read the scale-index
-cap, and every name the benchmark binds to still exists."""
+window, only the named producers build derived fields, every experiment
+applies the parameter rules, only fields.check_scale_index and the
+partition-check window read the scale-index cap, and every name the
+benchmark binds to still exists."""
 
 import ast
 import importlib.util
@@ -223,13 +224,13 @@ w = rng.normal(0.0, 1.0)
     assert _scalar_normal_draws(ast.parse(text)) == [2, 2, 3, 4, 7]
 
 
-def _bisecting_definitions(trees: dict[str, ast.Module]) -> list[str]:
-    # "<module>.<definition>" for each module-level definition that names a
-    # bisect_* function or searchsorted, nested functions counted in theirs,
-    # a method as "<Class>.<method>", and "<module>" for a name outside any.
-    def bisects(node: ast.AST) -> bool:
+def _definitions_naming(trees: dict[str, ast.Module], names) -> list[str]:
+    # "<module>.<definition>" for each module-level definition in which a
+    # name or attribute satisfies names(str), nested functions counted in
+    # theirs, a method as "<Class>.<method>", "<module>" for one outside any.
+    def mentions(node: ast.AST) -> bool:
         return any(
-            isinstance(name, str) and (name.startswith("bisect") or name == "searchsorted")
+            isinstance(name, str) and names(name)
             for sub in ast.walk(node)
             for name in (getattr(sub, "id", None), getattr(sub, "attr", None))
         )
@@ -248,8 +249,15 @@ def _bisecting_definitions(trees: dict[str, ast.Module]) -> list[str]:
             f"{module}.{name}"
             for module, tree in trees.items()
             for node, name in definitions(tree)
-            if bisects(node)
+            if mentions(node)
         }
+    )
+
+
+def _bisecting_definitions(trees: dict[str, ast.Module]) -> list[str]:
+    # The definitions that name a bisect_* function or searchsorted.
+    return _definitions_naming(
+        trees, lambda name: name.startswith("bisect") or name == "searchsorted"
     )
 
 
@@ -305,6 +313,70 @@ def fine(uniq):
         "scans.Table.find",
         "scans._support_hits",
         "scans._window_values",
+    ]
+
+
+def _derived_builders(trees: dict[str, ast.Module]) -> list[str]:
+    # The definitions that name fields._derived_field, which skips the
+    # per-key checks of SparseField for keys its producer built itself.
+    return _definitions_naming(trees, lambda name: name == "_derived_field")
+
+
+def test_only_the_named_producers_build_derived_fields():
+    # Lattice sums of stored keys, a field's own keys and draws in a window
+    # are plain-int tuples by construction; a field built from any other
+    # keys must go through SparseField's per-key checks.
+    trees = {
+        path.stem: ast.parse(path.read_text(), filename=str(path))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert _derived_builders(trees) == [
+        "constructions.random_band_limited",
+        "cutoffs.ball_diff",
+        "cutoffs.modulate",
+        "fields._convolve",
+        "operator._modulated_steps",
+        "operator.apply",
+        "operator.apply_with_support",
+    ]
+
+
+def test_derived_build_check_sees_a_call_elsewhere():
+    fields = """
+def _derived_field(n, coeffs):
+    return SparseField(n, coeffs)
+
+def _convolve(n, a, b):
+    return _derived_field(n, lattice_sum([(a, list(b), list(b.values()))]))
+"""
+    loaders = """
+from . import fields
+from .fields import _derived_field
+
+def read_field(n, raw):
+    return _derived_field(n, {tuple(k): v for k, v in raw})
+
+class Loader:
+    def load(self, n, raw):
+        return fields._derived_field(n, raw)
+
+    def fine(self, n, raw):
+        return SparseField(n, raw)
+
+def step(n, raw):
+    def inner():
+        return _derived_field(n, raw)
+    return inner()
+
+build = _derived_field
+"""
+    trees = {"fields": ast.parse(fields), "loaders": ast.parse(loaders)}
+    assert _derived_builders(trees) == [
+        "fields._convolve",
+        "loaders.<module>",
+        "loaders.Loader.load",
+        "loaders.read_field",
+        "loaders.step",
     ]
 
 
